@@ -150,7 +150,7 @@ type message struct {
 }
 
 func (m message) encode() []byte {
-	w := wire.NewWriter(20 + len(m.Payload))
+	w := wire.NewWriter(1 + 8 + 8 + 1 + 4 + len(m.Payload))
 	w.U8(Tag)
 	w.U64(m.ID)
 	w.U64(uint64(m.Origin))

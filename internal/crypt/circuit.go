@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
+	"time"
 
 	"whisper/internal/wire"
 )
@@ -121,17 +122,52 @@ func PeelCircuit(m *CPUMeter, priv PrivateKey, onion []byte) (key, next, inner [
 // layer with OpenSym under its own key. Hop keys recur across the
 // cells of a circuit, so the per-key AEAD cache makes the steady state
 // allocation-light and — the point of circuits — entirely RSA-free.
+//
+// The sealed cell is laid out
+//
+//	nonce₀ nonce₁ … nonceₙ₋₁ | ciphertext | tagₙ₋₁ … tag₁ tag₀
+//
+// because every layer's plaintext is the next layer's nonce ||
+// ciphertext || tag (so an inner nonce travels encrypted under the
+// layers outside it; the picture gives positions, which opening a layer
+// in place relies on). SealCell allocates that buffer and leaves
+// payload untouched; SealCellInPlace is for callers that laid it out
+// themselves.
 func SealCell(m *CPUMeter, keys [][]byte, payload []byte) ([]byte, error) {
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("crypt: sealing cell for empty circuit")
-	}
-	cell := payload
-	for i := len(keys) - 1; i >= 0; i-- {
-		var err error
-		cell, err = SealSym(m, keys[i], cell)
-		if err != nil {
-			return nil, fmt.Errorf("crypt: sealing cell layer %d: %w", i, err)
-		}
+	cell := make([]byte, len(keys)*(NonceSize+TagSize)+len(payload))
+	copy(cell[len(keys)*NonceSize:], payload)
+	if err := SealCellInPlace(m, keys, cell); err != nil {
+		return nil, err
 	}
 	return cell, nil
+}
+
+// SealCellInPlace seals a cell inside the buffer it will travel in.
+// cell must be laid out as SealCell documents, with the plaintext
+// already at cell[len(keys)*NonceSize : len(cell)-len(keys)*TagSize];
+// the nonce and tag regions are overwritten.
+func SealCellInPlace(m *CPUMeter, keys [][]byte, cell []byte) error {
+	n := len(keys)
+	if n == 0 {
+		return fmt.Errorf("crypt: sealing cell for empty circuit")
+	}
+	if len(cell) < n*(NonceSize+TagSize) {
+		return fmt.Errorf("crypt: %d-byte buffer cannot hold a %d-hop cell", len(cell), n)
+	}
+	if _, err := rand.Read(cell[:n*NonceSize]); err != nil {
+		return fmt.Errorf("crypt: nonce: %w", err)
+	}
+	for i := n - 1; i >= 0; i-- {
+		start := time.Now()
+		gcm, err := cachedGCM(keys[i])
+		if err != nil {
+			return fmt.Errorf("crypt: sealing cell layer %d: %w", i, err)
+		}
+		// Layer i's plaintext ends where the tags of the layers inside
+		// it end; its own tag lands right behind.
+		pt := cell[(i+1)*NonceSize : len(cell)-(i+1)*TagSize]
+		gcm.Seal(pt[:0], cell[i*NonceSize:(i+1)*NonceSize], pt, nil)
+		m.chargeAES(start)
+	}
+	return nil
 }

@@ -27,6 +27,14 @@ import (
 // SymKeySize is the AES key size in bytes (AES-256).
 const SymKeySize = 32
 
+// NonceSize and TagSize are what one symmetric layer adds in front of
+// and behind its plaintext (AES-GCM's standard nonce and tag). Callers
+// that seal or open in place lay their buffers out with them.
+const (
+	NonceSize = 12
+	TagSize   = 16
+)
+
 var (
 	// ErrDecrypt is returned when a ciphertext fails to open; callers
 	// must not learn more than that (uniform decryption failure).
@@ -130,21 +138,40 @@ func sealWith(gcm cipher.AEAD, plaintext []byte) ([]byte, error) {
 	return gcm.Seal(buf, buf, plaintext, nil), nil
 }
 
-// OpenSym decrypts a SealSym ciphertext.
+// OpenSym decrypts a SealSym ciphertext into a fresh buffer; ct is left
+// untouched.
 func OpenSym(m *CPUMeter, key, ct []byte) ([]byte, error) {
 	defer m.chargeAES(time.Now())
 	gcm, err := cachedGCM(key)
 	if err != nil {
 		return nil, err
 	}
-	return openWith(gcm, ct)
+	return openWith(gcm, nil, ct)
 }
 
-func openWith(gcm cipher.AEAD, ct []byte) ([]byte, error) {
+// OpenSymInPlace decrypts a SealSym ciphertext where it lies and
+// returns the plaintext as the sub-slice ct[NonceSize:len(ct)-TagSize].
+// The caller must own ct: it is overwritten, and on failure its
+// ciphertext is destroyed.
+func OpenSymInPlace(m *CPUMeter, key, ct []byte) ([]byte, error) {
+	defer m.chargeAES(time.Now())
+	gcm, err := cachedGCM(key)
+	if err != nil {
+		return nil, err
+	}
+	if len(ct) < NonceSize {
+		return nil, ErrDecrypt
+	}
+	return openWith(gcm, ct[NonceSize:NonceSize], ct)
+}
+
+// openWith opens nonce || ciphertext into dst (nil allocates; the empty
+// slice at the ciphertext's own start decrypts in place).
+func openWith(gcm cipher.AEAD, dst, ct []byte) ([]byte, error) {
 	if len(ct) < gcm.NonceSize() {
 		return nil, ErrDecrypt
 	}
-	pt, err := gcm.Open(nil, ct[:gcm.NonceSize()], ct[gcm.NonceSize():], nil)
+	pt, err := gcm.Open(dst, ct[:gcm.NonceSize()], ct[gcm.NonceSize():], nil)
 	if err != nil {
 		return nil, ErrDecrypt
 	}

@@ -237,7 +237,7 @@ func (eccSuite) Open(m *CPUMeter, priv PrivateKey, ct []byte) ([]byte, error) {
 	if err != nil {
 		return nil, ErrDecrypt
 	}
-	pt, err := openWith(aead, ct[eccEphSize:])
+	pt, err := openWith(aead, nil, ct[eccEphSize:])
 	m.chargeAES(aesStart)
 	if err != nil {
 		return nil, ErrDecrypt

@@ -224,7 +224,7 @@ func rsaOpen(m *CPUMeter, priv *rsa.PrivateKey, ct []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pt, err := openWith(gcm, body)
+	pt, err := openWith(gcm, nil, body)
 	m.chargeAES(aesStart)
 	return pt, err
 }

@@ -8,24 +8,39 @@
 // (exactly-once within the window, at-most-window-late otherwise).
 package dedup
 
-import "container/list"
+import "math"
+
+// entry is one remembered key, linked into the recency order by slab
+// index (-1 = none) rather than by pointer: the whole set is two heap
+// objects however many keys it holds, and the collector has nothing to
+// trace inside the slab when K is pointer-free.
+type entry[K comparable] struct {
+	key        K
+	prev, next int32
+}
 
 // Seen is a bounded set of comparable keys with least-recently-used
 // eviction. The zero value is not usable; construct with New. Not safe
 // for concurrent use — callers run on a serialized dispatch context,
 // per the transport execution contract.
+//
+// Memory follows use, not the bound: index and slab start empty and
+// grow as keys arrive (every WCL carries three of these and most nodes
+// never fill any), and once the bound is reached the evicted key's
+// slot is reused, so a full set allocates nothing per Add.
 type Seen[K comparable] struct {
-	cap int
-	ll  *list.List // front = most recently seen
-	m   map[K]*list.Element
+	cap        int
+	m          map[K]int32
+	slab       []entry[K]
+	head, tail int32 // most and least recently seen; -1 when empty
 }
 
 // New creates a seen-set bounded to cap entries.
 func New[K comparable](cap int) *Seen[K] {
-	if cap <= 0 {
-		panic("dedup: capacity must be positive")
+	if cap <= 0 || cap > math.MaxInt32 {
+		panic("dedup: capacity must be positive and fit the int32 links")
 	}
-	return &Seen[K]{cap: cap, ll: list.New(), m: make(map[K]*list.Element, cap)}
+	return &Seen[K]{cap: cap, m: make(map[K]int32), head: -1, tail: -1}
 }
 
 // Len returns the current number of remembered keys.
@@ -37,9 +52,9 @@ func (s *Seen[K]) Cap() int { return s.cap }
 // Contains reports whether k was seen within the window, refreshing its
 // recency when present.
 func (s *Seen[K]) Contains(k K) bool {
-	e, ok := s.m[k]
+	i, ok := s.m[k]
 	if ok {
-		s.ll.MoveToFront(e)
+		s.touch(i)
 	}
 	return ok
 }
@@ -48,15 +63,77 @@ func (s *Seen[K]) Contains(k K) bool {
 // duplicate). The least recently seen key is evicted when the bound is
 // exceeded.
 func (s *Seen[K]) Add(k K) bool {
-	if e, ok := s.m[k]; ok {
-		s.ll.MoveToFront(e)
+	if i, ok := s.m[k]; ok {
+		s.touch(i)
 		return true
 	}
-	s.m[k] = s.ll.PushFront(k)
-	if len(s.m) > s.cap {
-		oldest := s.ll.Back()
-		s.ll.Remove(oldest)
-		delete(s.m, oldest.Value.(K))
+	var i int32
+	if len(s.slab) < s.cap {
+		i = int32(len(s.slab))
+		s.grow()
+		s.slab = append(s.slab, entry[K]{key: k})
+	} else {
+		i = s.tail
+		s.unlink(i)
+		delete(s.m, s.slab[i].key)
+		s.slab[i].key = k
 	}
+	s.pushFront(i)
+	s.m[k] = i
 	return false
+}
+
+// grow makes room for one more entry: double while small, then fixed
+// steps, never past the bound — append's doubling would park a
+// 2,100-key set on a 4,096-slot array.
+func (s *Seen[K]) grow() {
+	if len(s.slab) < cap(s.slab) {
+		return
+	}
+	const step = 256
+	n := 2 * len(s.slab)
+	if n < 8 {
+		n = 8
+	} else if n > len(s.slab)+step {
+		n = len(s.slab) + step
+	}
+	if n > s.cap {
+		n = s.cap
+	}
+	grown := make([]entry[K], len(s.slab), n)
+	copy(grown, s.slab)
+	s.slab = grown
+}
+
+// touch makes entry i the most recently seen.
+func (s *Seen[K]) touch(i int32) {
+	if s.head != i {
+		s.unlink(i)
+		s.pushFront(i)
+	}
+}
+
+func (s *Seen[K]) unlink(i int32) {
+	e := &s.slab[i]
+	if e.prev >= 0 {
+		s.slab[e.prev].next = e.next
+	} else {
+		s.head = e.next
+	}
+	if e.next >= 0 {
+		s.slab[e.next].prev = e.prev
+	} else {
+		s.tail = e.prev
+	}
+}
+
+func (s *Seen[K]) pushFront(i int32) {
+	e := &s.slab[i]
+	e.prev, e.next = -1, s.head
+	if s.head >= 0 {
+		s.slab[s.head].prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
 }

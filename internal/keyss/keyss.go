@@ -56,6 +56,9 @@ func (s *Store) Len() int { return len(s.keys) }
 // Forget drops the key for id (e.g. after the node is declared dead).
 func (s *Store) Forget(id identity.NodeID) { delete(s.keys, id) }
 
+// KeySize is the number of bytes EncodeKey writes for a blob size.
+func KeySize(blobSize int) int { return 2 + blobSize }
+
 // EncodeKey writes pub as a fixed-size padded blob of its suite-tagged
 // serialization. A nil key writes an empty blob of the same size, so
 // message sizes stay deterministic. blobSize must be at least the

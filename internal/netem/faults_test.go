@@ -194,3 +194,32 @@ func TestFaultDeterminism(t *testing.T) {
 		t.Fatal("same seed produced different fault injections")
 	}
 }
+
+// TestHandlerOwnsItsPayload is the receiving half of the
+// transport.Datagram ownership contract on the emulator: a handler may
+// overwrite the payload it is handed — the WCL opens cell layers in
+// place — and with every datagram duplicated, the copy delivered later
+// must still arrive as sent.
+func TestHandlerOwnsItsPayload(t *testing.T) {
+	s, n := faultNet(11, &FaultModel{DupProb: 1, ReorderProb: 0.5, ReorderJitter: 50 * time.Millisecond})
+	delivered := 0
+	n.Attach(2, HandlerFunc(func(dg Datagram) {
+		want := fmt.Sprintf("payload-%03d", dg.Payload[len(dg.Payload)-1])
+		if got := string(dg.Payload[:len(dg.Payload)-1]); got != want {
+			t.Errorf("delivery %d: payload %q, want %q: a copy was corrupted by the handler of the other", delivered, got, want)
+		}
+		for i := range dg.Payload[:len(dg.Payload)-1] {
+			dg.Payload[i] = 0xFF
+		}
+		delivered++
+	}))
+	const total = 100
+	for i := 0; i < total; i++ {
+		payload := append([]byte(fmt.Sprintf("payload-%03d", i)), byte(i))
+		n.Send(Datagram{Src: Endpoint{IP: 1, Port: 1}, Dst: Endpoint{IP: 2, Port: 1}, Payload: payload})
+	}
+	s.Run()
+	if delivered != 2*total {
+		t.Fatalf("delivered %d, want %d", delivered, 2*total)
+	}
+}

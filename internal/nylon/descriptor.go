@@ -52,6 +52,9 @@ func (d Descriptor) WithRoute(route []identity.NodeID) Descriptor {
 	return d
 }
 
+// encodedSize is the number of bytes encode writes.
+func (d Descriptor) encodedSize() int { return 8 + 1 + 4 + 2 + 1 + 8*len(d.Route) }
+
 func (d Descriptor) encode(w *wire.Writer) {
 	w.U64(uint64(d.ID))
 	w.Bool(d.Public)

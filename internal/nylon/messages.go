@@ -33,6 +33,15 @@ type entryWire struct {
 	Age uint16
 }
 
+// entriesSize is the encoded size of a shuffle buffer.
+func entriesSize(entries []pss.Entry[Descriptor]) int {
+	n := 1
+	for _, e := range entries {
+		n += e.Val.encodedSize() + 2
+	}
+	return n
+}
+
 func encodeEntries(w *wire.Writer, entries []pss.Entry[Descriptor]) {
 	w.U8(uint8(len(entries)))
 	for _, e := range entries {
@@ -57,6 +66,9 @@ func decodeEntries(r *wire.Reader) []pss.Entry[Descriptor] {
 	}
 	return out
 }
+
+// pathSize is the encoded size of a relay path.
+func pathSize(path []identity.NodeID) int { return 1 + 8*len(path) }
 
 func encodePath(w *wire.Writer, path []identity.NodeID) {
 	w.U8(uint8(len(path)))
@@ -91,7 +103,11 @@ type shuffleMsg struct {
 }
 
 func (m *shuffleMsg) encode(typ uint8, blobSize int, withKey bool) []byte {
-	w := wire.NewWriter(64 + len(m.Entries)*40 + blobSize)
+	size := 1 + 4 + m.From.encodedSize() + pathSize(m.Path) + entriesSize(m.Entries) + 1
+	if withKey {
+		size += keyss.KeySize(blobSize)
+	}
+	w := wire.NewWriter(size)
 	w.U8(typ)
 	w.U32(m.Seq)
 	m.From.encode(w)
@@ -129,7 +145,7 @@ type relayMsg struct {
 }
 
 func (m *relayMsg) encode() []byte {
-	w := wire.NewWriter(16 + len(m.Inner))
+	w := wire.NewWriter(1 + pathSize(m.Path) + 8 + 4 + len(m.Inner))
 	w.U8(msgRelay)
 	encodePath(w, m.Path)
 	w.U64(uint64(m.Final))
@@ -151,7 +167,7 @@ func decodeRelay(r *wire.Reader) (*relayMsg, error) {
 // echoResp carries the externally observed endpoint back to an N-node
 // (STUN-style discovery against a P-node).
 func encodeEchoResp(observed transport.Endpoint) []byte {
-	w := wire.NewWriter(8)
+	w := wire.NewWriter(7)
 	w.U8(msgEchoResp)
 	w.U32(uint32(observed.IP))
 	w.U16(observed.Port)
@@ -167,7 +183,7 @@ type punchReq struct {
 }
 
 func (m *punchReq) encode() []byte {
-	w := wire.NewWriter(24)
+	w := wire.NewWriter(1 + 8 + 6 + pathSize(m.Path))
 	w.U8(msgPunchReq)
 	w.U64(uint64(m.From))
 	w.U32(uint32(m.Ext.IP))
@@ -196,7 +212,7 @@ type keyMsg struct {
 }
 
 func (m *keyMsg) encode(typ uint8, blobSize int) []byte {
-	w := wire.NewWriter(32 + blobSize)
+	w := wire.NewWriter(1 + m.From.encodedSize() + keyss.KeySize(blobSize))
 	w.U8(typ)
 	m.From.encode(w)
 	keyss.EncodeKey(w, m.Key, blobSize)
@@ -217,13 +233,5 @@ func encodeIDMsg(typ uint8, id identity.NodeID) []byte {
 	w := wire.NewWriter(9)
 	w.U8(typ)
 	w.U64(uint64(id))
-	return w.Bytes()
-}
-
-// encodeApp frames an application payload for the layer above.
-func encodeApp(payload []byte) []byte {
-	w := wire.NewWriter(1 + len(payload))
-	w.U8(MsgApp)
-	w.Raw(payload)
 	return w.Bytes()
 }

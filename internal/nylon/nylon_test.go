@@ -71,13 +71,16 @@ func TestViewEntriesAreRoutable(t *testing.T) {
 	for _, n := range w.Live() {
 		id := n.ID()
 		n.Nylon.AppHandler = func(_ netem.Endpoint, payload []byte) {
-			received[id]++
+			if string(payload) == "ping" {
+				received[id]++
+			}
 		}
 	}
 	sent := 0
 	for _, n := range w.Live()[:50] {
 		for _, e := range n.Nylon.View() {
-			if err := n.Nylon.SendApp(e.Val, []byte("ping")); err == nil {
+			frame := append(make([]byte, nylon.AppHeadroom), "ping"...)
+			if err := n.Nylon.SendApp(e.Val, frame); err == nil {
 				sent++
 			}
 		}

@@ -313,24 +313,34 @@ func (n *Node) handleRelay(src transport.Endpoint, r *wire.Reader) {
 	}
 }
 
+// AppHeadroom is the number of bytes the SendApp* functions need free
+// at the front of every frame they are handed: the node writes its
+// message tag there, so the layer above frames its payload once, in the
+// buffer that goes on the wire, instead of having it copied behind a
+// tag.
+const AppHeadroom = 1
+
 // SendApp delivers an opaque application payload to d, using a direct
 // contact when available or d's relay route otherwise. This is the
-// primitive the WCL builds onion hops on.
-func (n *Node) SendApp(d Descriptor, payload []byte) error {
+// primitive the WCL builds onion hops on. frame is the payload preceded
+// by AppHeadroom bytes the node overwrites; ownership of frame passes to
+// the node (and on to the receiver — see transport.Datagram).
+func (n *Node) SendApp(d Descriptor, frame []byte) error {
 	path, ok := n.routeTo(d)
 	if !ok {
 		n.met.routeFailures.Inc()
 		return fmt.Errorf("%w to %v", ErrNoRoute, d.ID)
 	}
-	n.send(encodeApp(payload), d, path)
+	n.SendAppVia(d, path, frame)
 	return nil
 }
 
-// SendAppDirect sends an application payload straight to an endpoint.
-// Mixes use it for the A→B hop, whose target is a P-node addressed
-// inside the onion layer.
-func (n *Node) SendAppDirect(ep transport.Endpoint, payload []byte) {
-	n.port.Send(ep, encodeApp(payload))
+// SendAppDirect sends an application frame (see SendApp) straight to
+// an endpoint. Mixes use it for the A→B hop, whose target is a P-node
+// addressed inside the onion layer.
+func (n *Node) SendAppDirect(ep transport.Endpoint, frame []byte) {
+	frame[0] = MsgApp
+	n.port.Send(ep, frame)
 }
 
 // RequestKey performs the explicit key exchange with a P-node that the
@@ -373,10 +383,11 @@ func (n *Node) handleKeyMsg(src transport.Endpoint, r *wire.Reader, isReq bool) 
 // acknowledgements.
 func (n *Node) RouteTo(d Descriptor) ([]identity.NodeID, bool) { return n.routeTo(d) }
 
-// SendAppVia sends an application payload along a pre-computed path
-// (as returned by RouteTo).
-func (n *Node) SendAppVia(d Descriptor, path []identity.NodeID, payload []byte) {
-	n.send(encodeApp(payload), d, path)
+// SendAppVia sends an application frame (see SendApp) along a
+// pre-computed path (as returned by RouteTo).
+func (n *Node) SendAppVia(d Descriptor, path []identity.NodeID, frame []byte) {
+	frame[0] = MsgApp
+	n.send(frame, d, path)
 }
 
 // ViewDescriptor returns the current view entry for id, if any. Mixes

@@ -63,6 +63,9 @@ func decodeEntry(r *wire.Reader, keyBlob int) Entry {
 	if n > 8 {
 		n = 8
 	}
+	if n > 0 {
+		e.Helpers = make([]wcl.Helper, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		var h wcl.Helper
 		h.ID = identity.NodeID(r.U64())
@@ -77,6 +80,13 @@ func decodeEntry(r *wire.Reader, keyBlob int) Entry {
 // their own payloads (e.g. T-Chord queries carrying the origin's
 // coordinates, §V-G).
 func (e Entry) Encode(w *wire.Writer, keyBlobSize int) { e.encode(w, keyBlobSize) }
+
+// EncodedSize is the number of bytes Encode writes, for exact buffer
+// sizing.
+func (e Entry) EncodedSize(keyBlobSize int) int {
+	key := keyss.KeySize(keyBlobSize)
+	return 8 + 1 + 6 + key + 1 + len(e.Helpers)*(8+6+key)
+}
 
 // DecodeEntry parses an entry written by Encode.
 func DecodeEntry(r *wire.Reader, keyBlobSize int) Entry { return decodeEntry(r, keyBlobSize) }

@@ -119,6 +119,9 @@ func (p Passport) Verify(m *crypt.CPUMeter, group GroupID, history *KeyHistory) 
 // IsZero reports whether the passport is unset.
 func (p Passport) IsZero() bool { return p.Sig == nil }
 
+// encodedSize is the number of bytes encode writes.
+func (p Passport) encodedSize() int { return 8 + 4 + 2 + len(p.Sig) }
+
 func (p Passport) encode(w *wire.Writer) {
 	w.U64(uint64(p.Member))
 	w.U32(p.Epoch)
@@ -172,6 +175,9 @@ func (a Accreditation) Verify(m *crypt.CPUMeter, history *KeyHistory) error {
 	}
 	return nil
 }
+
+// encodedSize is the number of bytes encode writes.
+func (a Accreditation) encodedSize() int { return 8 + 8 + 4 + 2 + len(a.Sig) }
 
 func (a Accreditation) encode(w *wire.Writer) {
 	w.U64(uint64(a.Group))

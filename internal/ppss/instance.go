@@ -1,6 +1,7 @@
 package ppss
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -210,6 +211,10 @@ type Instance struct {
 
 	passport Passport
 	history  *KeyHistory
+	// verified remembers passports whose signature already checked out,
+	// so a member's stream of messages costs one signature verification
+	// and not one per message (see passportVerified).
+	verified [verifiedPassports]verifiedPassport
 
 	groupPriv crypt.PrivateKey // non-nil iff this node is a leader
 	leaderID  identity.NodeID
@@ -424,10 +429,46 @@ func (in *Instance) buffer(exclude identity.NodeID) []pss.Entry[Entry] {
 // checkPassport validates a message's passport and its binding to the
 // claimed sender.
 func (in *Instance) checkPassport(p Passport, from identity.NodeID) bool {
-	if p.Member != from || p.Verify(in.r.cpu(), in.grp, in.history) != nil {
+	if p.Member != from || !in.passportVerified(p) {
 		in.met.badPassports.Inc()
 		return false
 	}
+	return true
+}
+
+// verifiedPassports is the size of an instance's verified-passport
+// table: direct-mapped by member, so a group larger than the table only
+// re-verifies more often.
+const verifiedPassports = 64
+
+// verifiedPassport is one remembered verification: the exact signature
+// bytes that verified for (member, epoch), and the group key they
+// verified under.
+type verifiedPassport struct {
+	member identity.NodeID
+	epoch  uint32
+	key    crypt.PublicKey
+	sig    []byte // the table's own copy
+}
+
+// passportVerified reports whether p carries a valid group signature.
+// A member ships the same passport with every message, so the signature
+// is verified once and then recognized: a hit needs the same member and
+// epoch, the same epoch key (KeyHistory is append-only, so an epoch's
+// key never changes — the comparison is belt and braces), and the full
+// signature byte for byte. Anything else — a forged or different
+// signature, a new epoch, a member the table evicted — takes the full
+// verification, and only successes are remembered.
+func (in *Instance) passportVerified(p Passport) bool {
+	pub := in.history.At(p.Epoch)
+	slot := &in.verified[uint64(p.Member)*0x9E3779B97F4A7C15>>58]
+	if pub != nil && slot.key == pub && slot.member == p.Member && slot.epoch == p.Epoch && bytes.Equal(slot.sig, p.Sig) {
+		return true
+	}
+	if p.Verify(in.r.cpu(), in.grp, in.history) != nil {
+		return false
+	}
+	*slot = verifiedPassport{member: p.Member, epoch: p.Epoch, key: pub, sig: append(slot.sig[:0], p.Sig...)}
 	return true
 }
 

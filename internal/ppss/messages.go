@@ -70,6 +70,30 @@ func keyDER(k crypt.PublicKey) []byte {
 	return crypt.MarshalPublicKey(k)
 }
 
+// encodedSize is the number of bytes encode writes.
+func (x extras) encodedSize(keyBlob int) int {
+	n := 8 + 4 + 8 + 1 + 1 + 1
+	if x.Proposer != nil {
+		n += x.Proposer.EncodedSize(keyBlob)
+	}
+	if a := x.Announce; a != nil {
+		n += 4 + 2*keyss.KeySize(keyBlob) + a.Leader.encodedSize() + 2 + len(a.Sig)
+	}
+	for _, d := range x.Digests {
+		n += 8 + 4 + 2 + len(d.Blob)
+	}
+	return n
+}
+
+// entriesSize is the encoded size of a counted run of view entries.
+func entriesSize(entries []pss.Entry[Entry], keyBlob int) int {
+	n := 1
+	for _, e := range entries {
+		n += e.Val.EncodedSize(keyBlob) + 2
+	}
+	return n
+}
+
 func (x extras) encode(w *wire.Writer, keyBlob int) {
 	w.U64(uint64(x.HBAge))
 	w.U32(x.Epoch)
@@ -147,7 +171,8 @@ type shuffleMsg struct {
 }
 
 func (m *shuffleMsg) encode(kind uint8, keyBlob int) []byte {
-	w := wire.NewWriter(256 + len(m.Entries)*(keyBlob*4+64))
+	w := wire.NewWriter(1 + 8 + m.Passport.encodedSize() + 4 + m.From.EncodedSize(keyBlob) +
+		entriesSize(m.Entries, keyBlob) + m.Extras.encodedSize(keyBlob))
 	w.U8(kind)
 	w.U64(uint64(m.Group))
 	m.Passport.encode(w)
@@ -195,7 +220,7 @@ type joinReq struct {
 }
 
 func (m *joinReq) encode(keyBlob int) []byte {
-	w := wire.NewWriter(256 + keyBlob*4)
+	w := wire.NewWriter(1 + m.Accr.encodedSize() + m.From.EncodedSize(keyBlob))
 	w.U8(msgJoinReq)
 	m.Accr.encode(w)
 	m.From.encode(w, keyBlob)
@@ -224,7 +249,8 @@ type joinResp struct {
 }
 
 func (m *joinResp) encode(keyBlob int) []byte {
-	w := wire.NewWriter(512 + keyBlob*(len(m.History)+len(m.Entries)*4))
+	w := wire.NewWriter(1 + 8 + m.Passport.encodedSize() + 1 + len(m.History)*keyss.KeySize(keyBlob) +
+		m.Leader.EncodedSize(keyBlob) + entriesSize(m.Entries, keyBlob))
 	w.U8(msgJoinResp)
 	w.U64(uint64(m.Group))
 	m.Passport.encode(w)
@@ -282,7 +308,7 @@ type appMsg struct {
 }
 
 func (m *appMsg) encode(keyBlob int) []byte {
-	w := wire.NewWriter(256 + keyBlob*4 + len(m.Payload))
+	w := wire.NewWriter(1 + 8 + m.Passport.encodedSize() + m.From.EncodedSize(keyBlob) + 4 + len(m.Payload))
 	w.U8(msgApp)
 	w.U64(uint64(m.Group))
 	m.Passport.encode(w)
@@ -314,7 +340,7 @@ type pcpMsg struct {
 }
 
 func (m *pcpMsg) encode(kind uint8, keyBlob int) []byte {
-	w := wire.NewWriter(128 + keyBlob*4)
+	w := wire.NewWriter(1 + 8 + m.Passport.encodedSize() + 4 + m.From.EncodedSize(keyBlob))
 	w.U8(kind)
 	w.U64(uint64(m.Group))
 	m.Passport.encode(w)

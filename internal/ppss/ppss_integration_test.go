@@ -580,3 +580,47 @@ func TestMultiGroupIsolation(t *testing.T) {
 		t.Fatalf("dual member has %d instances, want 2", len(dual.PPSS.Instances()))
 	}
 }
+
+// TestPassportVerifiedOncePerCircuit: 1,000 application messages down
+// one circuit cost the receiving group well under one signature
+// verification each — the passport every message ships is verified
+// once per member and recognized afterwards. Before the verified-
+// passport table this read 1.0 and was a third of the circuit path's
+// host time. The background gossip of the whole world runs meanwhile
+// and is counted in.
+func TestPassportVerifiedOncePerCircuit(t *testing.T) {
+	w := buildPPSSWorld(t, 39, 100)
+	members := w.Live()[:16]
+	g := ppss.GroupIDFromName("sig-once")
+	formGroup(t, w, "sig-once", members)
+	w.Sim.RunFor(4 * time.Minute)
+
+	src := members[1].PPSS.Instance(g)
+	peer, ok := src.GetPeer()
+	if !ok {
+		t.Fatal("empty private view")
+	}
+	delivered := 0
+	findMember(members, peer.ID).PPSS.Instance(g).OnMessage = func(ppss.Entry, []byte) { delivered++ }
+
+	const msgs = 1000
+	before := w.CPUTotal()
+	sent := 0
+	var next func(wcl.Result)
+	next = func(wcl.Result) {
+		if sent < msgs {
+			sent++
+			src.SendCircuit(peer, []byte("cell"), next)
+		}
+	}
+	next(wcl.Result{})
+	w.Sim.RunFor(2 * time.Minute)
+	if delivered < msgs {
+		t.Fatalf("delivered %d of %d messages", delivered, msgs)
+	}
+	after := w.CPUTotal()
+	verifies := (after.Verifys + after.ECCVerifys) - (before.Verifys + before.ECCVerifys)
+	if perMsg := float64(verifies) / msgs; perMsg >= 0.05 {
+		t.Fatalf("%d signature verifications for %d messages (%.3f per message), want < 0.05", verifies, msgs, perMsg)
+	}
+}

@@ -124,16 +124,19 @@ func (r *Router) SelfEntry() Entry {
 		PubKey:  node.Identity().Public(),
 	}
 	if !d.Public {
-		for _, be := range r.w.Backlog().Publics() {
+		// Built for every message a member sends: one exactly sized
+		// helper slice, no copy of the backlog.
+		r.w.Backlog().EachPublic(func(be wcl.BacklogEntry) bool {
 			key := node.Keys().Get(be.Desc.ID)
 			if key == nil {
-				continue
+				return true
+			}
+			if e.Helpers == nil {
+				e.Helpers = make([]wcl.Helper, 0, r.cfg.MinHelpers)
 			}
 			e.Helpers = append(e.Helpers, wcl.Helper{ID: be.Desc.ID, Endpoint: be.Desc.Contact, Key: key})
-			if len(e.Helpers) >= r.cfg.MinHelpers {
-				break
-			}
-		}
+			return len(e.Helpers) < r.cfg.MinHelpers
+		})
 	}
 	return e
 }

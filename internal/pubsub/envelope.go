@@ -62,7 +62,7 @@ const MaxEnvelopeCt = 1 << 20
 // Encode serializes the envelope as a PPSS app payload (leading Tag
 // byte included).
 func (e Envelope) Encode() []byte {
-	w := wire.NewWriter(20 + len(e.Ct))
+	w := wire.NewWriter(1 + 8 + len(e.Topic) + 1 + 4 + len(e.Ct))
 	w.U8(Tag)
 	w.U64(e.ID)
 	w.Raw(e.Topic[:])

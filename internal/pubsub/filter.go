@@ -131,7 +131,7 @@ func (f *Filter) FillRatio() float64 {
 
 // Encode serializes the filter for the PPSS digest piggyback.
 func (f *Filter) Encode() []byte {
-	w := wire.NewWriter(8 + len(f.Bits))
+	w := wire.NewWriter(4 + 1 + 2 + len(f.Bits))
 	w.U32(f.Version)
 	w.U8(f.K)
 	w.Bytes16(f.Bits)

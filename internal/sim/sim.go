@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -232,6 +233,11 @@ func NewWorld(opts Options) (*World, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: building key pool: %w", err)
 		}
+		// Generate the keys the population is about to draw on every
+		// core instead of one after the other as create deals them: key
+		// generation dominates world set-up. Which slot holds which key
+		// is crypto/rand either way, and the dealing order is unchanged.
+		pool.Prefill(min(opts.N, opts.PoolSize), runtime.GOMAXPROCS(0))
 		w.pool = pool
 	}
 	// Create the whole initial population first, then bootstrap: the

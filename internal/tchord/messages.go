@@ -35,7 +35,7 @@ type lookupMsg struct {
 }
 
 func (m lookupMsg) encode(keyBlob int) []byte {
-	w := wire.NewWriter(64 + len(m.Value) + keyBlob*4)
+	w := wire.NewWriter(1 + 8 + 8 + 1 + 2 + len(m.SKey) + 4 + len(m.Value) + 1 + m.Origin.EncodedSize(keyBlob))
 	w.U8(tagLookupReq)
 	w.U64(m.QID)
 	w.U64(uint64(m.Key))
@@ -73,7 +73,7 @@ type lookupRespMsg struct {
 }
 
 func (m lookupRespMsg) encode(keyBlob int) []byte {
-	w := wire.NewWriter(64 + len(m.Value) + keyBlob*4)
+	w := wire.NewWriter(1 + 8 + 8 + 1 + 4 + len(m.Value) + 1 + m.Owner.EncodedSize(keyBlob))
 	w.U8(tagLookupResp)
 	w.U64(m.QID)
 	w.U64(uint64(m.Key))

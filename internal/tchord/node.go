@@ -533,11 +533,19 @@ func (n *Node) encodeExchange(tag uint8) []byte {
 	if len(peers) > 32 {
 		peers = peers[:32]
 	}
-	w := wire.NewWriter(64 + len(peers)*256)
+	return encodePeers(tag, peers, n.keyBlob())
+}
+
+func encodePeers(tag uint8, peers []peer, keyBlob int) []byte {
+	size := 2
+	for _, p := range peers {
+		size += p.E.EncodedSize(keyBlob)
+	}
+	w := wire.NewWriter(size)
 	w.U8(tag)
 	w.U8(uint8(len(peers)))
 	for _, p := range peers {
-		p.E.Encode(w, n.keyBlob())
+		p.E.Encode(w, keyBlob)
 	}
 	return w.Bytes()
 }

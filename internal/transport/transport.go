@@ -62,6 +62,19 @@ func (e Endpoint) String() string { return fmt.Sprintf("%v:%d", e.IP, e.Port) }
 func (e Endpoint) IsZero() bool { return e == Endpoint{} }
 
 // Datagram is a single unreliable message.
+//
+// Ownership of Payload travels with the datagram. A sender gives the
+// slice up when it calls Send and must not read or write it afterwards;
+// the handler a datagram is delivered to owns it from then on, without
+// limit in time: it may overwrite it (the WCL opens cell layers in
+// place), send a sub-slice of it on, or keep sub-slices of it for good
+// (delivered messages alias the datagram they arrived in). A transport
+// therefore hands every handler invocation a payload nobody else
+// holds: the emulator passes the sender's slice through and copies when
+// it duplicates a datagram, the UDP backend allocates per packet read,
+// and neither ever recycles a payload buffer. Whoever wants to look at
+// a payload after handing the datagram over — a tap, a test injecting
+// duplicates — copies it first.
 type Datagram struct {
 	Src     Endpoint
 	Dst     Endpoint
@@ -122,7 +135,8 @@ type Transport interface {
 	// Rand returns the random source protocol code draws from.
 	Rand() *rand.Rand
 	// Send transmits dg towards dg.Dst. Delivery is best-effort and
-	// asynchronous; the payload must not be mutated after the call.
+	// asynchronous; the payload belongs to the receiver after the call
+	// (see Datagram).
 	Send(dg Datagram)
 	// Attach registers h to receive datagrams addressed to ip,
 	// replacing any previous handler.

@@ -169,3 +169,54 @@ func TestPortOverTransport(t *testing.T) {
 		t.Fatalf("meter = %+v", s)
 	}
 }
+
+// TestHandlerOwnsItsPayload is the transport.Datagram ownership
+// contract on real sockets: every delivered payload is the handler's to
+// overwrite and to keep, so a retained payload must survive both the
+// handler scribbling over later ones and the reader receiving more
+// packets into its socket buffer.
+func TestHandlerOwnsItsPayload(t *testing.T) {
+	a, b := newT(t), newT(t)
+	epA := transport.Endpoint{IP: 1, Port: 1}
+	epB := transport.Endpoint{IP: 2, Port: 1}
+	if err := a.AddPeer(epB, b.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+	const total = 50
+	var kept [][]byte
+	done := make(chan struct{})
+	b.Attach(epB.IP, transport.HandlerFunc(func(dg transport.Datagram) {
+		if len(kept)%2 == 1 {
+			for i := range dg.Payload[1:] {
+				dg.Payload[1+i] = 0xFF // scribble over every other one
+			}
+		}
+		kept = append(kept, dg.Payload)
+		if len(kept) == total {
+			close(done)
+		}
+	}))
+	a.Start()
+	b.Start()
+	for i := 0; i < total; i++ {
+		i := i
+		a.Do(func() {
+			a.Send(transport.Datagram{Src: epA, Dst: epB, Payload: []byte{byte(i), 'k', 'e', 'e', 'p'}})
+		})
+		time.Sleep(time.Millisecond) // loopback keeps up; a dropped packet fails the count below
+	}
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("not every datagram arrived")
+	}
+	for n, p := range kept {
+		want := "keep"
+		if n%2 == 1 {
+			want = "\xff\xff\xff\xff"
+		}
+		if string(p[1:]) != want {
+			t.Fatalf("kept payload %d reads %q, want %q: payload buffers are shared", n, p[1:], want)
+		}
+	}
+}

@@ -113,6 +113,17 @@ func (b *Backlog) Publics() []BacklogEntry {
 	return out
 }
 
+// EachPublic calls fn for the P-node entries, newest first, until it
+// returns false — Publics for callers on the message path, which take
+// the first few and should not pay for a copy of all of them.
+func (b *Backlog) EachPublic(fn func(BacklogEntry) bool) {
+	for _, e := range b.entries {
+		if e.Desc.Public && !fn(e) {
+			return
+		}
+	}
+}
+
 // Pick returns a uniformly random entry whose ID is not in exclude.
 func (b *Backlog) Pick(rng *rand.Rand, exclude map[identity.NodeID]bool) (BacklogEntry, bool) {
 	var candidates []BacklogEntry

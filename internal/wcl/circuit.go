@@ -10,6 +10,7 @@ import (
 	"whisper/internal/nylon"
 	"whisper/internal/obs"
 	"whisper/internal/transport"
+	"whisper/internal/wire"
 )
 
 // The circuit layer. A Circuit amortizes the onion cost of §III-A over
@@ -439,14 +440,19 @@ func (w *WCL) establish(p *circPath) {
 	}
 }
 
-// sendCell seals and launches one cell on p.
+// sendCell seals and launches one cell on p. The plaintext is copied
+// once, into the buffer that travels to the exit; cell.payload itself
+// stays untouched for the one-shot fallback.
 func (w *WCL) sendCell(c *Circuit, p *circPath, cell *pendingCell) {
 	typ := cellData
 	if cell.ping {
 		typ = cellPing
 	}
 	start := time.Now()
-	sealed, err := crypt.SealCell(w.cpu, p.keys, encodeCellPayload(typ, cell.payload))
+	cw := newCellWriter(len(p.keys), 1+len(cell.payload))
+	cw.U8(typ)
+	cw.Raw(cell.payload)
+	err := sealCell(w.cpu, p.keys, cw)
 	sealDur := time.Since(start)
 	if err != nil {
 		if !cell.ping {
@@ -471,9 +477,8 @@ func (w *WCL) sendCell(c *Circuit, p *circPath, cell *pendingCell) {
 		p.cells++
 	}
 	w.met.cellsSent.Inc()
-	w.Trace.Emit(obs.KindCellSend, w.rt.Now(), sealDur, len(sealed), p.id)
-	msg := circDataMsg{CircID: p.id, Seq: seq, Cell: sealed}
-	w.node.SendAppVia(p.first, via, msg.encode())
+	w.Trace.Emit(obs.KindCellSend, w.rt.Now(), sealDur, cw.Len(), p.id)
+	w.node.SendAppVia(p.first, via, frameCircData(cw, p.id, seq))
 	c.lastSent = w.rt.Now()
 	p.pendingCells[seq] = cell
 	cell.timer = w.rt.After(w.cfg.PathTimeout, func() {
@@ -720,22 +725,25 @@ func (w *WCL) sendCircBack(e *relayCircuit, payload []byte) {
 }
 
 // handleCircData opens one cell layer: relays pass the cell along,
-// the exit deduplicates, delivers data cells, and acknowledges.
-func (w *WCL) handleCircData(m *circDataMsg) {
+// the exit deduplicates, delivers data cells, and acknowledges. The
+// layer is opened in place — this node owns the datagram payload m.Cell
+// points into (transport.Datagram) — so a relay forwards, and the exit
+// delivers, a sub-slice of the buffer the source allocated.
+func (w *WCL) handleCircData(payload []byte, m circDataMsg) {
 	e := w.relayCirc.get(m.CircID, w.rt.Now())
 	if e == nil {
 		w.met.cellDrops.Inc()
 		return
 	}
 	start := time.Now()
-	pt, err := crypt.OpenSym(w.cpu, e.key, m.Cell)
+	pt, err := crypt.OpenSymInPlace(w.cpu, e.key, m.Cell)
 	dur := time.Since(start)
 	if err != nil {
 		w.met.peelErrors.Inc()
 		return
 	}
 	if e.exit {
-		typ, payload, ok := decodeCellPayload(pt)
+		typ, body, ok := decodeCellPayload(pt)
 		if !ok {
 			w.met.peelErrors.Inc()
 			return
@@ -747,7 +755,7 @@ func (w *WCL) handleCircData(m *circDataMsg) {
 		if w.deliveredCells.Add(cellKey{m.CircID, m.Seq}) {
 			w.met.dupCells.Inc()
 			if typ == cellStream {
-				if f, err := decodeStreamFrag(payload); err == nil {
+				if f, err := decodeStreamFrag(body); err == nil {
 					w.streamReAck(e, f.StreamID)
 				}
 				return
@@ -756,7 +764,7 @@ func (w *WCL) handleCircData(m *circDataMsg) {
 			return
 		}
 		if typ == cellStream {
-			f, err := decodeStreamFrag(payload)
+			f, err := decodeStreamFrag(body)
 			if err != nil {
 				w.met.peelErrors.Inc()
 				return
@@ -768,25 +776,29 @@ func (w *WCL) handleCircData(m *circDataMsg) {
 		}
 		if typ == cellData {
 			w.met.cellsDelivered.Inc()
-			w.Trace.Emit(obs.KindCellDeliver, w.rt.Now(), dur, len(payload), m.CircID)
+			w.Trace.Emit(obs.KindCellDeliver, w.rt.Now(), dur, len(body), m.CircID)
 			if w.OnReceive != nil {
-				w.OnReceive(payload)
+				w.OnReceive(body)
 			}
 		}
 		w.sendCircBack(e, encodeCircCellAck(m.CircID, m.Seq))
 		return
 	}
-	fwd := circDataMsg{CircID: m.CircID, Seq: m.Seq, Cell: pt}
+	// pt lies circDataHeader+NonceSize bytes into payload: the old
+	// header and the nonce this hop consumed are the headroom the next
+	// hop's header (and nylon's tag) are written into.
+	const ptAt = circDataHeader + crypt.NonceSize
+	frame := frameCircData(wire.Around(payload[:ptAt+len(pt)], ptAt), m.CircID, m.Seq)
 	switch e.nextKind {
 	case addrByEndpoint:
-		w.node.SendAppDirect(e.nextEp, fwd.encode())
+		w.node.SendAppDirect(e.nextEp, frame)
 	case addrByID:
 		d, via, ok := w.routeToID(e.nextID)
 		if !ok {
 			w.met.dropNoContact.Inc()
 			return
 		}
-		w.node.SendAppVia(d, via, fwd.encode())
+		w.node.SendAppVia(d, via, frame)
 	default:
 		return
 	}

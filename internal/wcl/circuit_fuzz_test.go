@@ -9,8 +9,20 @@ import (
 	"whisper/internal/crypt"
 	"whisper/internal/identity"
 	"whisper/internal/netem"
+	"whisper/internal/nylon"
 	"whisper/internal/wire"
 )
+
+// payloadOf strips the nylon headroom off a frame an encoder returned:
+// what the receiving WCL's handleApp is handed.
+func payloadOf(frame []byte) []byte { return frame[nylon.AppHeadroom:] }
+
+// circDataFrame frames m.Cell as an (unsealed) data cell message.
+func circDataFrame(m *circDataMsg) []byte {
+	w := wire.NewWriterHeadroom(nylon.AppHeadroom+circDataHeader, len(m.Cell))
+	w.Raw(m.Cell)
+	return frameCircData(w, m.CircID, m.Seq)
+}
 
 // TestCircuitHandleAppNeverPanics floods the dispatcher with tagged
 // garbage aimed at the circuit codecs: truncated setups, bogus cells,
@@ -50,7 +62,7 @@ func TestCircSetupCodecRoundTrip(t *testing.T) {
 		for j := rng.Intn(5); j > 0; j-- {
 			m.ViaPath = append(m.ViaPath, identity.NodeID(rng.Uint64()))
 		}
-		r := wire.NewReader(m.encode())
+		r := wire.NewReader(payloadOf(m.encode()))
 		if got := r.U8(); got != msgCircSetup {
 			t.Fatalf("tag = %d", got)
 		}
@@ -73,7 +85,7 @@ func TestCircDataCodecRoundTrip(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		m := &circDataMsg{CircID: rng.Uint64(), Seq: rng.Uint64(), Cell: make([]byte, rng.Intn(300))}
 		rng.Read(m.Cell)
-		r := wire.NewReader(m.encode())
+		r := wire.NewReader(payloadOf(circDataFrame(m)))
 		if got := r.U8(); got != msgCircData {
 			t.Fatalf("tag = %d", got)
 		}
@@ -87,7 +99,7 @@ func TestCircDataCodecRoundTrip(t *testing.T) {
 	}
 	for _, typ := range []uint8{cellData, cellPing} {
 		payload := []byte("payload-bytes")
-		gotTyp, gotPayload, ok := decodeCellPayload(encodeCellPayload(typ, payload))
+		gotTyp, gotPayload, ok := decodeCellPayload(append([]byte{typ}, payload...))
 		if !ok || gotTyp != typ || string(gotPayload) != string(payload) {
 			t.Fatalf("cell framing round trip failed for type %d", typ)
 		}
@@ -100,15 +112,15 @@ func TestCircDataCodecRoundTrip(t *testing.T) {
 // TestCircControlCodecs: the fixed-size control messages (ack, cell
 // ack, close) carry exactly their identifiers.
 func TestCircControlCodecs(t *testing.T) {
-	r := wire.NewReader(encodeCircAck(7))
+	r := wire.NewReader(payloadOf(encodeCircAck(7)))
 	if r.U8() != msgCircAck || r.U64() != 7 || r.Err() != nil {
 		t.Fatal("circuit ack codec broken")
 	}
-	r = wire.NewReader(encodeCircCellAck(7, 9))
+	r = wire.NewReader(payloadOf(encodeCircCellAck(7, 9)))
 	if r.U8() != msgCircCellAck || r.U64() != 7 || r.U64() != 9 || r.Err() != nil {
 		t.Fatal("cell ack codec broken")
 	}
-	r = wire.NewReader(encodeCircClose(7))
+	r = wire.NewReader(payloadOf(encodeCircClose(7)))
 	if r.U8() != msgCircClose || r.U64() != 7 || r.Err() != nil {
 		t.Fatal("close codec broken")
 	}
@@ -133,7 +145,7 @@ func TestCircuitSetupWithForeignOnion(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &circSetupMsg{CircID: 7, From: 99, Onion: onion}
-	w.handleApp(netem.Endpoint{IP: 9, Port: 9}, m.encode())
+	w.handleApp(netem.Endpoint{IP: 9, Port: 9}, payloadOf(m.encode()))
 	if w.Stats().PeelErrors != 1 {
 		t.Fatalf("peel errors = %d, want 1", w.Stats().PeelErrors)
 	}
@@ -149,7 +161,7 @@ func TestCircuitDataWithoutEntry(t *testing.T) {
 	delivered := false
 	w.OnReceive = func([]byte) { delivered = true }
 	m := &circDataMsg{CircID: 12345, Seq: 1, Cell: []byte("garbage")}
-	w.handleApp(netem.Endpoint{IP: 9, Port: 9}, m.encode())
+	w.handleApp(netem.Endpoint{IP: 9, Port: 9}, payloadOf(circDataFrame(m)))
 	if w.Stats().CellDrops != 1 {
 		t.Fatalf("cell drops = %d, want 1", w.Stats().CellDrops)
 	}

@@ -301,9 +301,11 @@ func TestCircuitExactlyOnceUnderDuplication(t *testing.T) {
 			for _, n := range w.Nodes {
 				orig := n.Nylon.AppHandler
 				n.Nylon.AppHandler = func(src transport.Endpoint, payload []byte) {
+					// The handler owns the payload and may open it in place
+					// (transport.Datagram): copy the duplicate first, as netem does.
+					p := append([]byte(nil), payload...)
 					orig(src, payload)
-					if tc.dup[circTag(payload)] {
-						p := append([]byte(nil), payload...)
+					if tc.dup[circTag(p)] {
 						w.Sim.After(tc.delay, func() { orig(src, p) })
 					}
 				}

@@ -31,9 +31,11 @@ func injectDuplicates(w *sim.World, dup map[byte]bool, delay time.Duration) {
 	for _, n := range w.Nodes {
 		orig := n.Nylon.AppHandler
 		n.Nylon.AppHandler = func(src transport.Endpoint, payload []byte) {
+			// The handler owns the payload and may open it in place
+			// (transport.Datagram): copy the duplicate first, as netem does.
+			p := append([]byte(nil), payload...)
 			orig(src, payload)
-			if dup[wclMsgTag(payload)] {
-				p := append([]byte(nil), payload...)
+			if dup[wclMsgTag(p)] {
 				w.Sim.After(delay, func() { orig(src, p) })
 			}
 		}
@@ -201,10 +203,12 @@ func TestDuplicateForwardAtDestResendsAck(t *testing.T) {
 	var replayed int
 	orig := d.Nylon.AppHandler
 	d.Nylon.AppHandler = func(src transport.Endpoint, payload []byte) {
+		// The handler owns the payload and may open it in place
+		// (transport.Datagram): copy the duplicate first, as netem does.
+		p := append([]byte(nil), payload...)
 		orig(src, payload)
-		if wclMsgTag(payload) == 1 {
+		if wclMsgTag(p) == 1 {
 			replayed++
-			p := append([]byte(nil), payload...)
 			w.Sim.After(3*time.Second, func() { orig(src, p) })
 		}
 	}

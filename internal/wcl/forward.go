@@ -53,7 +53,7 @@ func (w *WCL) handleApp(src transport.Endpoint, payload []byte) {
 		if err != nil {
 			return
 		}
-		w.handleCircData(m)
+		w.handleCircData(payload, m)
 	case msgCircCellAck:
 		circID, seq := r.U64(), r.U64()
 		if r.Err() != nil {

@@ -65,7 +65,7 @@ func TestForwardWithForeignOnion(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := forwardMsg{PathID: 7, From: 99, Onion: onion, Content: []byte("ct")}
-	w.handleApp(netem.Endpoint{IP: 9, Port: 9}, m.encode())
+	w.handleApp(netem.Endpoint{IP: 9, Port: 9}, payloadOf(m.encode()))
 	if w.Stats().PeelErrors != 1 {
 		t.Fatalf("peel errors = %d, want 1", w.Stats().PeelErrors)
 	}

@@ -3,7 +3,9 @@ package wcl
 import (
 	"fmt"
 
+	"whisper/internal/crypt"
 	"whisper/internal/identity"
+	"whisper/internal/nylon"
 	"whisper/internal/transport"
 	"whisper/internal/wire"
 )
@@ -20,6 +22,20 @@ const (
 	msgCircStreamAck
 )
 
+// Every WCL message is encoded once, into the buffer that goes on the
+// wire: the encoders below return frames — the message preceded by the
+// headroom nylon.SendApp* fill with their tag — sized exactly, so a
+// message costs one allocation however many layers frame it.
+
+// newFrame starts a WCL message of size bytes, tag included.
+func newFrame(size int) *wire.Writer { return wire.NewWriterHeadroom(nylon.AppHeadroom, size) }
+
+// frameOf returns the finished message as the frame nylon sends.
+func frameOf(w *wire.Writer) []byte { return w.BytesWithHeadroom(nylon.AppHeadroom) }
+
+// viaSize is the encoded size of a via path.
+func viaSize(via []identity.NodeID) int { return 1 + 8*len(via) }
+
 // forwardMsg carries an onion and its content one WCL hop. The clear
 // fields expose only what the receiving hop inherently knows: who the
 // previous hop is (From) and how to send back to it (ViaPath, the nylon
@@ -35,7 +51,7 @@ type forwardMsg struct {
 }
 
 func (m *forwardMsg) encode() []byte {
-	w := wire.NewWriter(32 + len(m.Onion) + len(m.Content))
+	w := newFrame(1 + 8 + 8 + viaSize(m.ViaPath) + 4 + len(m.Onion) + 4 + len(m.Content))
 	w.U8(msgForward)
 	w.U64(m.PathID)
 	w.U64(uint64(m.From))
@@ -45,7 +61,7 @@ func (m *forwardMsg) encode() []byte {
 	}
 	w.Bytes32(m.Onion)
 	w.Bytes32(m.Content)
-	return w.Bytes()
+	return frameOf(w)
 }
 
 func decodeForward(r *wire.Reader) (*forwardMsg, error) {
@@ -67,11 +83,14 @@ func decodeForward(r *wire.Reader) (*forwardMsg, error) {
 	return m, nil
 }
 
-func encodeAck(pathID uint64) []byte {
-	w := wire.NewWriter(9)
-	w.U8(msgAck)
-	w.U64(pathID)
-	return w.Bytes()
+func encodeAck(pathID uint64) []byte { return encodeIDMsg(msgAck, pathID) }
+
+// encodeIDMsg frames the control messages that carry one identifier.
+func encodeIDMsg(tag uint8, id uint64) []byte {
+	w := newFrame(9)
+	w.U8(tag)
+	w.U64(id)
+	return frameOf(w)
 }
 
 // circSetupMsg carries a circuit setup onion one hop. It exposes the
@@ -88,7 +107,7 @@ type circSetupMsg struct {
 }
 
 func (m *circSetupMsg) encode() []byte {
-	w := wire.NewWriter(32 + len(m.Onion))
+	w := newFrame(1 + 8 + 8 + viaSize(m.ViaPath) + 4 + len(m.Onion))
 	w.U8(msgCircSetup)
 	w.U64(m.CircID)
 	w.U64(uint64(m.From))
@@ -97,7 +116,7 @@ func (m *circSetupMsg) encode() []byte {
 		w.U64(uint64(id))
 	}
 	w.Bytes32(m.Onion)
-	return w.Bytes()
+	return frameOf(w)
 }
 
 func decodeCircSetup(r *wire.Reader) (*circSetupMsg, error) {
@@ -121,53 +140,79 @@ func decodeCircSetup(r *wire.Reader) (*circSetupMsg, error) {
 // circDataMsg carries one sealed data cell. Deliberately minimal: no
 // sender, no routing — a relay needs only its table entry, so the
 // steady-state wire format exposes less than a one-shot forward does.
+//
+// A cell lives in one buffer from the source to the exit. On the wire
+// the datagram reads
+//
+//	nylon tag | circData header | nonce₀ nonce₁ nonce₂ | type payload | tag₂ tag₁ tag₀
+//
+// and every hop opens its layer where it lies (crypt.OpenSymInPlace):
+// the nonce it consumed and the header in front of it become the
+// headroom the next hop's header is written into (frameCircData), the
+// tag it checked falls off the end, and the sub-slice travels on.
 type circDataMsg struct {
 	CircID uint64
 	Seq    uint64
 	Cell   []byte
 }
 
-func (m *circDataMsg) encode() []byte {
-	w := wire.NewWriter(19 + len(m.Cell))
-	w.U8(msgCircData)
-	w.U64(m.CircID)
-	w.U64(m.Seq)
-	w.Bytes32(m.Cell)
-	return w.Bytes()
+// circDataHeader is the size of the clear header in front of a sealed
+// cell: tag, circuit ID, sequence number, cell length.
+const circDataHeader = 1 + 8 + 8 + 4
+
+// newCellWriter starts the one buffer a cell of plainLen plaintext
+// bytes travels in: headroom for the nylon tag and the circData header,
+// the nonces of all hops, then room for the caller to append the
+// plaintext. sealCell finishes it.
+func newCellWriter(hops, plainLen int) *wire.Writer {
+	w := wire.NewWriterHeadroom(nylon.AppHeadroom+circDataHeader, hops*(crypt.NonceSize+crypt.TagSize)+plainLen)
+	w.Extend(hops * crypt.NonceSize)
+	return w
 }
 
-func decodeCircData(r *wire.Reader) (*circDataMsg, error) {
-	m := &circDataMsg{}
+// sealCell appends the hops' tags to the plaintext written behind
+// newCellWriter's nonces and seals every layer in place.
+func sealCell(m *crypt.CPUMeter, keys [][]byte, w *wire.Writer) error {
+	w.Extend(len(keys) * crypt.TagSize)
+	return crypt.SealCellInPlace(m, keys, w.Bytes())
+}
+
+// frameCircData puts the circData header in front of the sealed cell
+// that is w's message and returns the frame nylon sends — at the source
+// into the headroom newCellWriter reserved, at a relay into the bytes
+// the previous header and the consumed nonce occupied.
+func frameCircData(w *wire.Writer, circID, seq uint64) []byte {
+	w.PrependU32(uint32(w.Len()))
+	w.PrependU64(seq)
+	w.PrependU64(circID)
+	w.PrependU8(msgCircData)
+	return frameOf(w)
+}
+
+// decodeCircData parses the header behind the tag; Cell aliases the
+// reader's buffer, circDataHeader bytes into the WCL payload.
+func decodeCircData(r *wire.Reader) (circDataMsg, error) {
+	var m circDataMsg
 	m.CircID = r.U64()
 	m.Seq = r.U64()
 	m.Cell = r.Bytes32()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("wcl: decoding circuit data: %w", err)
+		return m, fmt.Errorf("wcl: decoding circuit data: %w", err)
 	}
 	return m, nil
 }
 
-func encodeCircAck(circID uint64) []byte {
-	w := wire.NewWriter(9)
-	w.U8(msgCircAck)
-	w.U64(circID)
-	return w.Bytes()
-}
+func encodeCircAck(circID uint64) []byte { return encodeIDMsg(msgCircAck, circID) }
 
 func encodeCircCellAck(circID, seq uint64) []byte {
-	w := wire.NewWriter(17)
+	w := newFrame(17)
 	w.U8(msgCircCellAck)
 	w.U64(circID)
 	w.U64(seq)
-	return w.Bytes()
+	return frameOf(w)
 }
 
-func encodeCircClose(circID uint64) []byte {
-	w := wire.NewWriter(9)
-	w.U8(msgCircClose)
-	w.U64(circID)
-	return w.Bytes()
-}
+func encodeCircClose(circID uint64) []byte { return encodeIDMsg(msgCircClose, circID) }
 
 // Cell plaintext framing (the innermost layer a circuit exit opens):
 // one type byte followed by the raw payload. cellStream payloads carry
@@ -177,13 +222,6 @@ const (
 	cellPing   uint8 = 2
 	cellStream uint8 = 3
 )
-
-func encodeCellPayload(typ uint8, payload []byte) []byte {
-	out := make([]byte, 1+len(payload))
-	out[0] = typ
-	copy(out[1:], payload)
-	return out
-}
 
 func decodeCellPayload(b []byte) (typ uint8, payload []byte, ok bool) {
 	if len(b) == 0 {
@@ -214,13 +252,16 @@ type streamFrag struct {
 	Data      []byte
 }
 
-func (f *streamFrag) encode() []byte {
-	w := wire.NewWriter(16 + len(f.Data))
+// streamFragHeader is the size of the sub-frame header in front of a
+// fragment's data.
+const streamFragHeader = 8 + 4 + 4
+
+// writeTo appends the sub-frame to a cell's plaintext.
+func (f *streamFrag) writeTo(w *wire.Writer) {
 	w.U64(f.StreamID)
 	w.U32(f.Frag)
 	w.U32(f.FragCount)
 	w.Raw(f.Data)
-	return w.Bytes()
 }
 
 func decodeStreamFrag(b []byte) (streamFrag, error) {
@@ -256,13 +297,13 @@ type streamAckMsg struct {
 }
 
 func (m *streamAckMsg) encode() []byte {
-	w := wire.NewWriter(29)
+	w := newFrame(29)
 	w.U8(msgCircStreamAck)
 	w.U64(m.CircID)
 	w.U64(m.StreamID)
 	w.U32(m.Cum)
 	w.U64(m.Bits)
-	return w.Bytes()
+	return frameOf(w)
 }
 
 func decodeStreamAck(r *wire.Reader) (streamAckMsg, error) {

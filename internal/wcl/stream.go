@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"whisper/internal/crypt"
 	"whisper/internal/obs"
 	"whisper/internal/transport"
 )
@@ -203,13 +202,17 @@ func (w *WCL) pumpStream(s *streamSend) {
 }
 
 // sendStreamFrag seals and launches fragment i on the stream's pinned
-// path. Returns false when the path broke (the stream has already
-// fallen back).
+// path, copying the fragment's bytes once — from the message into the
+// buffer that travels to the exit. Returns false when the path broke
+// (the stream has already fallen back).
 func (w *WCL) sendStreamFrag(s *streamSend, i int) bool {
 	p := s.path
 	f := streamFrag{StreamID: s.id, Frag: uint32(i), FragCount: uint32(s.frags), Data: s.fragData(i, w.cfg.StreamFragSize)}
 	start := time.Now()
-	sealed, err := crypt.SealCell(w.cpu, p.keys, encodeCellPayload(cellStream, f.encode()))
+	cw := newCellWriter(len(p.keys), 1+streamFragHeader+len(f.Data))
+	cw.U8(cellStream)
+	f.writeTo(cw)
+	err := sealCell(w.cpu, p.keys, cw)
 	sealDur := time.Since(start)
 	if err != nil {
 		w.streamBroken(s)
@@ -224,9 +227,8 @@ func (w *WCL) sendStreamFrag(s *streamSend, i int) bool {
 	p.cells++
 	w.met.cellsSent.Inc()
 	w.met.streamFragsSent.Inc()
-	w.Trace.Emit(obs.KindCellSend, w.rt.Now(), sealDur, len(sealed), p.id)
-	msg := circDataMsg{CircID: p.id, Seq: p.seq, Cell: sealed}
-	w.node.SendAppVia(p.first, via, msg.encode())
+	w.Trace.Emit(obs.KindCellSend, w.rt.Now(), sealDur, cw.Len(), p.id)
+	w.node.SendAppVia(p.first, via, frameCircData(cw, p.id, p.seq))
 	s.c.lastSent = w.rt.Now()
 	if !s.sent[i] {
 		s.sent[i] = true
@@ -456,10 +458,12 @@ func sortedSeqs(m map[uint64]*pendingCell) []uint64 {
 // streamKey identifies one stream message's reassembly state.
 type streamKey struct{ circ, stream uint64 }
 
-// streamRecvState reassembles one stream message at the exit. After
-// delivery the fragment data is freed but the entry is retained (with
-// delivered set) so late retransmits are re-acknowledged as fully
-// received rather than re-collected.
+// streamRecvState reassembles one stream message at the exit. frags
+// holds the fragments where they arrived — sub-slices of the datagrams
+// this node was handed and owns — until the one copy into the complete
+// message. After delivery the fragment data is freed but the entry is
+// retained (with delivered set) so late retransmits are re-acknowledged
+// as fully received rather than re-collected.
 type streamRecvState struct {
 	frags     [][]byte
 	have      []bool
@@ -500,7 +504,7 @@ func (w *WCL) handleStreamFrag(e *relayCircuit, f streamFrag) {
 		return
 	}
 	st.have[i] = true
-	st.frags[i] = append([]byte(nil), f.Data...) // f.Data aliases the cell buffer
+	st.frags[i] = f.Data
 	st.haveN++
 	w.met.streamFragsRecv.Inc()
 	for st.cum < st.total && st.have[st.cum] {

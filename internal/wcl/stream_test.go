@@ -378,3 +378,67 @@ func TestStreamsDisabledIsZeroBehavior(t *testing.T) {
 		}
 	}
 }
+
+// TestDeliveredMessagesStayIntact: an application may keep what
+// OnReceive hands it. Stream messages and single cells interleave down
+// one circuit under duplication and reordering, the receiver retains
+// every delivered slice without copying, and only after all traffic —
+// later cells, retransmits, acks through the same nodes — has passed
+// does it compare them. A delivered message that aliased a buffer the
+// stack reuses or writes again would have changed by then.
+func TestDeliveredMessagesStayIntact(t *testing.T) {
+	w := buildCircuitWorld(t, 66, 120, wcl.Config{})
+	w.Net.SetFaults(&netem.FaultModel{DupProb: 0.2, ReorderProb: 0.2, ReorderJitter: 40 * time.Millisecond})
+	natted := w.LiveNatted()
+	s, d := natted[0], natted[1]
+
+	var kept [][]byte
+	d.WCL.OnReceive = func(p []byte) { kept = append(kept, p) }
+
+	var want [][]byte
+	for i := 0; i < 12; i++ {
+		size := 200 + 37*i
+		if i%3 == 0 {
+			size = 20<<10 + 999*i // a stream message
+		}
+		want = append(want, streamPayload(int64(100+i), size))
+	}
+	done := 0
+	for i, p := range want {
+		sent := append([]byte(nil), p...) // the sender may reuse its buffer after done
+		cb := func(r wcl.Result) {
+			if r.Outcome != wcl.Failed {
+				done++
+			}
+			for j := range sent {
+				sent[j] = 0xEE
+			}
+		}
+		if i%3 == 0 {
+			s.WCL.SendStream(destFor(w, d, 3), sent, cb)
+		} else {
+			s.WCL.SendCircuit(destFor(w, d, 3), sent, cb)
+		}
+		w.Sim.RunFor(3 * time.Second)
+	}
+	w.Sim.RunFor(2 * time.Minute)
+
+	if done != len(want) {
+		t.Fatalf("%d of %d sends completed", done, len(want))
+	}
+	if len(kept) != len(want) {
+		t.Fatalf("delivered %d messages, want %d exactly once each", len(kept), len(want))
+	}
+	for _, got := range kept {
+		found := false
+		for _, p := range want {
+			if bytes.Equal(got, p) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Fatalf("a retained %d-byte message no longer matches anything sent: delivered data aliases a buffer that was written again", len(got))
+		}
+	}
+}

@@ -102,6 +102,13 @@ func TestCellDedupClampedToWindow(t *testing.T) {
 	}
 }
 
+// fragBytes is the stream sub-frame as it lies inside a cell.
+func fragBytes(f streamFrag) []byte {
+	w := wire.NewWriter(streamFragHeader + len(f.Data))
+	f.writeTo(w)
+	return w.Bytes()
+}
+
 // TestStreamCodecRoundTrip: encode → decode is the identity for stream
 // fragments and stream acks.
 func TestStreamCodecRoundTrip(t *testing.T) {
@@ -114,7 +121,7 @@ func TestStreamCodecRoundTrip(t *testing.T) {
 			Data:      make([]byte, rng.Intn(300)),
 		}
 		rng.Read(f.Data)
-		dec, err := decodeStreamFrag(f.encode())
+		dec, err := decodeStreamFrag(fragBytes(f))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +132,7 @@ func TestStreamCodecRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		m := streamAckMsg{CircID: rng.Uint64(), StreamID: rng.Uint64(), Cum: rng.Uint32(), Bits: rng.Uint64()}
-		r := wire.NewReader(m.encode())
+		r := wire.NewReader(payloadOf(m.encode()))
 		if got := r.U8(); got != msgCircStreamAck {
 			t.Fatalf("tag = %d", got)
 		}
@@ -139,15 +146,15 @@ func TestStreamCodecRoundTrip(t *testing.T) {
 	}
 	// Out-of-range fragments are refused, not collected.
 	bad := streamFrag{StreamID: 1, Frag: 0, FragCount: 0}
-	if _, err := decodeStreamFrag(bad.encode()); err == nil {
+	if _, err := decodeStreamFrag(fragBytes(bad)); err == nil {
 		t.Fatal("zero fragment count decoded")
 	}
 	bad = streamFrag{StreamID: 1, Frag: 5, FragCount: 5}
-	if _, err := decodeStreamFrag(bad.encode()); err == nil {
+	if _, err := decodeStreamFrag(fragBytes(bad)); err == nil {
 		t.Fatal("fragment index == count decoded")
 	}
 	bad = streamFrag{StreamID: 1, Frag: 0, FragCount: maxStreamFrags + 1}
-	if _, err := decodeStreamFrag(bad.encode()); err == nil {
+	if _, err := decodeStreamFrag(fragBytes(bad)); err == nil {
 		t.Fatal("oversized fragment count decoded")
 	}
 }
@@ -156,14 +163,14 @@ func TestStreamCodecRoundTrip(t *testing.T) {
 // decoder, and everything it accepts re-encodes to a decodable frame.
 func FuzzDecodeStreamFrag(f *testing.F) {
 	f.Add([]byte{})
-	f.Add((&streamFrag{StreamID: 7, Frag: 1, FragCount: 3, Data: []byte("abc")}).encode())
+	f.Add(fragBytes(streamFrag{StreamID: 7, Frag: 1, FragCount: 3, Data: []byte("abc")}))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		frag, err := decodeStreamFrag(b)
 		if err != nil {
 			return
 		}
-		dec, err := decodeStreamFrag(frag.encode())
+		dec, err := decodeStreamFrag(fragBytes(frag))
 		if err != nil {
 			t.Fatalf("accepted fragment failed to re-decode: %v", err)
 		}
@@ -178,13 +185,13 @@ func FuzzDecodeStreamFrag(f *testing.F) {
 // and accepted acks round-trip.
 func FuzzDecodeStreamAck(f *testing.F) {
 	f.Add([]byte{})
-	f.Add((&streamAckMsg{CircID: 7, StreamID: 9, Cum: 2, Bits: 5}).encode()[1:])
+	f.Add((&streamAckMsg{CircID: 7, StreamID: 9, Cum: 2, Bits: 5}).encode()[nylon.AppHeadroom+1:])
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := decodeStreamAck(wire.NewReader(b))
 		if err != nil {
 			return
 		}
-		dec, err := decodeStreamAck(wire.NewReader(m.encode()[1:]))
+		dec, err := decodeStreamAck(wire.NewReader(m.encode()[nylon.AppHeadroom+1:]))
 		if err != nil || dec != m {
 			t.Fatalf("re-decode mismatch: %+v != %+v (%v)", dec, m, err)
 		}

@@ -24,8 +24,16 @@ var ErrTruncated = errors.New("wire: truncated message")
 var ErrTooLarge = errors.New("wire: length prefix exceeds buffer")
 
 // Writer accumulates an encoded message. The zero value is ready to use.
+//
+// A writer may carry headroom: unused bytes in front of the message
+// that outer layers later fill with their own headers (Prepend*), so a
+// message is framed by every layer it descends through without ever
+// being copied into a fresh buffer. buf[head:] is the message,
+// buf[head-k:head] the headroom still free.
 type Writer struct {
-	buf []byte
+	buf  []byte
+	head int // index of the message's first byte
+	room int // headroom the writer started with (what Reset restores)
 }
 
 // NewWriter returns a writer with capacity preallocated for sizeHint
@@ -34,18 +42,72 @@ func NewWriter(sizeHint int) *Writer {
 	return &Writer{buf: make([]byte, 0, sizeHint)}
 }
 
+// NewWriterHeadroom returns a writer with headroom free bytes in front
+// of the message and capacity for a sizeHint-byte message behind them:
+// one allocation of exactly headroom+sizeHint bytes when the hint is
+// exact.
+func NewWriterHeadroom(headroom, sizeHint int) *Writer {
+	return &Writer{buf: make([]byte, headroom, headroom+sizeHint), head: headroom, room: headroom}
+}
+
+// Around returns a writer over an existing buffer whose message is
+// buf[head:] and whose headroom is buf[:head]. A forwarding hop uses it
+// to put a fresh header in front of a body it received (and owns)
+// instead of copying the body behind a new header.
+func Around(buf []byte, head int) *Writer {
+	return &Writer{buf: buf, head: head, room: head}
+}
+
 // Bytes returns the encoded message. The writer must not be used after,
 // except through Reset.
-func (w *Writer) Bytes() []byte { return w.buf }
+func (w *Writer) Bytes() []byte { return w.buf[w.head:] }
 
-// Reset empties the writer while keeping its backing buffer, so one
-// writer can assemble many messages without reallocating. Slices handed
-// out by Bytes are overwritten by subsequent writes; callers reusing a
-// writer must be done with the previous message first.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
+// BytesWithHeadroom returns the encoded message preceded by n bytes of
+// its still-unused headroom, for a layer below that fills them in. It
+// panics when fewer than n bytes of headroom remain.
+func (w *Writer) BytesWithHeadroom(n int) []byte {
+	if n > w.head {
+		panic(fmt.Sprintf("wire: %d bytes of headroom requested, %d left", n, w.head))
+	}
+	return w.buf[w.head-n:]
+}
+
+// Reset empties the writer while keeping its backing buffer (and its
+// original headroom), so one writer can assemble many messages without
+// reallocating. Slices handed out by Bytes are overwritten by
+// subsequent writes; callers reusing a writer must be done with the
+// previous message first.
+func (w *Writer) Reset() { w.head, w.buf = w.room, w.buf[:w.room] }
 
 // Len returns the current encoded size.
-func (w *Writer) Len() int { return len(w.buf) }
+func (w *Writer) Len() int { return len(w.buf) - w.head }
+
+// prepend claims the n headroom bytes right in front of the message.
+func (w *Writer) prepend(n int) []byte {
+	if n > w.head {
+		panic(fmt.Sprintf("wire: prepending %d bytes into %d of headroom", n, w.head))
+	}
+	w.head -= n
+	return w.buf[w.head : w.head+n]
+}
+
+// PrependU8 writes one byte in front of the message.
+func (w *Writer) PrependU8(v uint8) { w.prepend(1)[0] = v }
+
+// PrependU32 writes a big-endian 32-bit value in front of the message.
+func (w *Writer) PrependU32(v uint32) { binary.BigEndian.PutUint32(w.prepend(4), v) }
+
+// PrependU64 writes a big-endian 64-bit value in front of the message.
+func (w *Writer) PrependU64(v uint64) { binary.BigEndian.PutUint64(w.prepend(8), v) }
+
+// Extend appends n zero bytes and returns them for the caller to fill
+// in place — room for AEAD nonces and tags, or a body sealed where it
+// lies.
+func (w *Writer) Extend(n int) []byte {
+	old := len(w.buf)
+	w.buf = append(w.buf, make([]byte, n)...)
+	return w.buf[old:]
+}
 
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -103,10 +165,7 @@ func (w *Writer) Padded(b []byte, size int) {
 		panic(fmt.Sprintf("wire: Padded: %d bytes exceed blob size %d", len(b), size))
 	}
 	w.U16(uint16(len(b)))
-	w.buf = append(w.buf, b...)
-	for i := len(b); i < size; i++ {
-		w.buf = append(w.buf, 0)
-	}
+	copy(w.Extend(size), b)
 }
 
 // Raw appends b with no framing.

@@ -207,3 +207,100 @@ func BenchmarkWriterTypicalEntry(b *testing.B) {
 		_ = w.Bytes()
 	}
 }
+
+// TestHeadroomFraming: a message written behind headroom is framed by
+// prepending into it — the bytes in front of the message, never a copy
+// of the message — and costs the one allocation of its buffer.
+func TestHeadroomFraming(t *testing.T) {
+	w := NewWriterHeadroom(14, 5)
+	w.Raw([]byte("body!"))
+	if w.Len() != 5 || string(w.Bytes()) != "body!" {
+		t.Fatalf("message = %q (len %d)", w.Bytes(), w.Len())
+	}
+	body := &w.Bytes()[0]
+	w.PrependU32(0xAABBCCDD)
+	w.PrependU64(7)
+	w.PrependU8(9)
+	if w.Len() != 18 {
+		t.Fatalf("Len after prepends = %d, want 18", w.Len())
+	}
+	r := NewReader(w.Bytes())
+	if r.U8() != 9 || r.U64() != 7 || r.U32() != 0xAABBCCDD || string(r.Rest()) != "body!" || r.Err() != nil {
+		t.Fatalf("framed message reads wrong: % x", w.Bytes())
+	}
+	if &w.Bytes()[13] != body {
+		t.Fatal("prepending moved the message")
+	}
+	frame := w.BytesWithHeadroom(1)
+	if len(frame) != 19 || &frame[1] != &w.Bytes()[0] {
+		t.Fatal("BytesWithHeadroom does not precede the message by exactly the headroom asked for")
+	}
+	if cap(frame) != 19 {
+		t.Fatalf("cap = %d, want the exact 19 requested", cap(frame))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		w := NewWriterHeadroom(14, 5)
+		w.Raw([]byte("body!"))
+		w.PrependU8(9)
+		_ = w.BytesWithHeadroom(1)
+	}); allocs != 1 {
+		t.Errorf("framing a message allocates %.0f times, want 1", allocs)
+	}
+	for name, f := range map[string]func(){
+		"prepend":   func() { w.PrependU32(1) }, // 1 byte of headroom left
+		"headroom":  func() { w.BytesWithHeadroom(2) },
+		"no-room":   func() { NewWriter(8).PrependU8(1) },
+		"zero-room": func() { new(Writer).BytesWithHeadroom(1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: exceeding the headroom did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestAroundReframesInPlace: a forwarding hop wraps the buffer it
+// received, treats the consumed front as headroom, and writes the next
+// header there.
+func TestAroundReframesInPlace(t *testing.T) {
+	buf := []byte("OLDHDR-nonce-payload")
+	w := Around(buf, 13) // message = "payload"
+	if string(w.Bytes()) != "payload" {
+		t.Fatalf("message = %q", w.Bytes())
+	}
+	w.PrependU8('H')
+	if got := w.BytesWithHeadroom(1); &got[len(got)-1] != &buf[len(buf)-1] || string(got[1:]) != "Hpayload" {
+		t.Fatalf("reframed = %q, or not in the original buffer", got)
+	}
+}
+
+// TestExtendAndResetKeepHeadroom: Extend hands out zeroed room at the
+// end of the message, and Reset restores the headroom the writer
+// started with.
+func TestExtendAndResetKeepHeadroom(t *testing.T) {
+	w := NewWriterHeadroom(2, 8)
+	copy(w.Extend(3), "abc")
+	w.U8('d')
+	tail := w.Extend(2)
+	if string(w.Bytes()) != "abcd\x00\x00" || len(tail) != 2 {
+		t.Fatalf("message = %q", w.Bytes())
+	}
+	w.PrependU8(1)
+	w.Reset()
+	if w.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", w.Len())
+	}
+	w.U8('x')
+	w.PrependU8(2)
+	w.PrependU8(3)
+	if string(w.Bytes()) != "\x03\x02x" {
+		t.Fatalf("after Reset: %q", w.Bytes())
+	}
+	if got := w.Extend(4); !bytes.Equal(got, make([]byte, 4)) {
+		t.Fatalf("Extend over a reused buffer handed out %q, want zeroes", got)
+	}
+}
