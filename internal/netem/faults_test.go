@@ -48,6 +48,51 @@ func TestDuplicateCopyOwnsItsPayload(t *testing.T) {
 	}
 }
 
+// TestDuplicateTravelsInItsOwnRecord: delivery records are recycled, and
+// a record goes back on the free list before its handler runs — so the
+// first copy's handler, sending from inside the delivery, reuses the
+// record its own datagram just travelled in. The injected duplicate must
+// be in a record (and payload) of its own by then, or that send would
+// overwrite it in flight.
+func TestDuplicateTravelsInItsOwnRecord(t *testing.T) {
+	s, n := faultNet(5, &FaultModel{DupProb: 1})
+	src, dst, other := Endpoint{IP: 1, Port: 1}, Endpoint{IP: 2, Port: 1}, Endpoint{IP: 3, Port: 1}
+	var copies, echoes []Datagram
+	n.Attach(dst.IP, HandlerFunc(func(dg Datagram) {
+		if dg.Src != src || dg.Dst != dst || string(dg.Payload) != "abc" {
+			t.Errorf("copy %d arrived as %v→%v %q: its record was reused in flight", len(copies), dg.Src, dg.Dst, dg.Payload)
+		}
+		copies = append(copies, dg)
+		for i := range dg.Payload {
+			dg.Payload[i] = 'X' // the handler owns its copy
+		}
+		n.SetFaults(nil) // the echo itself is not duplicated
+		n.Send(Datagram{Src: dst, Dst: other, Payload: []byte("echo")})
+		n.SetFaults(&FaultModel{DupProb: 1})
+	}))
+	n.Attach(other.IP, HandlerFunc(func(dg Datagram) { echoes = append(echoes, dg) }))
+	n.Send(Datagram{Src: src, Dst: dst, Payload: []byte("abc")})
+	if len(n.free) != 0 {
+		t.Fatalf("%d free records with two copies in flight on a fresh network", len(n.free))
+	}
+	s.Run()
+	if len(copies) != 2 || len(echoes) != 2 {
+		t.Fatalf("got %d copies and %d echoes, want 2 and 2", len(copies), len(echoes))
+	}
+	if &copies[0].Payload[0] == &copies[1].Payload[0] {
+		t.Error("the duplicate shares the original's payload")
+	}
+	for i, dg := range echoes {
+		if dg.Src != dst || dg.Dst != other || string(dg.Payload) != "echo" {
+			t.Errorf("echo %d arrived as %v→%v %q", i, dg.Src, dg.Dst, dg.Payload)
+		}
+	}
+	// Two datagrams were in flight at once, never more: two records exist.
+	if len(n.free) != 2 || n.free[0] == n.free[1] {
+		t.Fatalf("free list holds %d records after the run, want 2 distinct ones", len(n.free))
+	}
+}
+
 func TestReorderingInvertsDeliveryOrder(t *testing.T) {
 	// With a reordering window far wider than the base latency and
 	// consecutive sends, some later-sent datagrams must arrive before

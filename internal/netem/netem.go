@@ -106,12 +106,59 @@ type Network struct {
 	burst  map[[2]IP]bool // Gilbert-Elliott per-directed-link state
 	fstats FaultStats
 
-	// Shard plane (nil/zero on unsharded networks). route maps a public
-	// IP to its owning shard; cross hands a datagram bound for another
-	// shard to the coordinator for barrier exchange.
+	// free recycles delivery records. Only the shard that drives this
+	// network pushes and pops it (see delivery), so it is a plain stack.
+	free []*delivery
+
+	// Shard plane (nil/zero on unsharded networks). owner maps a public
+	// IP to the network of the shard it lives on; cross hands a delivery
+	// bound for another shard to the coordinator for barrier exchange.
 	shard int
-	route func(IP) (int, bool)
-	cross func(dstShard int, at time.Duration, dg Datagram)
+	owner func(IP) *Network
+	cross func(dstShard int, at time.Duration, fire func())
+}
+
+// delivery is one datagram in flight: the record the engine's event
+// points at between Send and the handler call. Records are recycled, and
+// run is bound once per record, so a delivery schedules without
+// allocating — no closure, no timer handle.
+//
+// A record is touched by one shard at a time. The sending network takes
+// it off its own free list and fills it in; from the moment it is
+// scheduled (locally, or handed to the coordinator for another shard)
+// the sender never looks at it again. It fires on the shard of the
+// network that delivers it, and that network keeps it on its own free
+// list afterwards. Records only ever carry the payload through: the
+// handler owns it for good (transport.Datagram), the record forgets it
+// before the handler runs.
+type delivery struct {
+	net *Network // the network that delivers: the sender's, or the destination shard's
+	dg  Datagram
+	run func() // d.fire, bound when the record was first made
+}
+
+// newDelivery takes a record off this network's free list for dg, to be
+// delivered by network to.
+func (n *Network) newDelivery(to *Network, dg Datagram) *delivery {
+	var d *delivery
+	if k := len(n.free); k > 0 {
+		d = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		d = &delivery{}
+		d.run = d.fire
+	}
+	d.net, d.dg = to, dg
+	return d
+}
+
+// fire hands the datagram to the delivering network, after giving the
+// record back: sends made from inside the handler reuse it.
+func (d *delivery) fire() {
+	n, dg := d.net, d.dg
+	d.dg = Datagram{}
+	n.free = append(n.free, d)
+	n.Inject(dg)
 }
 
 // New creates a network using the given latency model.
@@ -184,31 +231,36 @@ func (n *Network) Send(dg Datagram) {
 // fault model's reordering jitter for an unlucky subset. On a sharded
 // network a datagram whose destination lives on another shard is handed
 // to the coordinator instead of the local clock; the latency model's
-// MinDelay bound guarantees it lands in a later window.
+// MinDelay bound guarantees it lands in a later window. Either way the
+// copy travels in a recycled delivery record.
 func (n *Network) deliver(rng *rand.Rand, dg Datagram) {
 	delay := n.model.Delay(rng, dg.Src.IP, dg.Dst.IP, dg.WireSize())
 	if f := n.faults; f != nil && f.ReorderProb > 0 && rng.Float64() < f.ReorderProb {
 		n.fstats.Reordered++
 		delay += time.Duration(rng.Int63n(int64(f.reorderJitter())))
 	}
-	if n.route != nil {
-		if s, ok := n.route(dg.Dst.IP); ok && s != n.shard {
-			n.cross(s, n.sim.Now()+delay, dg)
-			return
+	at, dst := n.sim.Now()+delay, n
+	if n.owner != nil {
+		if o := n.owner(dg.Dst.IP); o != nil {
+			dst = o
 		}
 	}
-	n.sim.After(delay, func() {
-		n.Inject(dg)
-	})
+	d := n.newDelivery(dst, dg)
+	if dst != n {
+		n.cross(dst.shard, at, d.run)
+		return
+	}
+	n.sim.Schedule(at, d.run)
 }
 
 // SetShardPlane wires this network into a sharded run: shard is the
-// network's own shard index, route maps public IPs to shards (IPs it
-// does not know stay local — private addresses never cross shards), and
-// cross forwards a datagram due at virtual time at on another shard.
-func (n *Network) SetShardPlane(shard int, route func(IP) (int, bool), cross func(dstShard int, at time.Duration, dg Datagram)) {
+// network's own shard index, owner maps public IPs to the network of
+// their shard (nil for IPs it does not know, which stay local — private
+// addresses never cross shards), and cross runs fire on another shard at
+// virtual time at.
+func (n *Network) SetShardPlane(shard int, owner func(IP) *Network, cross func(dstShard int, at time.Duration, fire func())) {
 	n.shard = shard
-	n.route = route
+	n.owner = owner
 	n.cross = cross
 }
 

@@ -15,6 +15,8 @@
 package nylon
 
 import (
+	"errors"
+
 	"whisper/internal/identity"
 	"whisper/internal/transport"
 	"whisper/internal/wire"
@@ -55,28 +57,69 @@ func (d Descriptor) WithRoute(route []identity.NodeID) Descriptor {
 // encodedSize is the number of bytes encode writes.
 func (d Descriptor) encodedSize() int { return 8 + 1 + 4 + 2 + 1 + 8*len(d.Route) }
 
-func (d Descriptor) encode(w *wire.Writer) {
+func (d Descriptor) encode(w *wire.Writer) { d.encodeVia(w, identity.Nil) }
+
+// encodeVia writes d with via, unless Nil, in front of its route (8
+// bytes more than encodedSize): the form a shuffle ships an entry in,
+// without building the longer route first.
+func (d Descriptor) encodeVia(w *wire.Writer, via identity.NodeID) {
 	w.U64(uint64(d.ID))
 	w.Bool(d.Public)
 	w.U32(uint32(d.Contact.IP))
 	w.U16(d.Contact.Port)
-	w.U8(uint8(len(d.Route)))
+	hops := len(d.Route)
+	if via != identity.Nil {
+		hops++
+	}
+	w.U8(uint8(hops))
+	if via != identity.Nil {
+		w.U64(uint64(via))
+	}
 	for _, r := range d.Route {
 		w.U64(uint64(r))
 	}
 }
 
-func decodeDescriptor(r *wire.Reader) Descriptor {
+// Decoder limits on the counts a hostile message can claim. Genuine
+// routes are at most MaxRoute+1 long (a shipped entry carries its
+// sender in front), genuine buffers ExchangeSize; a count over its limit
+// fails the decode.
+const (
+	maxWireRoute   = 16
+	maxWirePath    = 16
+	maxWireEntries = 64
+)
+
+var errCountOverLimit = errors.New("nylon: count over decoder limit")
+
+// decodeIDs reads a u8-counted ID list into sc. The result aliases
+// scratch memory (nil when the list is empty).
+func decodeIDs(r *wire.Reader, sc *scratch, limit int) []identity.NodeID {
+	n := int(r.U8())
+	switch {
+	case n > limit:
+		r.Fail(errCountOverLimit)
+		return nil
+	case n == 0:
+		return nil
+	case r.Remaining() < 8*n: // fail before taking arena room for it
+		r.Fail(wire.ErrTruncated)
+		return nil
+	}
+	out := sc.alloc(n)
+	for i := range out {
+		out[i] = identity.NodeID(r.U64())
+	}
+	return out
+}
+
+// decodeDescriptor reads a descriptor whose Route aliases sc: a caller
+// that keeps the descriptor past its handler takes WithRoute(d.Route).
+func decodeDescriptor(r *wire.Reader, sc *scratch) Descriptor {
 	var d Descriptor
 	d.ID = identity.NodeID(r.U64())
 	d.Public = r.Bool()
 	d.Contact = transport.Endpoint{IP: transport.IP(r.U32()), Port: r.U16()}
-	n := int(r.U8())
-	if n > 16 { // hostile input guard; genuine routes are ≤ MaxRoute
-		n = 16
-	}
-	for i := 0; i < n; i++ {
-		d.Route = append(d.Route, identity.NodeID(r.U64()))
-	}
+	d.Route = decodeIDs(r, sc, maxWireRoute)
 	return d
 }

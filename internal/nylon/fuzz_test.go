@@ -64,22 +64,84 @@ func TestDispatchTypedGarbage(t *testing.T) {
 	}
 }
 
-// TestHostileRouteLengths ensures oversized relay chains in descriptors
-// and paths are bounded by the decoders.
+// TestHostileRouteLengths: an oversized relay chain in a descriptor or a
+// path, or an oversized buffer — any count field over its decoder limit —
+// is a decode error (the decoders used to clamp it and parse the unread
+// tail as the next field), while a count at the limit still decodes in
+// full.
 func TestHostileRouteLengths(t *testing.T) {
-	// A descriptor claiming a 255-hop route must decode bounded.
-	w := wire.NewWriter(0)
-	w.U64(7)
-	w.Bool(false)
-	w.U32(1)
-	w.U16(1)
-	w.U8(255)
-	for i := 0; i < 255; i++ {
-		w.U64(uint64(i))
+	ids := func(w *wire.Writer, n int) {
+		w.U8(uint8(n))
+		for i := 0; i < n; i++ {
+			w.U64(uint64(i + 1))
+		}
 	}
-	d := decodeDescriptor(wire.NewReader(w.Bytes()))
-	if len(d.Route) > 16 {
-		t.Fatalf("hostile route length %d not bounded", len(d.Route))
+	descriptor := func(w *wire.Writer, route int) {
+		w.U64(7)
+		w.Bool(false)
+		w.U32(1)
+		w.U16(1)
+		ids(w, route)
+	}
+	// shuffle builds a shuffle body (behind the tag) with the given route
+	// length in From, path length and entry count.
+	shuffle := func(route, path, entries int) []byte {
+		w := wire.NewWriter(0)
+		w.U32(1)
+		descriptor(w, route)
+		ids(w, path)
+		w.U8(uint8(entries))
+		for i := 0; i < entries; i++ {
+			descriptor(w, 0)
+			w.U16(3)
+		}
+		w.Bool(false)
+		return w.Bytes()
+	}
+	cases := []struct {
+		name                  string
+		routes, path, entries int // the counts the message claims (and carries)
+		fail                  bool
+	}{
+		{name: "shuffle at every limit", routes: maxWireRoute, path: maxWirePath, entries: maxWireEntries},
+		{name: "descriptor route over limit", routes: maxWireRoute + 1, fail: true},
+		{name: "descriptor route 255", routes: 255, fail: true},
+		{name: "shuffle path over limit", path: maxWirePath + 1, fail: true},
+		{name: "shuffle entries over limit", entries: maxWireEntries + 1, fail: true},
+		{name: "shuffle entries 255", entries: 255, fail: true},
+	}
+	for _, tc := range cases {
+		sc := getScratch()
+		m, err := decodeShuffle(wire.NewReader(shuffle(tc.routes, tc.path, tc.entries)), sc, 256)
+		switch {
+		case tc.fail && err == nil:
+			t.Errorf("%s: decoded (route %d, path %d, entries %d), want an error",
+				tc.name, len(m.From.Route), len(m.Path), len(m.Entries))
+		case !tc.fail && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !tc.fail && (len(m.From.Route) != tc.routes || len(m.Path) != tc.path || len(m.Entries) != tc.entries):
+			t.Errorf("%s: decoded route %d, path %d, entries %d, want %d/%d/%d",
+				tc.name, len(m.From.Route), len(m.Path), len(m.Entries), tc.routes, tc.path, tc.entries)
+		}
+		sc.release()
+	}
+
+	// The other users of the path decoder fail the same way.
+	over := func(build func(w *wire.Writer)) *wire.Reader {
+		w := wire.NewWriter(0)
+		build(w)
+		return wire.NewReader(w.Bytes())
+	}
+	sc := getScratch()
+	defer sc.release()
+	if _, err := decodeRelay(over(func(w *wire.Writer) { ids(w, maxWirePath+1); w.U64(5); w.Bytes32(nil) }), sc); err == nil {
+		t.Error("relay with an over-limit path decoded")
+	}
+	if _, err := decodePunchReq(over(func(w *wire.Writer) { w.U64(1); w.U32(4); w.U16(2); ids(w, maxWirePath+1) }), sc); err == nil {
+		t.Error("punch request with an over-limit path decoded")
+	}
+	if _, err := decodeKeyMsg(over(func(w *wire.Writer) { descriptor(w, maxWireRoute+1); w.Padded(nil, 256) }), sc, 256); err == nil {
+		t.Error("key message with an over-limit route decoded")
 	}
 }
 

@@ -24,13 +24,28 @@ func TestEncoderSizeHints(t *testing.T) {
 		}
 		entries = append(entries, pss.Entry[Descriptor]{Val: d, Age: uint16(i)})
 	}
-	shuffle := &shuffleMsg{Seq: 3, From: from, Path: route, Entries: entries, Key: key}
+	// The shuffle encoder ships the buffer from a node's point of view:
+	// one of the N-node entries is a live contact (shipped with the node
+	// alone as its route), the others keep their route behind the node.
+	plain, keyed := newBareNode(t), newBareNode(t)
+	plain.cfg = sharedConfig(Config{KeyBlobSize: 1024}.withDefaults())
+	keyed.cfg = sharedConfig(Config{KeySampling: true, KeyBlobSize: 1024}.withDefaults())
+	for _, n := range []*Node{plain, keyed} {
+		n.learnContact(11, transport.Endpoint{IP: 3, Port: 1}, false)
+	}
+	sample := make([]pss.Entry[Descriptor], len(entries)) // the encoder rewrites its input
+	shuffle := func(n *Node, typ uint8, withSelf bool) func() []byte {
+		return func() []byte {
+			copy(sample, entries)
+			return n.encodeShuffle(typ, 3, route, withSelf, sample)
+		}
+	}
 	relay := &relayMsg{Path: route, Final: 5, Inner: make([]byte, 1100)}
 	punch := &punchReq{From: 1, Ext: transport.Endpoint{IP: 4, Port: 2}, Path: route}
 	km := &keyMsg{From: from, Key: key}
 	wiretest.CheckSizeHints(t, []wiretest.Encoder{
-		{Name: "shuffle", Encode: func() []byte { return shuffle.encode(msgShuffleReq, 1024, false) }},
-		{Name: "shuffle+key", Encode: func() []byte { return shuffle.encode(msgShuffleResp, 1024, true) }},
+		{Name: "shuffle", Encode: shuffle(plain, msgShuffleReq, true)},
+		{Name: "shuffle+key", Encode: shuffle(keyed, msgShuffleResp, false)},
 		{Name: "relay", Encode: relay.encode},
 		{Name: "relay/direct", Encode: (&relayMsg{Final: 5, Inner: make([]byte, 64)}).encode},
 		{Name: "echoResp", Encode: func() []byte { return encodeEchoResp(transport.Endpoint{IP: 4, Port: 2}) }},

@@ -28,43 +28,24 @@ const (
 	MsgApp
 )
 
-type entryWire struct {
-	D   Descriptor
-	Age uint16
-}
-
-// entriesSize is the encoded size of a shuffle buffer.
-func entriesSize(entries []pss.Entry[Descriptor]) int {
-	n := 1
-	for _, e := range entries {
-		n += e.Val.encodedSize() + 2
-	}
-	return n
-}
-
-func encodeEntries(w *wire.Writer, entries []pss.Entry[Descriptor]) {
-	w.U8(uint8(len(entries)))
-	for _, e := range entries {
-		e.Val.encode(w)
-		w.U16(e.Age)
-	}
-}
-
-func decodeEntries(r *wire.Reader) []pss.Entry[Descriptor] {
+// decodeEntries reads a shuffle buffer into sc.entries; the entries'
+// routes alias scratch memory like everything else decoded.
+func decodeEntries(r *wire.Reader, sc *scratch) []pss.Entry[Descriptor] {
 	n := int(r.U8())
-	if n > 64 {
-		n = 64
+	if n > maxWireEntries {
+		r.Fail(errCountOverLimit)
+		return nil
 	}
-	out := make([]pss.Entry[Descriptor], 0, n)
+	sc.entries = sc.entries[:0]
 	for i := 0; i < n; i++ {
-		d := decodeDescriptor(r)
+		d := decodeDescriptor(r, sc)
 		age := r.U16()
 		if r.Err() != nil {
 			return nil
 		}
-		out = append(out, pss.Entry[Descriptor]{Val: d, Age: age})
+		sc.entries = append(sc.entries, pss.Entry[Descriptor]{Val: d, Age: age})
 	}
-	return out
+	return sc.entries
 }
 
 // pathSize is the encoded size of a relay path.
@@ -77,23 +58,16 @@ func encodePath(w *wire.Writer, path []identity.NodeID) {
 	}
 }
 
-func decodePath(r *wire.Reader) []identity.NodeID {
-	n := int(r.U8())
-	if n > 16 {
-		n = 16
-	}
-	out := make([]identity.NodeID, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, identity.NodeID(r.U64()))
-	}
-	return out
+func decodePath(r *wire.Reader, sc *scratch) []identity.NodeID {
+	return decodeIDs(r, sc, maxWirePath)
 }
 
-// shuffleMsg is both the request and the response of one PSS exchange.
-// It carries the sender's descriptor, the relay path the request
+// shuffleMsg is the decoded form of both the request and the response of
+// one PSS exchange: the sender's descriptor, the relay path the request
 // travelled (so the response can retrace it and receivers can adjust
-// entry routes), the shuffle buffer, and — when key sampling is on —
-// the sender's public key (§III-B-2).
+// entry routes), the shuffle buffer, and — when key sampling is on — the
+// sender's public key (§III-B-2). Every slice in it aliases the scratch
+// record it was decoded into.
 type shuffleMsg struct {
 	Seq     uint32
 	From    Descriptor
@@ -102,37 +76,83 @@ type shuffleMsg struct {
 	Key     crypt.PublicKey
 }
 
-func (m *shuffleMsg) encode(typ uint8, blobSize int, withKey bool) []byte {
-	size := 1 + 4 + m.From.encodedSize() + pathSize(m.Path) + entriesSize(m.Entries) + 1
-	if withKey {
-		size += keyss.KeySize(blobSize)
+// encodeShuffle writes one shuffle message straight into the datagram
+// that carries it. entries is the sampled buffer (scratch copies of view
+// entries, preceded on the wire by the node's own descriptor at age 0
+// when withSelf is set); each is written in its shipped form, its route
+// rewritten from this node's perspective: for an N-node entry this node
+// becomes the first rendezvous (it can reach the node either directly or
+// through its own stored route), and the receiver completes the route
+// with its own path to this node. The first pass settles each entry's
+// route in place and adds up the exact size, the second writes.
+func (n *Node) encodeShuffle(typ uint8, seq uint32, path []identity.NodeID, withSelf bool, entries []pss.Entry[Descriptor]) []byte {
+	self := n.SelfDescriptor()
+	size := 1 + 4 + self.encodedSize() + pathSize(path) + 1 + 1
+	count := len(entries)
+	if withSelf {
+		// Self: the receiver's path to us is the whole route.
+		count++
+		size += self.encodedSize() + 2
 	}
+	for i := range entries {
+		d := &entries[i].Val
+		via := n.shipVia(d)
+		if via == identity.Nil || n.usableContact(d.ID) {
+			d.Route = nil
+		}
+		size += d.encodedSize() + 2
+		if via != identity.Nil {
+			size += 8
+		}
+	}
+	if n.cfg.KeySampling {
+		size += keyss.KeySize(n.cfg.KeyBlobSize)
+	}
+
 	w := wire.NewWriter(size)
 	w.U8(typ)
-	w.U32(m.Seq)
-	m.From.encode(w)
-	encodePath(w, m.Path)
-	encodeEntries(w, m.Entries)
-	if withKey {
+	w.U32(seq)
+	self.encode(w)
+	encodePath(w, path)
+	w.U8(uint8(count))
+	if withSelf {
+		self.encode(w)
+		w.U16(0)
+	}
+	for i := range entries {
+		e := &entries[i]
+		e.Val.encodeVia(w, n.shipVia(&e.Val))
+		w.U16(e.Age)
+	}
+	if n.cfg.KeySampling {
 		w.Bool(true)
-		keyss.EncodeKey(w, m.Key, blobSize)
+		keyss.EncodeKey(w, n.ident.Public(), n.cfg.KeyBlobSize)
 	} else {
 		w.Bool(false)
 	}
 	return w.Bytes()
 }
 
-func decodeShuffle(r *wire.Reader, blobSize int) (*shuffleMsg, error) {
-	m := &shuffleMsg{}
+// shipVia returns what this node puts in front of d's route when it
+// ships d: its own ID for every N-node entry but its own, Nil otherwise.
+func (n *Node) shipVia(d *Descriptor) identity.NodeID {
+	if d.Public || d.ID == n.ident.ID {
+		return identity.Nil
+	}
+	return n.ident.ID
+}
+
+func decodeShuffle(r *wire.Reader, sc *scratch, blobSize int) (shuffleMsg, error) {
+	var m shuffleMsg
 	m.Seq = r.U32()
-	m.From = decodeDescriptor(r)
-	m.Path = decodePath(r)
-	m.Entries = decodeEntries(r)
+	m.From = decodeDescriptor(r, sc)
+	m.Path = decodePath(r, sc)
+	m.Entries = decodeEntries(r, sc)
 	if r.Bool() {
 		m.Key = keyss.DecodeKey(r, blobSize)
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("nylon: decoding shuffle: %w", err)
+		return shuffleMsg{}, fmt.Errorf("nylon: decoding shuffle: %w", err)
 	}
 	return m, nil
 }
@@ -153,13 +173,13 @@ func (m *relayMsg) encode() []byte {
 	return w.Bytes()
 }
 
-func decodeRelay(r *wire.Reader) (*relayMsg, error) {
-	m := &relayMsg{}
-	m.Path = decodePath(r)
+func decodeRelay(r *wire.Reader, sc *scratch) (relayMsg, error) {
+	var m relayMsg
+	m.Path = decodePath(r, sc)
 	m.Final = identity.NodeID(r.U64())
 	m.Inner = r.Bytes32()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("nylon: decoding relay: %w", err)
+		return relayMsg{}, fmt.Errorf("nylon: decoding relay: %w", err)
 	}
 	return m, nil
 }
@@ -192,13 +212,13 @@ func (m *punchReq) encode() []byte {
 	return w.Bytes()
 }
 
-func decodePunchReq(r *wire.Reader) (*punchReq, error) {
-	m := &punchReq{}
+func decodePunchReq(r *wire.Reader, sc *scratch) (punchReq, error) {
+	var m punchReq
 	m.From = identity.NodeID(r.U64())
 	m.Ext = transport.Endpoint{IP: transport.IP(r.U32()), Port: r.U16()}
-	m.Path = decodePath(r)
+	m.Path = decodePath(r, sc)
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("nylon: decoding punch request: %w", err)
+		return punchReq{}, fmt.Errorf("nylon: decoding punch request: %w", err)
 	}
 	return m, nil
 }
@@ -219,12 +239,12 @@ func (m *keyMsg) encode(typ uint8, blobSize int) []byte {
 	return w.Bytes()
 }
 
-func decodeKeyMsg(r *wire.Reader, blobSize int) (*keyMsg, error) {
-	m := &keyMsg{}
-	m.From = decodeDescriptor(r)
+func decodeKeyMsg(r *wire.Reader, sc *scratch, blobSize int) (keyMsg, error) {
+	var m keyMsg
+	m.From = decodeDescriptor(r, sc)
 	m.Key = keyss.DecodeKey(r, blobSize)
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("nylon: decoding key message: %w", err)
+		return keyMsg{}, fmt.Errorf("nylon: decoding key message: %w", err)
 	}
 	return m, nil
 }

@@ -1,6 +1,7 @@
 package nylon
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -166,46 +167,54 @@ type ExchangeEvent struct {
 	Initiated bool
 }
 
+// pendingShuffle is an in-flight shuffle this node initiated: what the
+// response is matched against and merged with. It keeps the IDs of the
+// buffer it shipped, not the buffer — the IDs are all the merge reads.
+//
+// A node has at most a couple of shuffles in flight, so n.pending holds
+// them by value in a packed slice with linear scans (the historical
+// map[uint32]*pendingShuffle's buckets outweighed the payload at large
+// populations), and the slice is dropped when the last one ends so that
+// an idle node retains nothing.
 type pendingShuffle struct {
-	partner Descriptor
+	seq     uint32
+	partner identity.NodeID
 	path    []identity.NodeID
-	sent    []pss.Entry[Descriptor]
+	sent    []identity.NodeID
 	timer   transport.Timer
 }
 
-// pendingRef indexes an in-flight shuffle by sequence number. A node
-// has at most a couple of shuffles in flight, so a packed slice with
-// linear scans replaces the historical map[uint32]*pendingShuffle,
-// whose buckets outweighed the payload at large populations.
-type pendingRef struct {
-	seq uint32
-	p   *pendingShuffle
-}
-
-// findPending returns the in-flight shuffle with the given sequence
-// number, or nil.
-func (n *Node) findPending(seq uint32) *pendingShuffle {
+// findPending returns the index in n.pending of the in-flight shuffle
+// with the given sequence number, or -1.
+func (n *Node) findPending(seq uint32) int {
 	for i := range n.pending {
 		if n.pending[i].seq == seq {
-			return n.pending[i].p
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // removePending drops the in-flight shuffle with the given sequence
 // number, reporting whether it existed.
 func (n *Node) removePending(seq uint32) bool {
-	for i := range n.pending {
-		if n.pending[i].seq == seq {
-			last := len(n.pending) - 1
-			n.pending[i] = n.pending[last]
-			n.pending[last] = pendingRef{}
-			n.pending = n.pending[:last]
-			return true
-		}
+	i := n.findPending(seq)
+	if i >= 0 {
+		n.removePendingAt(i)
 	}
-	return false
+	return i >= 0
+}
+
+// removePendingAt drops n.pending[i].
+func (n *Node) removePendingAt(i int) {
+	last := len(n.pending) - 1
+	if last == 0 {
+		n.pending = nil
+		return
+	}
+	n.pending[i] = n.pending[last]
+	n.pending[last] = pendingShuffle{}
+	n.pending = n.pending[:last]
 }
 
 // Node is one Nylon PSS participant.
@@ -220,7 +229,7 @@ type Node struct {
 	view     *pss.View[Descriptor]
 	keys     *keyss.Store
 	contacts contactTable
-	pending  []pendingRef
+	pending  []pendingShuffle
 	seq      uint32
 
 	selfExt   transport.Endpoint
@@ -406,7 +415,7 @@ func (n *Node) Stop() {
 		n.ticker.Stop()
 	}
 	for i := range n.pending {
-		n.pending[i].p.timer.Cancel()
+		n.pending[i].timer.Cancel()
 	}
 	n.port.Close()
 	if n.typ == nat.None {
@@ -439,81 +448,68 @@ func (n *Node) cycle() {
 		n.met.routeFailures.Inc()
 		return
 	}
-	sent := n.makeBuffer(partner.Val.Key())
+	// The buffer: self (age 0) plus a random sample excluding the
+	// partner, shipped from scratch. What outlives this call is the
+	// datagram and the pending shuffle with the sampled IDs.
+	sc := getScratch()
+	defer sc.release()
+	sc.sample = n.view.SampleInto(sc.sample, n.rt.Rand(), n.cfg.ExchangeSize-1, partner.Val.Key())
+	sent := entryIDs(make([]identity.NodeID, len(sc.sample)), sc.sample)
 	n.seq++
 	seq := n.seq
-	msg := shuffleMsg{Seq: seq, From: n.SelfDescriptor(), Path: path, Entries: n.shipEntries(sent)}
-	if n.cfg.KeySampling {
-		msg.Key = n.ident.Public()
-	}
+	msg := n.encodeShuffle(msgShuffleReq, seq, path, true, sc.sample)
 	n.met.shufflesInitiated.Inc()
 	if len(path) > 0 {
 		n.met.shufflesViaRelays.Inc()
 	}
-	p := &pendingShuffle{partner: partner.Val, path: path, sent: sent}
-	p.timer = n.rt.After(n.cfg.ShuffleTimeout, func() {
+	timer := n.rt.After(n.cfg.ShuffleTimeout, func() {
 		if n.removePending(seq) {
 			n.met.shufflesTimedOut.Inc()
 		}
 	})
-	n.pending = append(n.pending, pendingRef{seq: seq, p: p})
-	n.send(msg.encode(msgShuffleReq, n.cfg.KeyBlobSize, n.cfg.KeySampling), partner.Val, path)
+	n.pending = append(n.pending, pendingShuffle{seq: seq, partner: partner.Val.ID, path: path, sent: sent, timer: timer})
+	n.send(msg, partner.Val, path)
 }
 
-// makeBuffer assembles the shuffle buffer: self (age 0) plus a random
-// sample, excluding the partner.
-func (n *Node) makeBuffer(partner identity.NodeID) []pss.Entry[Descriptor] {
-	buf := []pss.Entry[Descriptor]{{Val: n.SelfDescriptor()}}
-	buf = append(buf, n.view.Sample(n.rt.Rand(), n.cfg.ExchangeSize-1, partner)...)
-	return buf
-}
-
-// shipEntries rewrites entry routes from the sender's perspective: for
-// each N-node entry, the sender becomes the first rendezvous (it can
-// reach the node either directly or through its own stored route). The
-// receiver completes the route with its own path to the sender.
-func (n *Node) shipEntries(entries []pss.Entry[Descriptor]) []pss.Entry[Descriptor] {
-	out := make([]pss.Entry[Descriptor], 0, len(entries))
+// adjustReceived completes received entry routes, in place, with the
+// local path to the exchange partner and drops entries whose route grew
+// beyond MaxRoute. The completed routes are built in sc.
+func (n *Node) adjustReceived(sc *scratch, entries []pss.Entry[Descriptor], pathToSender []identity.NodeID) []pss.Entry[Descriptor] {
+	out := entries[:0]
 	for _, e := range entries {
-		d := e.Val
-		switch {
-		case d.ID == n.ident.ID:
-			// Self: the receiver's path to us is the whole route.
-			d.Route = nil
-		case d.Public:
-			d.Route = nil
-		case n.usableContact(d.ID):
-			d = d.WithRoute([]identity.NodeID{n.ident.ID})
-		default:
-			d = d.WithRoute(append([]identity.NodeID{n.ident.ID}, d.Route...))
-		}
-		out = append(out, pss.Entry[Descriptor]{Val: d, Age: e.Age})
-	}
-	return out
-}
-
-// adjustReceived completes received entry routes with the local path to
-// the exchange partner and drops entries whose route grew beyond
-// MaxRoute.
-func (n *Node) adjustReceived(entries []pss.Entry[Descriptor], pathToSender []identity.NodeID) []pss.Entry[Descriptor] {
-	out := make([]pss.Entry[Descriptor], 0, len(entries))
-	for _, e := range entries {
-		d := e.Val
+		d := &e.Val
 		if !d.Public && d.ID != n.ident.ID {
 			if n.usableContact(d.ID) {
 				d.Route = nil
 			} else {
-				route := append(append([]identity.NodeID(nil), pathToSender...), d.Route...)
-				if len(route) > MaxRoute {
+				hops := len(pathToSender) + len(d.Route)
+				if hops > MaxRoute {
 					continue
 				}
-				d.Route = route
+				if len(pathToSender) > 0 {
+					route := sc.alloc(hops)
+					copy(route[copy(route, pathToSender):], d.Route)
+					d.Route = route
+				}
 			}
 		}
-		out = append(out, pss.Entry[Descriptor]{Val: d, Age: e.Age})
+		out = append(out, e)
 	}
 	return out
 }
+
+// entryIDs fills dst, which has room for exactly that, with the IDs of
+// entries: what a merge needs to know of a buffer that was shipped.
+func entryIDs(dst []identity.NodeID, entries []pss.Entry[Descriptor]) []identity.NodeID {
+	for i := range entries {
+		dst[i] = entries[i].Val.ID
+	}
+	return dst
+}
+
+// ownDescriptor is the keep function of this node's merges: a received
+// descriptor that enters the view takes its route out of scratch.
+func ownDescriptor(d Descriptor) Descriptor { return d.WithRoute(d.Route) }
 
 func (n *Node) selectOpts() pss.SelectOpts {
 	return pss.SelectOpts{
@@ -560,7 +556,9 @@ func (n *Node) dispatch(dg transport.Datagram) {
 }
 
 func (n *Node) handleShuffleReq(src transport.Endpoint, r *wire.Reader) {
-	req, err := decodeShuffle(r, n.cfg.KeyBlobSize)
+	sc := getScratch()
+	defer sc.release()
+	req, err := decodeShuffle(r, sc, n.cfg.KeyBlobSize)
 	if err != nil {
 		return
 	}
@@ -568,69 +566,61 @@ func (n *Node) handleShuffleReq(src transport.Endpoint, r *wire.Reader) {
 	if direct {
 		n.learnContact(req.From.ID, src, req.From.Public)
 	}
-	reverse := reversePath(req.Path)
+	reverse := sc.reversed(req.Path)
 	// The requester's own entry arrives with an empty route; the
 	// reverse of the request path is how we reach it.
-	received := n.adjustReceived(req.Entries, reverse)
+	received := n.adjustReceived(sc, req.Entries, reverse)
 
 	// Reply with our own buffer before merging (Cyclon).
-	sent := n.view.Sample(n.rt.Rand(), n.cfg.ExchangeSize, req.From.ID)
-	resp := shuffleMsg{Seq: req.Seq, From: n.SelfDescriptor(), Path: req.Path, Entries: n.shipEntries(sent)}
-	if n.cfg.KeySampling {
-		resp.Key = n.ident.Public()
-	}
-	peer := req.From.WithRoute(reverse)
-	n.learnRoute(req.From.ID, reverse)
-	n.send(resp.encode(msgShuffleResp, n.cfg.KeyBlobSize, n.cfg.KeySampling), peer, reverse)
+	sc.sample = n.view.SampleInto(sc.sample, n.rt.Rand(), n.cfg.ExchangeSize, req.From.ID)
+	sent := entryIDs(sc.alloc(len(sc.sample)), sc.sample)
+	resp := n.encodeShuffle(msgShuffleResp, req.Seq, req.Path, false, sc.sample)
+	peer := req.From
+	peer.Route = reverse
+	n.learnRoute(peer.ID, reverse)
+	n.send(resp, peer, reverse)
 
-	pss.MergeCyclon(n.view, sent, received, n.selectOpts())
+	pss.MergeCyclonIDs(n.view, sent, received, n.selectOpts(), ownDescriptor)
 	if n.cfg.KeySampling && req.Key != nil {
-		n.keys.Put(req.From.ID, req.Key)
+		n.keys.Put(peer.ID, req.Key)
 	}
 	n.met.shufflesServed.Inc()
 	if n.OnExchange != nil {
-		n.OnExchange(ExchangeEvent{Peer: peer, Path: reverse, Initiated: false})
+		n.OnExchange(ExchangeEvent{Peer: peer.WithRoute(reverse), Path: slices.Clone(reverse), Initiated: false})
 	}
 	n.maybePunch(peer, reverse)
 }
 
 func (n *Node) handleShuffleResp(src transport.Endpoint, r *wire.Reader) {
-	resp, err := decodeShuffle(r, n.cfg.KeyBlobSize)
+	sc := getScratch()
+	defer sc.release()
+	resp, err := decodeShuffle(r, sc, n.cfg.KeyBlobSize)
 	if err != nil {
 		return
 	}
-	p := n.findPending(resp.Seq)
-	if p == nil || p.partner.ID != resp.From.ID {
+	i := n.findPending(resp.Seq)
+	if i < 0 || n.pending[i].partner != resp.From.ID {
 		return
 	}
-	n.removePending(resp.Seq)
+	p := n.pending[i]
+	n.removePendingAt(i)
 	p.timer.Cancel()
 	if len(p.path) == 0 {
 		n.learnContact(resp.From.ID, src, resp.From.Public)
 	}
-	received := n.adjustReceived(resp.Entries, p.path)
-	pss.MergeCyclon(n.view, p.sent, received, n.selectOpts())
+	received := n.adjustReceived(sc, resp.Entries, p.path)
+	pss.MergeCyclonIDs(n.view, p.sent, received, n.selectOpts(), ownDescriptor)
 	if n.cfg.KeySampling && resp.Key != nil {
 		n.keys.Put(resp.From.ID, resp.Key)
 	}
 	n.met.shufflesCompleted.Inc()
 	n.learnRoute(resp.From.ID, p.path)
-	peer := resp.From.WithRoute(p.path)
+	peer := resp.From
+	peer.Route = p.path
 	if n.OnExchange != nil {
-		n.OnExchange(ExchangeEvent{Peer: peer, Path: p.path, Initiated: true})
+		n.OnExchange(ExchangeEvent{Peer: peer.WithRoute(p.path), Path: p.path, Initiated: true})
 	}
 	n.maybePunch(peer, p.path)
-}
-
-func reversePath(path []identity.NodeID) []identity.NodeID {
-	if len(path) == 0 {
-		return nil
-	}
-	out := make([]identity.NodeID, len(path))
-	for i, id := range path {
-		out[len(path)-1-i] = id
-	}
-	return out
 }
 
 // Runtime returns the transport driving this node, for layers that

@@ -1,6 +1,7 @@
 package nylon_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"whisper/internal/identity"
 	"whisper/internal/netem"
 	"whisper/internal/nylon"
+	"whisper/internal/pss"
 	"whisper/internal/sim"
 )
 
@@ -22,6 +24,73 @@ func buildWorld(t testing.TB, opts sim.Options) *sim.World {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// TestScratchNeverEscapes runs a small NATted world twice at the same
+// seed, once with every scratch record overwritten as soon as its
+// handler returns. Nothing that outlives a handler may alias scratch, so
+// everything the nodes retained or handed out — view entries with their
+// routes, learned routes, the events OnExchange saw (kept by the test as
+// delivered, not copied) — must come out the same as in the undisturbed
+// twin. A route left pointing into a record shows up here as 0xDEADBEEF
+// in a view, and within a cycle as a diverged run.
+func TestScratchNeverEscapes(t *testing.T) {
+	type state struct {
+		Views     map[identity.NodeID][]pss.Entry[nylon.Descriptor]
+		Routes    map[identity.NodeID]map[identity.NodeID][]identity.NodeID
+		Exchanges map[identity.NodeID][]nylon.ExchangeEvent
+		Completed uint64
+		Relayed   uint64
+	}
+	run := func(scribble bool) state {
+		nylon.ScribbleScratchOnRelease(scribble)
+		defer nylon.ScribbleScratchOnRelease(false)
+		w := buildWorld(t, sim.Options{Seed: 9, N: 60, NATRatio: 0.7, Nylon: nylon.Config{MinPublic: 3}})
+		st := state{
+			Views:     make(map[identity.NodeID][]pss.Entry[nylon.Descriptor]),
+			Routes:    make(map[identity.NodeID]map[identity.NodeID][]identity.NodeID),
+			Exchanges: make(map[identity.NodeID][]nylon.ExchangeEvent),
+		}
+		for _, n := range w.Live() {
+			id := n.ID()
+			n.Nylon.OnExchange = func(ev nylon.ExchangeEvent) { st.Exchanges[id] = append(st.Exchanges[id], ev) }
+		}
+		w.StartAll()
+		w.Sim.RunUntil(4 * time.Minute) // ≈ 24 cycles
+		for _, n := range w.Live() {
+			st.Views[n.ID()] = n.Nylon.View()
+			st.Routes[n.ID()] = n.Nylon.LearnedRoutes()
+			stats := n.Nylon.Stats()
+			st.Completed += stats.ShufflesCompleted
+			st.Relayed += stats.ShufflesViaRelays
+		}
+		return st
+	}
+	want, got := run(false), run(true)
+	if want.Completed < 1000 || want.Relayed < 100 {
+		t.Fatalf("only %d shuffles completed, %d relayed: the world tests nothing", want.Completed, want.Relayed)
+	}
+	routed := 0
+	for _, view := range want.Views {
+		for _, e := range view {
+			if len(e.Val.Route) > 0 {
+				routed++
+			}
+		}
+	}
+	if routed == 0 {
+		t.Fatal("no view entry carries a route: the world tests nothing")
+	}
+	if !reflect.DeepEqual(got, want) {
+		for id, view := range want.Views {
+			if !reflect.DeepEqual(got.Views[id], view) {
+				t.Errorf("node %v view:\n  scribbled %v\n  twin      %v", id, got.Views[id], view)
+				break
+			}
+		}
+		t.Fatalf("scribbling over released scratch changed the run (completed %d vs %d, relayed %d vs %d)",
+			got.Completed, want.Completed, got.Relayed, want.Relayed)
+	}
 }
 
 func TestOverlayConvergesWithNATs(t *testing.T) {

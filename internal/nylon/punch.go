@@ -114,7 +114,9 @@ func (n *Node) maybePunch(peer Descriptor, path []identity.NodeID) {
 // external endpoint several times. The first probe also opens our own
 // NAT filter towards the peer, so its probes (or replies) can reach us.
 func (n *Node) handlePunchReq(r *wire.Reader) {
-	m, err := decodePunchReq(r)
+	sc := getScratch()
+	defer sc.release()
+	m, err := decodePunchReq(r, sc)
 	if err != nil || m.Ext.IsZero() {
 		return
 	}

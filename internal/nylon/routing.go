@@ -281,7 +281,9 @@ func (n *Node) send(msg []byte, d Descriptor, path []identity.NodeID) {
 // nothing about the content: at the WCL layer the inner payload is an
 // onion-encrypted blob.
 func (n *Node) handleRelay(src transport.Endpoint, r *wire.Reader) {
-	m, err := decodeRelay(r)
+	sc := getScratch()
+	defer sc.release()
+	m, err := decodeRelay(r, sc)
 	if err != nil {
 		return
 	}
@@ -359,7 +361,9 @@ func (n *Node) RequestKey(d Descriptor) error {
 }
 
 func (n *Node) handleKeyMsg(src transport.Endpoint, r *wire.Reader, isReq bool) {
-	m, err := decodeKeyMsg(r, n.cfg.KeyBlobSize)
+	sc := getScratch()
+	defer sc.release()
+	m, err := decodeKeyMsg(r, sc, n.cfg.KeyBlobSize)
 	if err != nil {
 		return
 	}
@@ -373,7 +377,7 @@ func (n *Node) handleKeyMsg(src transport.Endpoint, r *wire.Reader, isReq bool) 
 		return
 	}
 	if n.OnKeyExchange != nil {
-		n.OnKeyExchange(m.From)
+		n.OnKeyExchange(m.From.WithRoute(m.From.Route))
 	}
 }
 

@@ -27,8 +27,9 @@
 package pss
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"whisper/internal/identity"
 )
@@ -327,7 +328,7 @@ func Select[T Item](merged []Entry[T], o SelectOpts) []Entry[T] {
 		uniq = append(uniq, e)
 	}
 	// Freshest first; stable keeps input precedence on ties.
-	sort.SliceStable(uniq, func(i, j int) bool { return uniq[i].Age < uniq[j].Age })
+	sortEntries(uniq)
 	kept := uniq
 	var excluded []Entry[T]
 	if len(uniq) > o.Capacity {
@@ -423,18 +424,45 @@ func Select[T Item](merged []Entry[T], o SelectOpts) []Entry[T] {
 // the overlay's clustering coefficient in the random-graph regime
 // (Fig 5's baseline).
 func MergeCyclon[T Item](view *View[T], sent, received []Entry[T], o SelectOpts) {
+	var buf [mergeListSize]identity.NodeID
+	ids := buf[:0]
+	for _, s := range sent {
+		ids = append(ids, s.Val.Key())
+	}
+	MergeCyclonIDs(view, ids, received, o, nil)
+}
+
+// mergeListSize is the stack room of one merge's working lists, sized
+// for the shuffle buffers in use (ExchangeSize 5); longer buffers spill
+// to the heap and merge the same.
+const mergeListSize = 8
+
+// MergeCyclonIDs is MergeCyclon for a caller that kept only the IDs of
+// the buffer it shipped — all a merge reads of it — and whose received
+// entries may live in memory it is about to reuse: keep, when non-nil,
+// is applied to every value at the moment it enters the view and returns
+// the copy the view may hold on to. (An entry the merge evicted and the Π
+// bias pulls back in passes through keep again; keep must accept its own
+// results.) Values that do not make it into the view are never passed to
+// keep, so a merge allocates only for what it retains; its own working
+// lists live on the stack.
+func MergeCyclonIDs[T Item](view *View[T], sent []identity.NodeID, received []Entry[T], o SelectOpts, keep func(T) T) {
 	if o.Capacity <= 0 {
 		panic("pss: MergeCyclon with non-positive capacity")
 	}
+	if keep == nil {
+		keep = func(v T) T { return v }
+	}
 	// Entries we may overwrite: the ones we sent that are still present.
-	replaceable := make([]identity.NodeID, 0, len(sent))
-	for _, s := range sent {
-		id := s.Val.Key()
+	var repBuf [mergeListSize]identity.NodeID
+	replaceable := repBuf[:0]
+	for _, id := range sent {
 		if id != o.Self && view.Contains(id) {
 			replaceable = append(replaceable, id)
 		}
 	}
-	evicted := make([]Entry[T], 0, 4)
+	var evBuf [mergeListSize]Entry[T]
+	evicted := evBuf[:0]
 	for _, r := range received {
 		id := r.Val.Key()
 		if id == o.Self {
@@ -442,13 +470,13 @@ func MergeCyclon[T Item](view *View[T], sent, received []Entry[T], o SelectOpts)
 		}
 		if i := view.index(id); i >= 0 {
 			if r.Age < view.ages[i] {
-				view.vals[i] = r.Val
+				view.vals[i] = keep(r.Val)
 				view.ages[i] = r.Age
 			}
 			continue
 		}
 		if view.n < o.Capacity {
-			view.append(r.Val, r.Age)
+			view.append(keep(r.Val), r.Age)
 			continue
 		}
 		if len(replaceable) > 0 {
@@ -456,7 +484,7 @@ func MergeCyclon[T Item](view *View[T], sent, received []Entry[T], o SelectOpts)
 			replaceable = replaceable[1:]
 			if i := view.index(victim); i >= 0 {
 				evicted = append(evicted, view.entry(i))
-				view.vals[i] = r.Val
+				view.vals[i] = keep(r.Val)
 				view.ages[i] = r.Age
 				continue
 			}
@@ -465,7 +493,7 @@ func MergeCyclon[T Item](view *View[T], sent, received []Entry[T], o SelectOpts)
 		oi := view.oldestIndex()
 		if oi >= 0 && view.ages[oi] > r.Age {
 			evicted = append(evicted, view.entry(oi))
-			view.vals[oi] = r.Val
+			view.vals[oi] = keep(r.Val)
 			view.ages[oi] = r.Age
 		}
 		// Otherwise the received entry is dropped.
@@ -475,7 +503,8 @@ func MergeCyclon[T Item](view *View[T], sent, received []Entry[T], o SelectOpts)
 	}
 	// Π bias: candidates are P-nodes from the received buffer and the
 	// entries this merge evicted, freshest first.
-	var candidates []Entry[T]
+	var candBuf [2 * mergeListSize]Entry[T]
+	candidates := candBuf[:0]
 	for _, e := range received {
 		if e.Val.IsPublic() && e.Val.Key() != o.Self && !view.Contains(e.Val.Key()) {
 			candidates = append(candidates, e)
@@ -493,6 +522,7 @@ func MergeCyclon[T Item](view *View[T], sent, received []Entry[T], o SelectOpts)
 		if view.Contains(c.Val.Key()) {
 			continue
 		}
+		c.Val = keep(c.Val)
 		if view.n < o.Capacity {
 			view.append(c.Val, c.Age)
 			continue
@@ -546,6 +576,9 @@ func countPublic[T Item](entries []Entry[T]) int {
 	return n
 }
 
+// sortEntries orders entries freshest first; stable, so input order
+// breaks age ties. The generic sort takes no reflection swapper and lets
+// a stack-resident list stay there.
 func sortEntries[T Item](entries []Entry[T]) {
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Age < entries[j].Age })
+	slices.SortStableFunc(entries, func(a, b Entry[T]) int { return cmp.Compare(a.Age, b.Age) })
 }

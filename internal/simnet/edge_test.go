@@ -3,6 +3,8 @@ package simnet
 import (
 	"testing"
 	"time"
+
+	"whisper/internal/wire/wiretest"
 )
 
 // Edge cases the sharded refactor must preserve in the plain engine.
@@ -127,5 +129,47 @@ func TestTimerCancelAfterGenerationRecycling(t *testing.T) {
 	}
 	if fired != 100 {
 		t.Fatalf("fired = %d, want 100", fired)
+	}
+}
+
+// TestScheduleAndTickerAllocateNothing: posting an event without asking
+// for a handle (Schedule, the barrier exchange) and a ticker re-arming
+// itself take their event from the free list and build neither a
+// closure nor a Timer.
+func TestScheduleAndTickerAllocateNothing(t *testing.T) {
+	if wiretest.RaceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	s := New(1)
+	ticks, fired := 0, 0
+	s.EveryJitter(time.Second, time.Second/2, func() { ticks++ })
+	fire := func() { fired++ }
+	step := func() {
+		s.Schedule(s.Now()+time.Second, fire)
+		s.RunFor(10 * time.Second)
+	}
+	step() // warm the free list
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("%.2f allocations per 10 s of ticking and scheduling, want 0", allocs)
+	}
+	if ticks < 300 || fired != 52 {
+		t.Fatalf("%d ticks and %d scheduled events ran", ticks, fired)
+	}
+
+	d := NewSharded(1, 2, time.Millisecond)
+	d.SetWorkers(1)
+	crossed := 0
+	cross := func() { crossed++ }
+	d.Shard(0).Every(time.Millisecond, func() {
+		for k := 0; k < 8; k++ {
+			d.Inject(0, 1, d.Shard(0).Now()+time.Millisecond, cross)
+		}
+	})
+	d.RunFor(10 * time.Millisecond)
+	if allocs := testing.AllocsPerRun(50, func() { d.RunFor(10 * time.Millisecond) }); allocs != 0 {
+		t.Errorf("%.2f allocations per 10 windows of barrier exchange, want 0", allocs)
+	}
+	if crossed < 50*10*8 {
+		t.Fatalf("only %d cross-shard events ran", crossed)
 	}
 }

@@ -135,10 +135,13 @@ func (s *Sim) maybeCompact() {
 	s.cancelled = 0
 }
 
-// At schedules fn to run at absolute virtual time at. Scheduling in the
-// past (or present) runs the callback at the current time but strictly
-// after the currently-executing event returns.
-func (s *Sim) At(at time.Duration, fn func()) *Timer {
+// post queues fn to run at absolute virtual time at and returns the
+// queued event. Scheduling in the past (or present) runs the callback at
+// the current time but strictly after the currently-executing event
+// returns. The event comes off the free list, so a caller that needs no
+// cancellation handle (Schedule, a ticker re-arming itself) schedules
+// without allocating.
+func (s *Sim) post(at time.Duration, fn func()) *event {
 	if fn == nil {
 		panic("simnet: nil callback")
 	}
@@ -149,6 +152,13 @@ func (s *Sim) At(at time.Duration, fn func()) *Timer {
 	ev.at, ev.seq, ev.fn = at, s.seq, fn
 	s.seq++
 	heap.Push(&s.events, ev)
+	return ev
+}
+
+// At schedules fn to run at absolute virtual time at (clamped to the
+// present, see post) and returns a handle that can cancel it.
+func (s *Sim) At(at time.Duration, fn func()) *Timer {
+	ev := s.post(at, fn)
 	return &Timer{s: s, ev: ev, gen: ev.gen}
 }
 
@@ -163,13 +173,13 @@ func (s *Sim) After(d time.Duration, fn func()) *Timer {
 // Ticker repeatedly invokes a callback with a fixed period, optionally
 // jittered. Cancel it with Stop.
 type Ticker struct {
-	s        *Sim
-	period   time.Duration
-	jitter   time.Duration
-	fn       func()
-	t        *Timer
-	stopped  bool
-	lastFire time.Duration
+	s       *Sim
+	period  time.Duration
+	jitter  time.Duration
+	fn      func()
+	fire    func() // tk.tick bound once, so re-arming allocates nothing
+	t       Timer  // the one outstanding event, by value
+	stopped bool
 }
 
 // Every schedules fn to run every period of virtual time. The first
@@ -186,6 +196,7 @@ func (s *Sim) EveryJitter(period, jitter time.Duration, fn func()) *Ticker {
 		panic(fmt.Sprintf("simnet: non-positive ticker period %v", period))
 	}
 	tk := &Ticker{s: s, period: period, jitter: jitter, fn: fn}
+	tk.fire = tk.tick
 	tk.schedule()
 	return tk
 }
@@ -195,16 +206,18 @@ func (tk *Ticker) schedule() {
 	if tk.jitter > 0 {
 		d += time.Duration(tk.s.rng.Int63n(int64(tk.jitter)))
 	}
-	tk.t = tk.s.After(d, func() {
-		if tk.stopped {
-			return
-		}
-		tk.lastFire = tk.s.now
-		tk.fn()
-		if !tk.stopped {
-			tk.schedule()
-		}
-	})
+	ev := tk.s.post(tk.s.now+d, tk.fire)
+	tk.t = Timer{s: tk.s, ev: ev, gen: ev.gen}
+}
+
+func (tk *Ticker) tick() {
+	if tk.stopped {
+		return
+	}
+	tk.fn()
+	if !tk.stopped {
+		tk.schedule()
+	}
 }
 
 // Stop cancels the ticker. Safe to call multiple times and on nil.
@@ -282,11 +295,13 @@ func (s *Sim) NextLiveAt() (time.Duration, bool) {
 	return 0, false
 }
 
-// Schedule runs fn at absolute virtual time at, discarding the timer
-// handle. It adapts the simulator to scheduler interfaces (see
-// churn.Scheduler) that the sharded engine's control plane also
-// implements.
-func (s *Sim) Schedule(at time.Duration, fn func()) { s.At(at, fn) }
+// Schedule runs fn at absolute virtual time at (clamped to the present)
+// without building a cancellation handle: with a recycled event it
+// allocates nothing, which is what the datagram plane (netem deliveries,
+// the sharded barrier exchange) schedules through. It also adapts the
+// simulator to scheduler interfaces (see churn.Scheduler) that the
+// sharded engine's control plane implements too.
+func (s *Sim) Schedule(at time.Duration, fn func()) { s.post(at, fn) }
 
 // Pending reports the number of events currently queued, including
 // cancelled ones not yet compacted away.

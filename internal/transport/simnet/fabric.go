@@ -50,11 +50,11 @@ func NewFabric(eng *simnet.Sharded, model netem.LatencyModel) *Fabric {
 	for i := range f.nets {
 		i := i
 		n := netem.New(eng.Shard(i), model)
-		n.SetShardPlane(i, f.routeIP, func(dst int, at time.Duration, dg netem.Datagram) {
+		n.SetShardPlane(i, f.owner, func(dst int, at time.Duration, fire func()) {
 			// Runs on shard i's goroutine during a window; Inject buffers
 			// into shard i's private slot, so no lock is needed. At the
 			// barrier the coordinator replays these in deterministic order.
-			eng.Inject(i, dst, at, func() { f.nets[dst].Inject(dg) })
+			eng.Inject(i, dst, at, fire)
 		})
 		f.nets[i] = n
 		f.trs[i] = New(eng.Shard(i), n)
@@ -62,9 +62,13 @@ func NewFabric(eng *simnet.Sharded, model netem.LatencyModel) *Fabric {
 	return f
 }
 
-func (f *Fabric) routeIP(ip transport.IP) (int, bool) {
-	s, ok := f.shardOf[ip]
-	return s, ok
+// owner returns the network of the shard ip lives on, nil when ip is not
+// routed (private addresses, dead nodes).
+func (f *Fabric) owner(ip transport.IP) *netem.Network {
+	if s, ok := f.shardOf[ip]; ok {
+		return f.nets[s]
+	}
+	return nil
 }
 
 // Engine returns the sharded engine underneath.

@@ -185,6 +185,16 @@ func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 // Err returns the first decoding error, or nil.
 func (r *Reader) Err() error { return r.err }
 
+// Fail makes err the reader's sticky error, unless an earlier field
+// already failed: a decoder that finds a well-framed field carrying a
+// value it must not accept (a count beyond its limit) stops the parse
+// the same way a truncated field does.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
