@@ -24,9 +24,14 @@ import (
 
 	"whisper/internal/exp"
 	"whisper/internal/obs"
+	"whisper/internal/prof"
 )
 
-func main() {
+func main() { os.Exit(realMain()) }
+
+// realMain is main returning its exit code, so deferred work (closing
+// -out, stopping the profiles) runs on every path.
+func realMain() int {
 	var (
 		seed     = flag.Int64("seed", 2011, "random seed for all experiments")
 		scale    = flag.Float64("scale", 1.0, "scale factor for node counts and windows (1.0 = paper scale)")
@@ -38,6 +43,7 @@ func main() {
 		shards   = flag.Int("shards", 8, "event shards for the scale experiment (1 = classic single-heap engine)")
 		nodes    = flag.Int("nodes", 0, "scale experiment population override (0 = 100k x -scale)")
 		virtual  = flag.Duration("virtual", 0, "scale experiment virtual runtime override (0 = 2m x -scale, floor 30s)")
+		profiles = prof.Register(flag.CommandLine)
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: whisper-exp [flags] <fig5|fig6|table1|fig7|table2|fig8|fig9|circuit|suites|transfer|pubsub|ablate|scale|all>\n")
@@ -46,14 +52,14 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 	var out io.Writer = os.Stdout
 	if *outRaw != "" {
 		f, err := os.Create(*outRaw)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		out = io.MultiWriter(os.Stdout, f)
@@ -76,10 +82,19 @@ func main() {
 		reg = obs.NewRegistry()
 		exp.ObsRoot = reg.Scope()
 	}
-	start := time.Now()
-	if err := r.run(name); err != nil {
+	stopProfiles, err := profiles.Start()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "whisper-exp:", err)
-		os.Exit(1)
+		return 1
+	}
+	start := time.Now()
+	err = r.run(name)
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "whisper-exp:", err)
+		return 1
 	}
 	fmt.Fprintf(out, "\n[%s completed in %v]\n", name, time.Since(start).Round(time.Second))
 	if exp.BenchSink != nil {
@@ -89,19 +104,20 @@ func main() {
 		})
 		if err := exp.BenchSink.WriteJSON(*benchOut); err != nil {
 			fmt.Fprintln(os.Stderr, "whisper-exp: writing bench json:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	if reg != nil {
 		if err := reg.WriteJSON(*metrics); err != nil {
 			fmt.Fprintln(os.Stderr, "whisper-exp: writing metrics json:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	if r.violations > 0 {
 		fmt.Fprintf(out, "%d shape violation(s) — see above\n", r.violations)
-		os.Exit(3)
+		return 3
 	}
+	return 0
 }
 
 type runner struct {

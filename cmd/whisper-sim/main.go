@@ -28,12 +28,17 @@ import (
 	"whisper/internal/obs"
 	"whisper/internal/parallel"
 	"whisper/internal/ppss"
+	"whisper/internal/prof"
 	"whisper/internal/sim"
 	"whisper/internal/stats"
 	"whisper/internal/wcl"
 )
 
-func main() {
+func main() { os.Exit(realMain()) }
+
+// realMain is main returning its exit code, so the profiles are stopped
+// on every path.
+func realMain() (code int) {
 	var (
 		n        = flag.Int("n", 300, "number of nodes")
 		natRatio = flag.Float64("nat", 0.7, "fraction of nodes behind NATs")
@@ -58,6 +63,8 @@ func main() {
 		faultBurstP  = flag.Float64("fault-burst-p", 0, "Gilbert-Elliott P(Good→Bad); 0 disables burst loss")
 		faultBurstR  = flag.Float64("fault-burst-r", 0.25, "Gilbert-Elliott P(Bad→Good)")
 		faultBurstL  = flag.Float64("fault-burst-loss", 1, "drop probability in the Bad state")
+
+		profiles = prof.Register(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -65,7 +72,7 @@ func main() {
 		raw, err := os.ReadFile(*file)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		*script = string(raw)
 	}
@@ -73,7 +80,7 @@ func main() {
 	suiteID, err := crypt.ParseSuite(*suite)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	cfg := scenario{
 		n: *n, natRatio: *natRatio, pi: *pi, groups: *groups,
@@ -92,14 +99,25 @@ func main() {
 			}
 		}
 	}
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		}
+	}()
 	if *runs <= 1 {
 		// Single scenario: stream to stdout as it runs, exactly like the
 		// pre-replica harness.
 		if err := cfg.run(os.Stdout, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	// Replicas are independent sims; buffer each run's output and print
 	// them in seed order once all workers join.
@@ -113,11 +131,12 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	for _, out := range outs {
 		os.Stdout.Write(out)
 	}
+	return 0
 }
 
 // scenario is one whisper-sim configuration, runnable at any seed.

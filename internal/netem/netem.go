@@ -97,7 +97,7 @@ func MinDelay(m LatencyModel) time.Duration {
 type Network struct {
 	sim     *simnet.Sim
 	model   LatencyModel
-	hosts   map[IP]Handler
+	routes  *Routes // its own, or the fabric's shared one (SetShardPlane)
 	tap     func(Datagram)
 	dropped uint64
 	sent    uint64
@@ -110,12 +110,60 @@ type Network struct {
 	// network pushes and pops it (see delivery), so it is a plain stack.
 	free []*delivery
 
-	// Shard plane (nil/zero on unsharded networks). owner maps a public
-	// IP to the network of the shard it lives on; cross hands a delivery
-	// bound for another shard to the coordinator for barrier exchange.
+	// Shard plane (zero/nil on unsharded networks): this network's shard
+	// index, and cross, which hands a delivery bound for another shard to
+	// the coordinator for barrier exchange.
 	shard int
-	owner func(IP) *Network
 	cross func(dstShard int, at time.Duration, fire func())
+}
+
+// Routes is the routing table of one emulated internet: a dense array
+// indexed by public IP holding the handler attached there and, on a
+// sharded fabric, the network of the shard the address lives on. World
+// assembly hands addresses out sequentially, so the array is smaller
+// than the hash maps it replaces and a lookup is one bounds check and
+// one load — twice per datagram (owner on send, handler on delivery).
+//
+// An unsharded Network owns its table. The networks of a sharded fabric
+// share one, which every shard reads during windows: it may only grow
+// (Attach or Assign of an address not seen before) between windows.
+// Attach and Detach of a known address touch that address's handler
+// only, which nothing but its own shard reads.
+type Routes struct{ tab []route }
+
+type route struct {
+	h     Handler
+	owner *Network // nil: not assigned to a shard, traffic stays on the sender's network
+}
+
+// at returns ip's entry, growing the table to hold it.
+func (r *Routes) at(ip IP) *route {
+	if !ip.Public() {
+		panic("netem: " + ip.String() + " is private; only public addresses are routed (private hosts attach inside a nat.Device)")
+	}
+	if need := int(ip) + 1 - len(r.tab); need > 0 {
+		r.tab = append(r.tab, make([]route, need)...)
+	}
+	return &r.tab[ip]
+}
+
+// lookup returns ip's entry, the zero route for an address never seen.
+func (r *Routes) lookup(ip IP) route {
+	if uint(ip) < uint(len(r.tab)) {
+		return r.tab[ip]
+	}
+	return route{}
+}
+
+// Assign records that ip lives on the shard n drives; traffic to it
+// from other shards' networks crosses to n.
+func (r *Routes) Assign(ip IP, n *Network) { r.at(ip).owner = n }
+
+// Unassign makes ip local to every sender again.
+func (r *Routes) Unassign(ip IP) {
+	if uint(ip) < uint(len(r.tab)) {
+		r.tab[ip].owner = nil
+	}
 }
 
 // delivery is one datagram in flight: the record the engine's event
@@ -163,7 +211,7 @@ func (d *delivery) fire() {
 
 // New creates a network using the given latency model.
 func New(sim *simnet.Sim, model LatencyModel) *Network {
-	return &Network{sim: sim, model: model, hosts: make(map[IP]Handler)}
+	return &Network{sim: sim, model: model, routes: new(Routes)}
 }
 
 // Sim returns the simulator driving this network.
@@ -175,18 +223,19 @@ func (n *Network) Attach(ip IP, h Handler) {
 	if h == nil {
 		panic("netem: attach nil handler")
 	}
-	n.hosts[ip] = h
+	n.routes.at(ip).h = h
 }
 
 // Detach removes the handler for ip. In-flight datagrams to ip are
 // silently dropped at delivery time.
-func (n *Network) Detach(ip IP) { delete(n.hosts, ip) }
+func (n *Network) Detach(ip IP) {
+	if tab := n.routes.tab; uint(ip) < uint(len(tab)) {
+		tab[ip].h = nil
+	}
+}
 
 // Attached reports whether some handler is attached at ip.
-func (n *Network) Attached(ip IP) bool {
-	_, ok := n.hosts[ip]
-	return ok
-}
+func (n *Network) Attached(ip IP) bool { return n.routes.lookup(ip).h != nil }
 
 // Stats reports totals of datagrams sent and dropped (loss + dead
 // destination) since creation.
@@ -240,10 +289,8 @@ func (n *Network) deliver(rng *rand.Rand, dg Datagram) {
 		delay += time.Duration(rng.Int63n(int64(f.reorderJitter())))
 	}
 	at, dst := n.sim.Now()+delay, n
-	if n.owner != nil {
-		if o := n.owner(dg.Dst.IP); o != nil {
-			dst = o
-		}
+	if o := n.routes.lookup(dg.Dst.IP).owner; o != nil {
+		dst = o
 	}
 	d := n.newDelivery(dst, dg)
 	if dst != n {
@@ -254,13 +301,13 @@ func (n *Network) deliver(rng *rand.Rand, dg Datagram) {
 }
 
 // SetShardPlane wires this network into a sharded run: shard is the
-// network's own shard index, owner maps public IPs to the network of
-// their shard (nil for IPs it does not know, which stay local — private
-// addresses never cross shards), and cross runs fire on another shard at
-// virtual time at.
-func (n *Network) SetShardPlane(shard int, owner func(IP) *Network, cross func(dstShard int, at time.Duration, fire func())) {
+// network's own shard index, routes the fabric's shared table, which
+// replaces the network's own (addresses it does not assign stay local —
+// private addresses never cross shards), and cross runs fire on another
+// shard at virtual time at.
+func (n *Network) SetShardPlane(shard int, routes *Routes, cross func(dstShard int, at time.Duration, fire func())) {
 	n.shard = shard
-	n.owner = owner
+	n.routes = routes
 	n.cross = cross
 }
 
@@ -268,8 +315,8 @@ func (n *Network) SetShardPlane(shard int, owner func(IP) *Network, cross func(d
 // latency draw. The cross-shard exchange path uses it at the barrier:
 // latency was already applied on the sending shard.
 func (n *Network) Inject(dg Datagram) {
-	h, ok := n.hosts[dg.Dst.IP]
-	if !ok {
+	h := n.routes.lookup(dg.Dst.IP).h
+	if h == nil {
 		n.dropped++
 		return
 	}

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 )
@@ -27,7 +28,8 @@ func TestShardedLocalOrdering(t *testing.T) {
 
 // TestShardedCrossDeterministicOrder: cross-shard events exchanged at
 // a barrier land in (time, source shard, per-source seq) order, no
-// matter which order their source shards executed in.
+// matter which order their source shards executed in, and with no sort
+// at the barrier.
 func TestShardedCrossDeterministicOrder(t *testing.T) {
 	run := func() []string {
 		d := NewSharded(7, 4, 10*time.Millisecond)
@@ -54,6 +56,129 @@ func TestShardedCrossDeterministicOrder(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("trial %d: cross order = %v, want %v", trial, got, want)
 		}
+	}
+
+	// The barrier posts each destination's lanes source by source without
+	// sorting, and the order events then run in is the one a stable sort
+	// of each exchange by (time, source) would have given — across
+	// consecutive windows, among events of one timestamp from several
+	// sources, with a source's later sends carrying earlier timestamps,
+	// and whatever the worker count.
+	type sent struct {
+		at              time.Duration
+		window, src, nr int
+	}
+	sweep := func(workers int) (got, want []sent) {
+		d := NewSharded(7, 4, 10*time.Millisecond)
+		d.SetWorkers(workers)
+		var all []sent
+		sends := make([][]sent, 4) // per source: shards run concurrently
+		for src := 1; src < 4; src++ {
+			src := src
+			ticks := 0
+			d.Shard(src).Every(7*time.Millisecond, func() {
+				if ticks++; ticks > 6 {
+					return
+				}
+				now := d.Shard(src).Now().Truncate(10 * time.Millisecond)
+				window := int(d.Windows()) // one exchange per window
+				// Two timestamps that every source and the neighbouring
+				// windows' sends share, the later one sent first.
+				for nr, at := range []time.Duration{now + 60*time.Millisecond, now + 50*time.Millisecond, now + 60*time.Millisecond} {
+					ev := sent{at: at, window: window, src: src, nr: nr}
+					sends[src] = append(sends[src], ev)
+					d.Inject(src, 0, at, func() {
+						if d.Shard(0).Now() != ev.at {
+							t.Errorf("event due at %v ran at %v", ev.at, d.Shard(0).Now())
+						}
+						got = append(got, ev)
+					})
+				}
+			})
+		}
+		d.RunUntil(200 * time.Millisecond)
+		for _, s := range sends {
+			all = append(all, s...)
+		}
+		// What the sorting barrier did: one stable sort per window.
+		sort.SliceStable(all, func(i, j int) bool {
+			a, b := all[i], all[j]
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			if a.window != b.window {
+				return a.window < b.window
+			}
+			return a.src < b.src
+		})
+		return got, all
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got, want := sweep(workers)
+		if len(got) != 3*3*6 {
+			t.Fatalf("workers=%d: %d events ran, want %d", workers, len(got), 3*3*6)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("workers=%d: events ran in\n%v\nwant\n%v", workers, got, want)
+		}
+	}
+}
+
+// TestShardedInjectBeforeWindowEdgePanics: a cross-shard event due
+// before the end of the window being executed could find its
+// destination already past it; it is refused, not re-timed.
+func TestShardedInjectBeforeWindowEdgePanics(t *testing.T) {
+	d := NewSharded(1, 2, 10*time.Millisecond)
+	d.SetWorkers(1) // the panic must surface on this goroutine
+	d.Shard(0).After(5*time.Millisecond, func() {
+		// The window is (0, 15ms]: 12ms is inside it.
+		d.Inject(0, 1, 12*time.Millisecond, func() {})
+	})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Inject before the window edge did not panic")
+			}
+		}()
+		d.Run()
+	}()
+
+	// From a control event the edge is the barrier.
+	d = NewSharded(1, 2, 10*time.Millisecond)
+	d.Schedule(30*time.Millisecond, func() { d.Inject(0, 1, 29*time.Millisecond, func() {}) })
+	defer func() {
+		if recover() == nil {
+			t.Error("Inject before the barrier from a control event did not panic")
+		}
+	}()
+	d.Run()
+}
+
+// TestShardedControlEventCrossSend: what a control event sends across
+// shards is exchanged before the next window edge is computed, so it
+// runs at its own timestamp even when nothing else is pending.
+func TestShardedControlEventCrossSend(t *testing.T) {
+	d := NewSharded(1, 2, 10*time.Millisecond)
+	// Shard 0 keeps windows coming; without the early exchange the event
+	// would sit in its lane through the window (30ms, 40ms] and then be
+	// posted at 40ms, in shard 1's past.
+	d.Shard(0).Every(10*time.Millisecond, func() {})
+	ranAt := time.Duration(-1)
+	d.Schedule(30*time.Millisecond, func() {
+		d.Inject(0, 1, 33*time.Millisecond, func() { ranAt = d.Shard(1).Now() })
+	})
+	d.RunUntil(100 * time.Millisecond)
+	if ranAt != 33*time.Millisecond {
+		t.Fatalf("control event's cross-shard send ran at %v, want 33ms", ranAt)
+	}
+
+	// With nothing else pending at all it must still be seen.
+	d = NewSharded(1, 2, 10*time.Millisecond)
+	ran := false
+	d.Schedule(30*time.Millisecond, func() { d.Inject(0, 1, 45*time.Millisecond, func() { ran = true }) })
+	d.Run()
+	if !ran {
+		t.Fatal("a control event's cross-shard send was the only thing pending, and never ran")
 	}
 }
 

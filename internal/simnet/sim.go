@@ -11,7 +11,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -23,7 +22,6 @@ import (
 type Sim struct {
 	now     time.Duration
 	epoch   time.Time
-	events  eventHeap
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -32,14 +30,23 @@ type Sim struct {
 	// Executed counts events dispatched so far (diagnostic).
 	executed uint64
 
-	// cancelled counts dead events still sitting in the heap; when they
-	// outnumber the live ones the heap is compacted (retry- and
-	// route-maintenance-heavy runs otherwise drag a long tail of dead
-	// timers through every sift).
+	// The event queue is a calendar queue (see queue.go): near is popped,
+	// wheel and far only ever feed it.
+	near    []*event // binary heap on (at, seq): every event of slot <= cur
+	cur     int64    // the slot near was last filled from
+	wheel   [wheelSlots]*event
+	occ     [wheelSlots / 64]uint64 // bit i set: wheel[i] is not empty
+	inWheel int
+	far     eventHeap // events of slot >= cur+wheelSlots
+
+	// cancelled counts dead events still queued; when they outnumber the
+	// live ones the queue is compacted (retry- and route-maintenance-heavy
+	// runs otherwise keep a long tail of dead timers alive until their
+	// deadline comes round).
 	cancelled int
 	// free recycles event structs. The simulator is single-threaded, so
-	// a plain stack beats sync.Pool; generation tags on events keep
-	// stale Timer handles from touching a recycled slot.
+	// a plain stack beats sync.Pool; the sequence number a Timer remembers
+	// keeps a stale handle from touching a recycled event.
 	free []*event
 }
 
@@ -73,7 +80,7 @@ func (s *Sim) Executed() uint64 { return s.executed }
 type Timer struct {
 	s   *Sim
 	ev  *event
-	gen uint64
+	seq uint64 // ev's sequence number when the handle was made
 }
 
 // Cancel stops the timer. It is safe to call on an already-fired or
@@ -82,7 +89,7 @@ func (t *Timer) Cancel() {
 	if t == nil || t.ev == nil {
 		return
 	}
-	if t.ev.gen == t.gen && t.ev.fn != nil {
+	if t.ev.seq == t.seq && t.ev.fn != nil {
 		t.ev.fn = nil
 		t.s.cancelled++
 		t.s.maybeCompact()
@@ -92,7 +99,7 @@ func (t *Timer) Cancel() {
 
 // Stopped reports whether the timer was cancelled or has fired.
 func (t *Timer) Stopped() bool {
-	return t == nil || t.ev == nil || t.ev.gen != t.gen || t.ev.fn == nil
+	return t == nil || t.ev == nil || t.ev.seq != t.seq || t.ev.fn == nil
 }
 
 // alloc takes an event from the free stack or allocates a fresh one.
@@ -105,42 +112,20 @@ func (s *Sim) alloc() *event {
 	return &event{}
 }
 
-// release recycles an event that left the heap. Bumping the generation
-// invalidates every Timer handle still pointing at it.
+// release recycles an event that left the queue. Every Timer handle
+// still pointing at it reads as stopped: fn is nil until the event is
+// posted again, and from then on its sequence number is a new one.
 func (s *Sim) release(ev *event) {
 	ev.fn = nil
-	ev.gen++
 	s.free = append(s.free, ev)
-}
-
-// maybeCompact drops cancelled events once they outnumber the live
-// ones, rebuilding the heap in one O(n) pass.
-func (s *Sim) maybeCompact() {
-	if len(s.events) < 64 || s.cancelled*2 <= len(s.events) {
-		return
-	}
-	live := s.events[:0]
-	for _, ev := range s.events {
-		if ev.fn != nil {
-			live = append(live, ev)
-		} else {
-			s.release(ev)
-		}
-	}
-	for i := len(live); i < len(s.events); i++ {
-		s.events[i] = nil
-	}
-	s.events = live
-	heap.Init(&s.events)
-	s.cancelled = 0
 }
 
 // post queues fn to run at absolute virtual time at and returns the
 // queued event. Scheduling in the past (or present) runs the callback at
 // the current time but strictly after the currently-executing event
-// returns. The event comes off the free list, so a caller that needs no
-// cancellation handle (Schedule, a ticker re-arming itself) schedules
-// without allocating.
+// returns. The event comes off the free list and goes onto an intrusive
+// slot list, so a caller that needs no cancellation handle (Schedule, a
+// ticker re-arming itself) schedules without allocating.
 func (s *Sim) post(at time.Duration, fn func()) *event {
 	if fn == nil {
 		panic("simnet: nil callback")
@@ -151,7 +136,7 @@ func (s *Sim) post(at time.Duration, fn func()) *event {
 	ev := s.alloc()
 	ev.at, ev.seq, ev.fn = at, s.seq, fn
 	s.seq++
-	heap.Push(&s.events, ev)
+	s.place(ev)
 	return ev
 }
 
@@ -159,7 +144,7 @@ func (s *Sim) post(at time.Duration, fn func()) *event {
 // present, see post) and returns a handle that can cancel it.
 func (s *Sim) At(at time.Duration, fn func()) *Timer {
 	ev := s.post(at, fn)
-	return &Timer{s: s, ev: ev, gen: ev.gen}
+	return &Timer{s: s, ev: ev, seq: ev.seq}
 }
 
 // After schedules fn to run d from the current virtual time.
@@ -207,7 +192,7 @@ func (tk *Ticker) schedule() {
 		d += time.Duration(tk.s.rng.Int63n(int64(tk.jitter)))
 	}
 	ev := tk.s.post(tk.s.now+d, tk.fire)
-	tk.t = Timer{s: tk.s, ev: ev, gen: ev.gen}
+	tk.t = Timer{s: tk.s, ev: ev, seq: ev.seq}
 }
 
 func (tk *Ticker) tick() {
@@ -257,12 +242,15 @@ func (s *Sim) run(until time.Duration) {
 	s.running = true
 	s.stopped = false
 	defer func() { s.running = false }()
-	for len(s.events) > 0 && !s.stopped {
-		ev := s.events[0]
+	for !s.stopped {
+		if len(s.near) == 0 && !s.advance(until) {
+			return
+		}
+		ev := s.near[0]
 		if until >= 0 && ev.at > until {
 			return
 		}
-		heap.Pop(&s.events)
+		s.popNear()
 		if ev.fn == nil { // cancelled: drop and recycle
 			s.cancelled--
 			s.release(ev)
@@ -279,16 +267,16 @@ func (s *Sim) run(until time.Duration) {
 }
 
 // NextLiveAt reports the timestamp of the earliest pending live event.
-// Cancelled events sitting on top of the heap are dropped and recycled
-// on the way, so the answer is exact. The sharded coordinator uses it
-// between windows to pick the next horizon.
+// Cancelled events in front of it are dropped and recycled on the way,
+// so the answer is exact. The sharded coordinator uses it between
+// windows to pick the next horizon.
 func (s *Sim) NextLiveAt() (time.Duration, bool) {
-	for len(s.events) > 0 {
-		ev := s.events[0]
+	for len(s.near) > 0 || s.advance(-1) {
+		ev := s.near[0]
 		if ev.fn != nil {
 			return ev.at, true
 		}
-		heap.Pop(&s.events)
+		s.popNear()
 		s.cancelled--
 		s.release(ev)
 	}
@@ -305,35 +293,8 @@ func (s *Sim) Schedule(at time.Duration, fn func()) { s.post(at, fn) }
 
 // Pending reports the number of events currently queued, including
 // cancelled ones not yet compacted away.
-func (s *Sim) Pending() int { return len(s.events) }
+func (s *Sim) Pending() int { return len(s.near) + s.inWheel + len(s.far) }
 
-// Cancelled reports how many dead events are still in the heap
-// (diagnostic; compaction keeps this below half of Pending).
+// Cancelled reports how many dead events are still queued (diagnostic;
+// compaction keeps this below half of Pending).
 func (s *Sim) Cancelled() int { return s.cancelled }
-
-type event struct {
-	at  time.Duration
-	seq uint64
-	gen uint64
-	fn  func()
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
