@@ -1,7 +1,6 @@
-// Top-level benchmarks: one per table and figure of the paper's
-// evaluation (reduced scale; the whisper-exp command runs them at paper
-// scale), plus ablation benches for the design choices DESIGN.md calls
-// out. Run with:
+// Top-level benchmarks: one sub-benchmark per whisper-exp experiment
+// (reduced scale; the command runs them at paper scale), plus ablation
+// benches for the design choices DESIGN.md calls out. Run with:
 //
 //	go test -bench=. -benchmem .
 package whisper_test
@@ -15,149 +14,27 @@ import (
 	"whisper/internal/identity"
 	"whisper/internal/nat"
 	"whisper/internal/nylon"
-	"whisper/internal/ppss"
 	"whisper/internal/sim"
 	"whisper/internal/wcl"
 )
 
-// BenchmarkFig5BiasedPSS regenerates Figure 5 (biased PSS overlay
-// quality) at reduced scale per iteration.
-func BenchmarkFig5BiasedPSS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig5(exp.Fig5Config{
-			Seed: int64(100 + i), N: 200, Runtime: 5 * time.Minute,
+// BenchmarkExperiments runs every whisper-exp table entry (the paper's
+// figures and tables, the ablations and the scale run) at -scale 0.2,
+// the smallest scale at which every shape check holds at seed 2011, and
+// fails on any shape violation.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range exp.Experiments() {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := e.Run(exp.Params{Seed: 2011, Scale: 0.2, Parallel: 1, Shards: 8})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rep.Violations) != 0 {
+					b.Fatalf("shape violations: %v", rep.Violations)
+				}
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if bad := exp.Fig5ShapeCheck(res); len(bad) != 0 {
-			b.Fatalf("shape violations: %v", bad)
-		}
-	}
-}
-
-// BenchmarkFig6KeySampling regenerates Figure 6 (public-key sampling
-// bandwidth).
-func BenchmarkFig6KeySampling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig6(exp.Fig6Config{
-			Seed: int64(200 + i), N: 200,
-			Warmup: 4 * time.Minute, Measure: 4 * time.Minute,
-			Ratios: []float64{0.7}, PiValues: []int{3}, KeyBlobSize: 512,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if bad := exp.Fig6ShapeCheck(rows); len(bad) != 0 {
-			b.Fatalf("shape violations: %v", bad)
-		}
-	}
-}
-
-// BenchmarkTable1RouteChurn regenerates Table I (WCL route availability
-// under churn).
-func BenchmarkTable1RouteChurn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Table1(exp.Table1Config{
-			Seed: int64(300 + i), N: 200, Groups: 4, Rates: []float64{0, 5},
-			Warmup: 8 * time.Minute, Window: 6 * time.Minute,
-			PPSS: ppss.Config{KeyBlobSize: 256}, KeyBlob: 256,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if bad := exp.Table1ShapeCheck(rows); len(bad) != 0 {
-			b.Fatalf("shape violations: %v", bad)
-		}
-	}
-}
-
-// BenchmarkFig7RTTBreakdown regenerates Figure 7 (delay breakdown of
-// anonymizing routes), cluster environment.
-func BenchmarkFig7RTTBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig7(exp.Fig7Config{
-			Seed: int64(400 + i), N: 150, Groups: 3, Exchanges: 150,
-			Warmup: 8 * time.Minute, MaxRun: 12 * time.Minute,
-			PPSS: ppss.Config{KeyBlobSize: 256}, KeyBlob: 256,
-		}, exp.Cluster)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Samples == 0 {
-			b.Fatal("no exchanges sampled")
-		}
-	}
-}
-
-// BenchmarkTable2CryptoCost regenerates Table II (CPU per PPSS cycle).
-func BenchmarkTable2CryptoCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Table2(exp.Table2Config{
-			Seed: int64(500 + i), N: 150, Groups: 3, Cycles: 2,
-			Warmup: 8 * time.Minute,
-			PPSS:   ppss.Config{KeyBlobSize: 256}, KeyBlob: 256,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if bad := exp.Table2ShapeCheck(res); len(bad) != 0 {
-			b.Fatalf("shape violations: %v", bad)
-		}
-	}
-}
-
-// BenchmarkCircuitVsOneShot compares steady-state circuit sends with
-// per-message onion routes: 0 RSA operations after establishment and
-// at least 5x lower per-message source-side CPU at 100 messages per
-// circuit.
-func BenchmarkCircuitVsOneShot(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Circuit(exp.CircuitConfig{
-			Seed: int64(550 + i), N: 150, Messages: 100,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if bad := exp.CircuitShapeCheck(res); len(bad) != 0 {
-			b.Fatalf("shape violations: %v", bad)
-		}
-	}
-}
-
-// BenchmarkFig8MultiGroup regenerates Figure 8 (bandwidth vs groups per
-// node).
-func BenchmarkFig8MultiGroup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig8(exp.Fig8Config{
-			Seed: int64(600 + i), N: 100, Groups: 20, GroupsPerNode: []int{1, 4},
-			Warmup: 6 * time.Minute, Measure: 5 * time.Minute,
-			PPSS: ppss.Config{KeyBlobSize: 256}, KeyBlob: 256,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if bad := exp.Fig8ShapeCheck(rows); len(bad) != 0 {
-			b.Fatalf("shape violations: %v", bad)
-		}
-	}
-}
-
-// BenchmarkFig9TChord regenerates Figure 9 (private T-Chord routing
-// delays).
-func BenchmarkFig9TChord(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig9(exp.Fig9Config{
-			Seed: int64(700 + i), N: 100, GroupSize: 14, Queries: 40,
-			Warmup: 10 * time.Minute, RingTime: 8 * time.Minute,
-			PPSS: ppss.Config{Cycle: 30 * time.Second, KeyBlobSize: 256}, KeyBlob: 256,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Completed == 0 {
-			b.Fatal("no queries completed")
-		}
 	}
 }
 

@@ -3,10 +3,9 @@
 //
 // Usage:
 //
-//	whisper-exp [flags] <experiment>
+//	whisper-exp [flags] <experiment|all>
 //
-// Experiments: fig5, fig6, table1, fig7, table2, fig8, fig9, circuit,
-// suites, transfer, pubsub, scale, all.
+// The experiments are the entries of internal/exp's table; -h lists them.
 //
 // The default parameters match the paper (1,000-node cluster runs,
 // 400-node PlanetLab runs, 70% of nodes behind NATs, Π = 3, 1 KB keys).
@@ -20,6 +19,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"whisper/internal/exp"
@@ -38,15 +38,18 @@ func realMain() int {
 		outRaw   = flag.String("out", "", "also write results to this file")
 		check    = flag.Bool("check", true, "run shape checks against the paper's qualitative findings")
 		par      = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs per experiment (1 = sequential, matching the pre-harness output byte for byte)")
-		benchOut = flag.String("benchjson", "", "write machine-readable per-run timings to this JSON file")
 		metrics  = flag.String("metrics-out", "", "write the metrics registry as JSON to this file after the run")
 		shards   = flag.Int("shards", 8, "event shards for the scale experiment (1 = classic single-heap engine)")
 		nodes    = flag.Int("nodes", 0, "scale experiment population override (0 = 100k x -scale)")
 		virtual  = flag.Duration("virtual", 0, "scale experiment virtual runtime override (0 = 2m x -scale, floor 30s)")
 		profiles = prof.Register(flag.CommandLine)
 	)
+	var names []string
+	for _, e := range exp.Experiments() {
+		names = append(names, e.Name)
+	}
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: whisper-exp [flags] <fig5|fig6|table1|fig7|table2|fig8|fig9|circuit|suites|transfer|pubsub|ablate|scale|all>\n")
+		fmt.Fprintf(os.Stderr, "usage: whisper-exp [flags] <%s|all>\n", strings.Join(names, "|"))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -64,19 +67,7 @@ func realMain() int {
 		defer f.Close()
 		out = io.MultiWriter(os.Stdout, f)
 	}
-	r := runner{seed: *seed, scale: *scale, out: out, check: *check, parallel: *par,
-		shards: *shards, nodes: *nodes, virtual: *virtual}
 	name := flag.Arg(0)
-	if *benchOut != "" {
-		exp.BenchSink = &exp.BenchLog{}
-		exp.BenchSink.SetMeta(exp.BenchMeta{
-			Experiment: name,
-			Seed:       *seed,
-			Scale:      *scale,
-			Parallel:   *par,
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-		})
-	}
 	var reg *obs.Registry
 	if *metrics != "" {
 		reg = obs.NewRegistry()
@@ -88,7 +79,9 @@ func realMain() int {
 		return 1
 	}
 	start := time.Now()
-	err = r.run(name)
+	p := exp.Params{Seed: *seed, Scale: *scale, Parallel: *par, Shards: *shards,
+		Nodes: *nodes, Virtual: *virtual, Progress: os.Stderr}
+	violations, err := run(out, name, p, *check)
 	if perr := stopProfiles(); err == nil {
 		err = perr
 	}
@@ -97,340 +90,45 @@ func realMain() int {
 		return 1
 	}
 	fmt.Fprintf(out, "\n[%s completed in %v]\n", name, time.Since(start).Round(time.Second))
-	if exp.BenchSink != nil {
-		exp.BenchSink.Record(exp.RunStat{
-			Name:   "total/" + name,
-			WallMS: float64(time.Since(start).Microseconds()) / 1000,
-		})
-		if err := exp.BenchSink.WriteJSON(*benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "whisper-exp: writing bench json:", err)
-			return 1
-		}
-	}
 	if reg != nil {
 		if err := reg.WriteJSON(*metrics); err != nil {
 			fmt.Fprintln(os.Stderr, "whisper-exp: writing metrics json:", err)
 			return 1
 		}
 	}
-	if r.violations > 0 {
-		fmt.Fprintf(out, "%d shape violation(s) — see above\n", r.violations)
+	if violations > 0 {
+		fmt.Fprintf(out, "%d shape violation(s) — see above\n", violations)
 		return 3
 	}
 	return 0
 }
 
-type runner struct {
-	seed       int64
-	scale      float64
-	out        io.Writer
-	check      bool
-	parallel   int
-	shards     int
-	nodes      int           // scale population override (0 = derive from -scale)
-	virtual    time.Duration // scale virtual-runtime override (0 = derive from -scale)
-	violations int
-}
-
-func (r *runner) n(paper int) int {
-	n := int(float64(paper) * r.scale)
-	if n < 40 {
-		n = 40
+// run executes the experiments name selects, printing each report and,
+// when check is set, its shape verdict. It returns the violation count.
+func run(out io.Writer, name string, p exp.Params, check bool) (int, error) {
+	sel, err := exp.Select(name)
+	if err != nil {
+		return 0, err
 	}
-	return n
-}
-
-func (r *runner) dur(paper time.Duration) time.Duration {
-	d := time.Duration(float64(paper) * r.scale)
-	if d < 4*time.Minute {
-		d = 4 * time.Minute
-	}
-	return d
-}
-
-func (r *runner) report(violations []string) {
-	if !r.check {
-		return
-	}
-	for _, v := range violations {
-		fmt.Fprintln(r.out, "SHAPE VIOLATION:", v)
-		r.violations++
-	}
-	if len(violations) == 0 {
-		fmt.Fprintln(r.out, "shape check: OK (matches the paper's qualitative findings)")
-	}
-}
-
-func (r *runner) run(name string) error {
-	switch name {
-	case "fig5":
-		return r.fig5()
-	case "fig6":
-		return r.fig6()
-	case "table1":
-		return r.table1()
-	case "fig7":
-		return r.fig7()
-	case "table2":
-		return r.table2()
-	case "fig8":
-		return r.fig8()
-	case "fig9":
-		return r.fig9()
-	case "circuit":
-		return r.circuit()
-	case "suites":
-		return r.suites()
-	case "transfer":
-		return r.transfer()
-	case "pubsub":
-		return r.pubsub()
-	case "ablate":
-		return r.ablate()
-	case "scale":
-		return r.scaleExp()
-	case "all":
-		for _, f := range []func() error{r.fig5, r.fig6, r.table1, r.fig7, r.table2, r.fig8, r.fig9, r.circuit, r.suites, r.transfer, r.pubsub} {
-			if err := f(); err != nil {
-				return err
+	violations := 0
+	for _, e := range sel {
+		rep, err := e.Run(p)
+		if err != nil {
+			return violations, err
+		}
+		fmt.Fprint(out, rep.Text)
+		if check {
+			for _, v := range rep.Violations {
+				fmt.Fprintln(out, "SHAPE VIOLATION:", v)
 			}
-			fmt.Fprintln(r.out)
+			if len(rep.Violations) == 0 {
+				fmt.Fprintln(out, "shape check: OK (matches the paper's qualitative findings)")
+			}
+			violations += len(rep.Violations)
 		}
-		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
-	}
-}
-
-func (r *runner) fig5() error {
-	res, err := exp.Fig5(exp.Fig5Config{
-		Seed:     r.seed,
-		N:        r.n(1000),
-		Runtime:  r.dur(10 * time.Minute),
-		Parallel: r.parallel,
-	})
-	if err != nil {
-		return err
-	}
-	exp.PrintFig5(r.out, res)
-	r.report(exp.Fig5ShapeCheck(res))
-	return nil
-}
-
-func (r *runner) fig6() error {
-	rows, err := exp.Fig6(exp.Fig6Config{
-		Seed:     r.seed,
-		N:        r.n(1000),
-		Warmup:   r.dur(5 * time.Minute),
-		Measure:  r.dur(5 * time.Minute),
-		Parallel: r.parallel,
-	})
-	if err != nil {
-		return err
-	}
-	exp.PrintFig6(r.out, rows)
-	r.report(exp.Fig6ShapeCheck(rows))
-	return nil
-}
-
-func (r *runner) table1() error {
-	rows, err := exp.Table1(exp.Table1Config{
-		Seed:     r.seed,
-		N:        r.n(1000),
-		Groups:   r.n(1000) / 50,
-		Warmup:   r.dur(10 * time.Minute),
-		Window:   r.dur(15 * time.Minute),
-		Parallel: r.parallel,
-	})
-	if err != nil {
-		return err
-	}
-	exp.PrintTable1(r.out, rows)
-	r.report(exp.Table1ShapeCheck(rows))
-	return nil
-}
-
-func (r *runner) fig7() error {
-	var cfgs []exp.Fig7Config
-	for _, env := range []exp.Env{exp.PlanetLab, exp.Cluster} {
-		base := 1000
-		if env == exp.PlanetLab {
-			base = 400
-		}
-		cfgs = append(cfgs, exp.Fig7Config{
-			Seed:      r.seed,
-			N:         r.n(base),
-			Env:       env,
-			Exchanges: int(1500 * r.scale),
-			Warmup:    r.dur(10 * time.Minute),
-			MaxRun:    r.dur(30 * time.Minute),
-			Parallel:  r.parallel,
-		})
-	}
-	results, err := exp.Fig7Runs(cfgs)
-	if err != nil {
-		return err
-	}
-	exp.PrintFig7(r.out, results)
-	r.report(exp.Fig7ShapeCheck(results))
-	return nil
-}
-
-func (r *runner) table2() error {
-	res, err := exp.Table2(exp.Table2Config{
-		Seed:   r.seed,
-		N:      r.n(1000),
-		Warmup: r.dur(10 * time.Minute),
-	})
-	if err != nil {
-		return err
-	}
-	exp.PrintTable2(r.out, res)
-	r.report(exp.Table2ShapeCheck(res))
-	return nil
-}
-
-func (r *runner) fig8() error {
-	groups := []int{1, 2, 4, 8, 16, 32}
-	if r.scale < 0.5 {
-		groups = []int{1, 2, 4, 8}
-	}
-	rows, err := exp.Fig8(exp.Fig8Config{
-		Seed:          r.seed,
-		N:             r.n(400),
-		Groups:        r.n(120),
-		GroupsPerNode: groups,
-		Warmup:        r.dur(10 * time.Minute),
-		Measure:       r.dur(10 * time.Minute),
-		Parallel:      r.parallel,
-	})
-	if err != nil {
-		return err
-	}
-	exp.PrintFig8(r.out, rows)
-	r.report(exp.Fig8ShapeCheck(rows))
-	return nil
-}
-
-func (r *runner) ablate() error {
-	rows, err := exp.Ablations(exp.AblateConfig{
-		Seed:     r.seed,
-		N:        r.n(300),
-		Warmup:   r.dur(10 * time.Minute),
-		Measure:  r.dur(8 * time.Minute),
-		Parallel: r.parallel,
-	})
-	if err != nil {
-		return err
-	}
-	exp.PrintAblations(r.out, rows)
-	r.report(exp.AblationShapeCheck(rows))
-	return nil
-}
-
-func (r *runner) scaleExp() error {
-	// The scale run sizes off its own 100k-node baseline (not the
-	// 1,000-node paper figures) and skips the 4-minute duration floor:
-	// small -scale values are how CI keeps the smoke run cheap. -nodes
-	// and -virtual override either dimension directly, so CI can pin
-	// an exact population (e.g. 250k smoke) without back-deriving a
-	// scale factor.
-	rt := r.virtual
-	if rt == 0 {
-		rt = time.Duration(float64(2*time.Minute) * r.scale)
-		if rt < 30*time.Second {
-			rt = 30 * time.Second
+		if name == "all" {
+			fmt.Fprintln(out)
 		}
 	}
-	n := r.nodes
-	if n == 0 {
-		n = r.n(100_000)
-	}
-	res, err := exp.Scale(exp.ScaleConfig{
-		Seed:    r.seed,
-		N:       n,
-		Shards:  r.shards,
-		Runtime: rt,
-		Env:     exp.PlanetLab,
-		Rollup: func(ru exp.ScaleRollup) {
-			fmt.Fprintf(os.Stderr, "\rscale: %v / %v virtual, %d events in %d windows",
-				ru.Now.Round(time.Second), ru.Total, ru.Events, ru.Windows)
-		},
-	})
-	fmt.Fprintln(os.Stderr)
-	if err != nil {
-		return err
-	}
-	exp.PrintScale(r.out, res)
-	r.report(exp.ScaleShapeCheck(res))
-	return nil
-}
-
-func (r *runner) circuit() error {
-	res, err := exp.Circuit(exp.CircuitConfig{
-		Seed: r.seed,
-		N:    r.n(300),
-	})
-	if err != nil {
-		return err
-	}
-	exp.PrintCircuit(r.out, res)
-	r.report(exp.CircuitShapeCheck(res))
-	return nil
-}
-
-func (r *runner) suites() error {
-	res, err := exp.Suites(exp.SuitesConfig{
-		Seed: r.seed,
-		N:    r.n(300),
-	})
-	if err != nil {
-		return err
-	}
-	exp.PrintSuites(r.out, res)
-	r.report(exp.SuitesShapeCheck(res))
-	return nil
-}
-
-func (r *runner) transfer() error {
-	res, err := exp.Transfer(exp.TransferConfig{
-		Seed: r.seed,
-		N:    r.n(300),
-	})
-	if err != nil {
-		return err
-	}
-	exp.PrintTransfer(r.out, res)
-	r.report(exp.TransferShapeCheck(res))
-	return nil
-}
-
-func (r *runner) pubsub() error {
-	res, err := exp.PubSub(exp.PubSubConfig{
-		Seed: r.seed,
-		N:    r.n(160),
-	})
-	if err != nil {
-		return err
-	}
-	exp.PrintPubSub(r.out, res)
-	r.report(exp.PubSubShapeCheck(res))
-	return nil
-}
-
-func (r *runner) fig9() error {
-	res, err := exp.Fig9(exp.Fig9Config{
-		Seed:      r.seed,
-		N:         r.n(400),
-		GroupSize: r.n(60),
-		Queries:   int(350 * r.scale),
-		Warmup:    r.dur(12 * time.Minute),
-		RingTime:  r.dur(10 * time.Minute),
-	})
-	if err != nil {
-		return err
-	}
-	exp.PrintFig9(r.out, res)
-	r.report(exp.Fig9ShapeCheck(res))
-	return nil
+	return violations, nil
 }

@@ -67,23 +67,22 @@ type AblationRow struct {
 // across versions.
 func Ablations(cfg AblateConfig) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
-	type job func(AblateConfig, *identity.Pool) (AblationRow, error)
-	jobs := []job{
-		func(c AblateConfig, p *identity.Pool) (AblationRow, error) { return ablateLease(c, p, 0) },
-		func(c AblateConfig, p *identity.Pool) (AblationRow, error) { return ablateLease(c, p, 1) },
-		func(c AblateConfig, p *identity.Pool) (AblationRow, error) { return ablatePunching(c, p, 0) },
-		func(c AblateConfig, p *identity.Pool) (AblationRow, error) { return ablatePunching(c, p, 1) },
-		func(c AblateConfig, p *identity.Pool) (AblationRow, error) { return ablateBiasCap(c, p, 0) },
-		func(c AblateConfig, p *identity.Pool) (AblationRow, error) { return ablateBiasCap(c, p, 1) },
-		func(c AblateConfig, p *identity.Pool) (AblationRow, error) { return ablateMixCount(c, p, 0) },
-		func(c AblateConfig, p *identity.Pool) (AblationRow, error) { return ablateMixCount(c, p, 1) },
-		func(c AblateConfig, p *identity.Pool) (AblationRow, error) { return ablateFaults(c, p, 0) },
-		func(c AblateConfig, p *identity.Pool) (AblationRow, error) { return ablateFaults(c, p, 1) },
-		func(c AblateConfig, p *identity.Pool) (AblationRow, error) { return ablateFaults(c, p, 2) },
+	type job struct {
+		run     func(AblateConfig, *identity.Pool, int) (AblationRow, error)
+		variant int
+	}
+	var jobs []job
+	for _, s := range []struct {
+		run      func(AblateConfig, *identity.Pool, int) (AblationRow, error)
+		variants int
+	}{{ablateLease, 2}, {ablatePunching, 2}, {ablateBiasCap, 2}, {ablateMixCount, 2}, {ablateFaults, 3}} {
+		for vi := range s.variants {
+			jobs = append(jobs, job{s.run, vi})
+		}
 	}
 	workers := parallel.Workers(cfg.Parallel)
 	return parallel.Map(workers, len(jobs), func(i int) (AblationRow, error) {
-		return jobs[i](cfg, runPool(workers, i))
+		return jobs[i].run(cfg, runPool(workers, i), jobs[i].variant)
 	})
 }
 
@@ -100,7 +99,6 @@ func ablateLease(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, er
 		{"tcp-24h (default)", 0, 0},
 		{"udp-5min", 5 * time.Minute, 4 * time.Minute},
 	}[vi]
-	start := time.Now()
 	w, err := sim.NewWorld(sim.Options{
 		Seed: cfg.Seed, N: cfg.N, NATRatio: 0.7, KeyPool: pool,
 		NATLease: v.lease,
@@ -112,17 +110,8 @@ func ablateLease(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, er
 	if err != nil {
 		return AblationRow{}, err
 	}
-	w.StartAll()
-	w.Sim.RunUntil(4 * time.Minute)
-	formGroups(w, cfg.Groups, 1)
-	w.Sim.RunUntil(cfg.Warmup)
-	before := aggregateWCL(w)
-	w.Sim.RunFor(cfg.Measure)
-	after := aggregateWCL(w)
-	routes := float64(after.FirstTrySuccess + after.AltSuccess + after.Failed -
-		before.FirstTrySuccess - before.AltSuccess - before.Failed)
-	first := float64(after.FirstTrySuccess - before.FirstTrySuccess)
-	recordRun("ablate/nat-lease/"+v.name, start, w)
+	startGroups(w, cfg.Groups, 1, cfg.Warmup)
+	routes, first, _, _ := measureRoutes(w, cfg.Measure)
 	return AblationRow{
 		Study: "nat-lease", Variant: v.name,
 		Metrics: map[string]float64{"first-try %": pct(first, routes), "routes": routes},
@@ -145,7 +134,6 @@ func ablatePunching(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow,
 		{"punching (default)", false},
 		{"relay-only", true},
 	}[vi]
-	start := time.Now()
 	w, err := sim.NewWorld(sim.Options{
 		Seed: cfg.Seed, N: cfg.N, NATRatio: 0.7, KeyPool: pool,
 		Nylon: nylon.Config{DisablePunch: v.disable, MinPublic: 3},
@@ -172,7 +160,6 @@ func ablatePunching(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow,
 			nnContacts = append(nnContacts, float64(nn))
 		}
 	}
-	recordRun("ablate/nat-traversal/"+v.name, start, w)
 	return AblationRow{
 		Study: "nat-traversal", Variant: v.name,
 		Metrics: map[string]float64{
@@ -196,7 +183,6 @@ func ablateBiasCap(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, 
 		{"min-quota only", false},
 		{"min-quota + cap", true},
 	}[vi]
-	start := time.Now()
 	w, err := sim.NewWorld(sim.Options{
 		Seed: cfg.Seed, N: cfg.N, NATRatio: 0.9, KeyPool: pool,
 		Nylon: nylon.Config{MinPublic: 3, CapExcessPublic: v.cap},
@@ -225,7 +211,6 @@ func ablateBiasCap(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, 
 		}
 	}
 	s := stats.Summarize(pIn)
-	recordRun("ablate/view-bias/"+v.name, start, w)
 	return AblationRow{
 		Study: "view-bias", Variant: v.name,
 		Metrics: map[string]float64{
@@ -242,7 +227,6 @@ func ablateBiasCap(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, 
 // cost is one more RSA layer and hop of latency.
 func ablateMixCount(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, error) {
 	mixes := []int{2, 3}[vi]
-	start := time.Now()
 	w, err := sim.NewWorld(sim.Options{
 		Seed: cfg.Seed, N: cfg.N, NATRatio: 0.7, KeyPool: pool,
 		WCL:  &wcl.Config{MinPublic: 3, Mixes: mixes},
@@ -252,10 +236,7 @@ func ablateMixCount(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow,
 	if err != nil {
 		return AblationRow{}, err
 	}
-	w.StartAll()
-	w.Sim.RunUntil(4 * time.Minute)
-	formGroups(w, cfg.Groups, 1)
-	w.Sim.RunUntil(cfg.Warmup)
+	startGroups(w, cfg.Groups, 1, cfg.Warmup)
 
 	var rtts []time.Duration
 	for _, n := range w.Live() {
@@ -263,14 +244,8 @@ func ablateMixCount(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow,
 			inst.OnExchangeRTT = func(rtt time.Duration) { rtts = append(rtts, rtt) }
 		}
 	}
-	before := aggregateWCL(w)
-	w.Sim.RunFor(cfg.Measure)
-	after := aggregateWCL(w)
-	routes := float64(after.FirstTrySuccess + after.AltSuccess + after.Failed -
-		before.FirstTrySuccess - before.AltSuccess - before.Failed)
-	first := float64(after.FirstTrySuccess - before.FirstTrySuccess)
+	routes, first, _, _ := measureRoutes(w, cfg.Measure)
 	rtt := stats.Percentile(durationsToSeconds(rtts), 50)
-	recordRun(fmt.Sprintf("ablate/mix-count/%d mixes", mixes), start, w)
 	return AblationRow{
 		Study: "mix-count", Variant: fmt.Sprintf("%d mixes", mixes),
 		Metrics: map[string]float64{
@@ -321,7 +296,6 @@ func ablateFaults(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, e
 			Burst: &netem.GilbertElliott{PGoodBad: 0.02, PBadGood: 0.3, LossBad: 0.6},
 		}},
 	}[vi]
-	start := time.Now()
 	w, err := sim.NewWorld(sim.Options{
 		Seed: cfg.Seed, N: cfg.N, NATRatio: 0.7, KeyPool: pool,
 		Faults: v.faults,
@@ -336,21 +310,8 @@ func ablateFaults(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, e
 	for _, n := range w.Nodes {
 		n.WCL.Trace = obs.NewTracer(uint64(n.Nylon.ID()), tracer)
 	}
-	w.StartAll()
-	w.Sim.RunUntil(4 * time.Minute)
-	formGroups(w, cfg.Groups, 1)
-	w.Sim.RunUntil(cfg.Warmup)
-	before := aggregateWCL(w)
-	w.Sim.RunFor(cfg.Measure)
-	after := aggregateWCL(w)
-	routes := float64(after.FirstTrySuccess + after.AltSuccess + after.Failed -
-		before.FirstTrySuccess - before.AltSuccess - before.Failed)
-	ok := float64(after.FirstTrySuccess + after.AltSuccess -
-		before.FirstTrySuccess - before.AltSuccess)
-	first := float64(after.FirstTrySuccess - before.FirstTrySuccess)
-	suppressed := float64(after.DupForwards + after.DupDeliveries -
-		before.DupForwards - before.DupDeliveries)
-	recordRun("ablate/faults/"+v.name, start, w)
+	startGroups(w, cfg.Groups, 1, cfg.Warmup)
+	routes, first, ok, suppressed := measureRoutes(w, cfg.Measure)
 	return AblationRow{
 		Study: "faults", Variant: v.name,
 		Metrics: map[string]float64{
@@ -434,6 +395,31 @@ func AblationShapeCheck(rows []AblationRow) []string {
 		}
 	}
 	return bad
+}
+
+// wclTotals sums the route counters of every live node's WCL: routes
+// attempted, first-try and any successes, and duplicates suppressed.
+func wclTotals(w *sim.World) (routes, first, ok, suppressed uint64) {
+	for _, n := range w.Live() {
+		if n.WCL == nil {
+			continue
+		}
+		s := n.WCL.Stats()
+		routes += s.FirstTrySuccess + s.AltSuccess + s.Failed
+		first += s.FirstTrySuccess
+		ok += s.FirstTrySuccess + s.AltSuccess
+		suppressed += s.DupForwards + s.DupDeliveries
+	}
+	return routes, first, ok, suppressed
+}
+
+// measureRoutes runs w for d and returns the route counters' growth
+// over that window.
+func measureRoutes(w *sim.World, d time.Duration) (routes, first, ok, suppressed float64) {
+	r0, f0, o0, s0 := wclTotals(w)
+	w.Sim.RunFor(d)
+	r1, f1, o1, s1 := wclTotals(w)
+	return float64(r1 - r0), float64(f1 - f0), float64(o1 - o0), float64(s1 - s0)
 }
 
 func pct(part, whole float64) float64 {

@@ -20,7 +20,6 @@ type CircuitConfig struct {
 	Seed     int64
 	N        int // default 300
 	Messages int // messages per leg (default 100, one rotation budget)
-	Env      Env
 }
 
 func (c CircuitConfig) withDefaults() CircuitConfig {
@@ -81,12 +80,10 @@ func expDest(w *sim.World, target *sim.Node, maxHelpers int) wcl.Dest {
 // PPSS gossip, so the deltas isolate exactly the send-path crypto.
 func Circuit(cfg CircuitConfig) (CircuitResult, error) {
 	cfg = cfg.withDefaults()
-	start := time.Now()
 	w, err := sim.NewWorld(sim.Options{
 		Seed:     cfg.Seed,
 		N:        cfg.N,
 		NATRatio: 0.7,
-		Model:    cfg.Env.Model(),
 		KeyPool:  keyPool,
 		WCL:      &wcl.Config{MinPublic: 3},
 		Obs:      worldObs("circuit"),
@@ -165,7 +162,6 @@ func Circuit(cfg CircuitConfig) (CircuitResult, error) {
 	if res.Circuit.PerMsg > 0 {
 		res.CPURatio = float64(res.OneShot.PerMsg) / float64(res.Circuit.PerMsg)
 	}
-	recordRun("circuit", start, w)
 	return res, nil
 }
 

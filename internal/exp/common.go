@@ -2,8 +2,9 @@
 // evaluation (§V). Each experiment has a Config with the paper's
 // parameters as defaults, a Run function returning structured results,
 // and a Print function emitting the same rows/series the paper reports.
-// The whisper-exp command drives them at paper scale; bench_test.go at
-// reduced scale.
+// One table (table.go) maps each experiment name to a run at a given
+// scale; the whisper-exp command and the root BenchmarkExperiments both
+// drive it.
 package exp
 
 import (
@@ -17,7 +18,6 @@ import (
 	"whisper/internal/ppss"
 	"whisper/internal/sim"
 	"whisper/internal/stats"
-	"whisper/internal/wcl"
 )
 
 // Env selects the emulated testbed of §V-A.
@@ -81,6 +81,16 @@ type groupSet struct {
 	names   []string
 	leaders []*ppss.Instance
 	members map[ppss.GroupID][]*sim.Node
+}
+
+// startGroups starts w, runs the 4-minute public underlay, forms the
+// private groups and lets them converge until warmup.
+func startGroups(w *sim.World, count, groupsPerNode int, warmup time.Duration) *groupSet {
+	w.StartAll()
+	w.Sim.RunUntil(4 * time.Minute)
+	gs := formGroups(w, count, groupsPerNode)
+	w.Sim.RunUntil(warmup)
+	return gs
 }
 
 // formGroups creates count groups led by distinct nodes (preferring
@@ -148,29 +158,19 @@ func (gs *groupSet) JoinRandom(node *sim.Node) {
 	gs.join(node, gs.w.Sim.Rand().Intn(len(gs.names)), 1)
 }
 
-// aggregateWCL sums WCL statistics across live nodes.
-func aggregateWCL(w *sim.World) wcl.Stats {
-	var out wcl.Stats
+// classBandwidth returns every live node's metered upload and download
+// KB divided by per, split into P-node and N-node samples.
+func classBandwidth(w *sim.World, per float64) (pUp, pDown, nUp, nDown []float64) {
 	for _, n := range w.Live() {
-		if n.WCL == nil {
-			continue
+		m := n.Nylon.Meter()
+		up, down := m.UpKB()/per, m.DownKB()/per
+		if n.Public() {
+			pUp, pDown = append(pUp, up), append(pDown, down)
+		} else {
+			nUp, nDown = append(nUp, up), append(nDown, down)
 		}
-		s := n.WCL.Stats()
-		out.Sent += s.Sent
-		out.FirstTrySuccess += s.FirstTrySuccess
-		out.AltSuccess += s.AltSuccess
-		out.Failed += s.Failed
-		out.NoAltFailed += s.NoAltFailed
-		out.MixesTriedSum += s.MixesTriedSum
-		out.HelpersTriedSum += s.HelpersTriedSum
-		out.Delivered += s.Delivered
-		out.ForwardsPeeled += s.ForwardsPeeled
-		out.PeelErrors += s.PeelErrors
-		out.DropNoContact += s.DropNoContact
-		out.DupForwards += s.DupForwards
-		out.DupDeliveries += s.DupDeliveries
 	}
-	return out
+	return pUp, pDown, nUp, nDown
 }
 
 // printCDF emits a sampled CDF as "value fraction" rows.

@@ -54,7 +54,7 @@ func TestTable1Shape(t *testing.T) {
 	rows, err := Table1(Table1Config{
 		Seed: 63, N: 250, Groups: 5, Rates: []float64{0, 5},
 		Warmup: 8 * time.Minute, Window: 8 * time.Minute,
-		PPSS: ppss.Config{KeyBlobSize: 256}, KeyBlob: 256,
+		PPSS: ppss.Config{KeyBlobSize: 256},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,17 +72,17 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	var results []Fig7Result
+	var cfgs []Fig7Config
 	for _, env := range []Env{Cluster, PlanetLab} {
-		res, err := Fig7(Fig7Config{
-			Seed: 64, N: 150, Groups: 3, Exchanges: 200,
+		cfgs = append(cfgs, Fig7Config{
+			Seed: 64, N: 150, Groups: 3, Env: env, Exchanges: 200,
 			Warmup: 8 * time.Minute, MaxRun: 15 * time.Minute,
-			PPSS: ppss.Config{KeyBlobSize: 256}, KeyBlob: 256,
-		}, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
+			PPSS: ppss.Config{KeyBlobSize: 256}, Parallel: 1,
+		})
+	}
+	results, err := Fig7(cfgs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, v := range Fig7ShapeCheck(results) {
 		t.Error(v)
@@ -99,7 +99,7 @@ func TestTable2Shape(t *testing.T) {
 	res, err := Table2(Table2Config{
 		Seed: 65, N: 200, Groups: 4, Cycles: 3,
 		Warmup: 8 * time.Minute,
-		PPSS:   ppss.Config{KeyBlobSize: 256}, KeyBlob: 256,
+		PPSS:   ppss.Config{KeyBlobSize: 256},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestFig8Shape(t *testing.T) {
 	rows, err := Fig8(Fig8Config{
 		Seed: 66, N: 100, Groups: 24, GroupsPerNode: []int{1, 4},
 		Warmup: 6 * time.Minute, Measure: 6 * time.Minute,
-		PPSS: ppss.Config{KeyBlobSize: 256}, KeyBlob: 256,
+		PPSS: ppss.Config{KeyBlobSize: 256},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestFig9Shape(t *testing.T) {
 	res, err := Fig9(Fig9Config{
 		Seed: 67, N: 120, GroupSize: 16, Queries: 60,
 		Warmup: 10 * time.Minute, RingTime: 8 * time.Minute,
-		PPSS: ppss.Config{Cycle: 30 * time.Second, KeyBlobSize: 256}, KeyBlob: 256,
+		PPSS: ppss.Config{Cycle: 30 * time.Second, KeyBlobSize: 256},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ type Fig5Config struct {
 	NATRatio float64       // paper: 0.7
 	Runtime  time.Duration // settling time before the snapshot
 	PiValues []int         // paper: 0..3
-	Env      Env
 	// CapExcessPublic exercises the second bias (ablation).
 	CapExcessPublic bool
 	// Parallel bounds the worker pool running the independent Π runs
@@ -67,12 +66,10 @@ func Fig5(cfg Fig5Config) ([]Fig5Result, error) {
 	workers := parallel.Workers(cfg.Parallel)
 	return parallel.Map(workers, len(cfg.PiValues), func(i int) (Fig5Result, error) {
 		pi := cfg.PiValues[i]
-		start := time.Now()
 		w, err := sim.NewWorld(sim.Options{
 			Seed:     cfg.Seed + int64(pi),
 			N:        cfg.N,
 			NATRatio: cfg.NATRatio,
-			Model:    cfg.Env.Model(),
 			KeyPool:  runPool(workers, i),
 			Nylon: nylon.Config{
 				ViewSize:        cfg.ViewSize,
@@ -87,7 +84,6 @@ func Fig5(cfg Fig5Config) ([]Fig5Result, error) {
 		w.StartAll()
 		w.Sim.RunUntil(cfg.Runtime)
 		res := snapshotFig5(w, pi)
-		recordRun(fmt.Sprintf("fig5/pi=%d", pi), start, w)
 		return res, nil
 	})
 }

@@ -26,7 +26,6 @@ type Fig6Config struct {
 	// both without keys (pure baseline) and with key sampling.
 	PiValues    []int
 	KeyBlobSize int // paper: 1 KB keys
-	Env         Env
 	// Parallel bounds the worker pool running the independent
 	// ratio×setup runs (<= 0: one worker per CPU; 1: sequential).
 	Parallel int
@@ -95,12 +94,10 @@ func Fig6(cfg Fig6Config) ([]Fig6Row, error) {
 	workers := parallel.Workers(cfg.Parallel)
 	return parallel.Map(workers, len(jobs), func(i int) (Fig6Row, error) {
 		ratio, st := jobs[i].ratio, jobs[i].st
-		start := time.Now()
 		w, err := sim.NewWorld(sim.Options{
 			Seed:     cfg.Seed,
 			N:        cfg.N,
 			NATRatio: ratio,
-			Model:    cfg.Env.Model(),
 			KeyPool:  runPool(workers, i),
 			Nylon: nylon.Config{
 				Cycle:       cfg.Cycle,
@@ -118,20 +115,7 @@ func Fig6(cfg Fig6Config) ([]Fig6Row, error) {
 		w.ResetMeters()
 		w.Sim.RunFor(cfg.Measure)
 
-		cycles := float64(cfg.Measure) / float64(cfg.Cycle)
-		var nUp, nDown, pUp, pDown []float64
-		for _, n := range w.Live() {
-			m := n.Nylon.Meter()
-			up, down := m.UpKB()/cycles, m.DownKB()/cycles
-			if n.Public() {
-				pUp = append(pUp, up)
-				pDown = append(pDown, down)
-			} else {
-				nUp = append(nUp, up)
-				nDown = append(nDown, down)
-			}
-		}
-		recordRun(fmt.Sprintf("fig6/ratio=%.1f/%s", ratio, st.label), start, w)
+		pUp, pDown, nUp, nDown := classBandwidth(w, float64(cfg.Measure)/float64(cfg.Cycle))
 		return Fig6Row{
 			Config:   st.label,
 			NATRatio: ratio,

@@ -27,16 +27,14 @@ type Fig7Config struct {
 	Warmup    time.Duration
 	MaxRun    time.Duration // budget after warmup
 	PPSS      ppss.Config
-	KeyBlob   int
 	// Parallel bounds the worker pool when several configs run through
-	// Fig7Runs (<= 0: one worker per CPU; 1: sequential).
+	// Fig7 (<= 0: one worker per CPU; 1: sequential).
 	Parallel int
 }
 
-func (c Fig7Config) withDefaults(env Env) Fig7Config {
-	c.Env = env
+func (c Fig7Config) withDefaults() Fig7Config {
 	if c.N == 0 {
-		if env == PlanetLab {
+		if c.Env == PlanetLab {
 			c.N = 400
 		} else {
 			c.N = 1000
@@ -53,9 +51,6 @@ func (c Fig7Config) withDefaults(env Env) Fig7Config {
 	}
 	if c.MaxRun == 0 {
 		c.MaxRun = 30 * time.Minute
-	}
-	if c.KeyBlob == 0 {
-		c.KeyBlob = 1024
 	}
 	return c
 }
@@ -87,49 +82,35 @@ func (t *tracer) Record(_ uint64, ev obs.Event) {
 	}
 }
 
-// Fig7 measures the breakdown on one environment (sequentially, on the
-// shared key pool). Fig7Runs fans several environments out to the
-// worker pool.
-func Fig7(cfg Fig7Config, env Env) (Fig7Result, error) {
-	return fig7Run(cfg, env, keyPool)
-}
-
-// Fig7Runs measures the breakdown for every config concurrently; the
-// worker count comes from the first config's Parallel field.
-func Fig7Runs(cfgs []Fig7Config) ([]Fig7Result, error) {
+// Fig7 measures the breakdown for every config (one testbed each)
+// concurrently; the worker count comes from the first config's
+// Parallel field.
+func Fig7(cfgs []Fig7Config) ([]Fig7Result, error) {
 	if len(cfgs) == 0 {
 		return nil, nil
 	}
 	workers := parallel.Workers(cfgs[0].Parallel)
 	return parallel.Map(workers, len(cfgs), func(i int) (Fig7Result, error) {
-		return fig7Run(cfgs[i], cfgs[i].Env, runPool(workers, i))
+		return fig7Run(cfgs[i], runPool(workers, i))
 	})
 }
 
-func fig7Run(cfg Fig7Config, env Env, pool *identity.Pool) (Fig7Result, error) {
-	cfg = cfg.withDefaults(env)
-	start := time.Now()
-	pcfg := cfg.PPSS
-	if pcfg.KeyBlobSize == 0 {
-		pcfg.KeyBlobSize = cfg.KeyBlob
-	}
+func fig7Run(cfg Fig7Config, pool *identity.Pool) (Fig7Result, error) {
+	cfg = cfg.withDefaults()
 	w, err := sim.NewWorld(sim.Options{
 		Seed:     cfg.Seed,
 		N:        cfg.N,
 		NATRatio: 0.7,
-		Model:    env.Model(),
+		Model:    cfg.Env.Model(),
 		KeyPool:  pool,
 		WCL:      &wcl.Config{MinPublic: 3},
-		PPSS:     &pcfg,
-		Obs:      worldObs("fig7/" + env.String()),
+		PPSS:     &cfg.PPSS,
+		Obs:      worldObs("fig7/" + cfg.Env.String()),
 	})
 	if err != nil {
 		return Fig7Result{}, err
 	}
-	w.StartAll()
-	w.Sim.RunUntil(4 * time.Minute)
-	formGroups(w, cfg.Groups, 1)
-	w.Sim.RunUntil(cfg.Warmup)
+	startGroups(w, cfg.Groups, 1, cfg.Warmup)
 
 	tr := &tracer{}
 	var rtts []time.Duration
@@ -149,13 +130,12 @@ func fig7Run(cfg Fig7Config, env Env, pool *identity.Pool) (Fig7Result, error) {
 		w.Sim.RunFor(30 * time.Second)
 	}
 
-	res := Fig7Result{Env: env, Samples: len(rtts)}
+	res := Fig7Result{Env: cfg.Env, Samples: len(rtts)}
 	rttS := durationsToSeconds(rtts)
 	res.RTTCDF = stats.CDF(rttS)
 	res.BuildCDF = stats.CDF(durationsToSeconds(tr.builds))
 	res.PeelCDF = stats.CDF(durationsToSeconds(tr.peels))
 	res.RTTMedian = stats.Percentile(rttS, 50)
-	recordRun(fmt.Sprintf("fig7/%s", env), start, w)
 	return res, nil
 }
 

@@ -25,7 +25,6 @@ type Fig8Config struct {
 	Warmup        time.Duration
 	Measure       time.Duration
 	PPSS          ppss.Config
-	KeyBlob       int
 	// Parallel bounds the worker pool running the independent
 	// subscriptions-per-node runs (<= 0: one worker per CPU; 1:
 	// sequential).
@@ -47,9 +46,6 @@ func (c Fig8Config) withDefaults() Fig8Config {
 	}
 	if c.Measure == 0 {
 		c.Measure = 10 * time.Minute
-	}
-	if c.KeyBlob == 0 {
-		c.KeyBlob = 1024
 	}
 	return c
 }
@@ -73,11 +69,6 @@ func Fig8(cfg Fig8Config) ([]Fig8Row, error) {
 }
 
 func fig8Run(cfg Fig8Config, groupsPerNode int, pool *identity.Pool) (Fig8Row, error) {
-	start := time.Now()
-	pcfg := cfg.PPSS
-	if pcfg.KeyBlobSize == 0 {
-		pcfg.KeyBlobSize = cfg.KeyBlob
-	}
 	w, err := sim.NewWorld(sim.Options{
 		Seed:     cfg.Seed,
 		N:        cfg.N,
@@ -85,37 +76,23 @@ func fig8Run(cfg Fig8Config, groupsPerNode int, pool *identity.Pool) (Fig8Row, e
 		Model:    PlanetLab.Model(),
 		KeyPool:  pool,
 		WCL:      &wcl.Config{MinPublic: 3},
-		PPSS:     &pcfg,
+		PPSS:     &cfg.PPSS,
 		Obs:      worldObs(fmt.Sprintf("fig8/groups=%d", groupsPerNode)),
 	})
 	if err != nil {
 		return Fig8Row{}, err
 	}
-	w.StartAll()
-	w.Sim.RunUntil(4 * time.Minute)
-	formGroups(w, cfg.Groups, groupsPerNode)
-	w.Sim.RunUntil(cfg.Warmup)
+	startGroups(w, cfg.Groups, groupsPerNode, cfg.Warmup)
 	w.ResetMeters()
 	w.Sim.RunFor(cfg.Measure)
 
-	secs := cfg.Measure.Seconds()
-	var pUp, pDown, nUp, nDown []float64
+	pUp, pDown, nUp, nDown := classBandwidth(w, cfg.Measure.Seconds())
 	subs := 0
 	for _, n := range w.Live() {
-		m := n.Nylon.Meter()
-		up, down := m.UpKB()/secs, m.DownKB()/secs
-		if n.Public() {
-			pUp = append(pUp, up)
-			pDown = append(pDown, down)
-		} else {
-			nUp = append(nUp, up)
-			nDown = append(nDown, down)
-		}
 		if n.PPSS != nil {
 			subs += len(n.PPSS.Instances())
 		}
 	}
-	recordRun(fmt.Sprintf("fig8/groups=%d", groupsPerNode), start, w)
 	return Fig8Row{
 		GroupsPerNode:  groupsPerNode,
 		PUp:            stats.StackOf(pUp),

@@ -18,15 +18,13 @@ import (
 // is the CDF of their end-to-end delays.
 type Fig9Config struct {
 	Seed      int64
-	N         int // paper: 400
-	GroupSize int // paper: 60
-	Queries   int // paper: 350
-	Env       Env
+	N         int           // paper: 400
+	GroupSize int           // paper: 60
+	Queries   int           // paper: 350
 	Warmup    time.Duration // PPSS convergence before T-Chord starts
 	RingTime  time.Duration // T-Chord convergence time
 	PPSS      ppss.Config
 	TChord    tchord.Config
-	KeyBlob   int
 }
 
 func (c Fig9Config) withDefaults() Fig9Config {
@@ -45,9 +43,6 @@ func (c Fig9Config) withDefaults() Fig9Config {
 	if c.RingTime == 0 {
 		c.RingTime = 10 * time.Minute
 	}
-	if c.KeyBlob == 0 {
-		c.KeyBlob = 1024
-	}
 	return c
 }
 
@@ -65,20 +60,13 @@ type Fig9Result struct {
 // Fig9 builds the private index and routes the queries.
 func Fig9(cfg Fig9Config) (Fig9Result, error) {
 	cfg = cfg.withDefaults()
-	wallStart := time.Now()
-	pcfg := cfg.PPSS
-	if pcfg.KeyBlobSize == 0 {
-		pcfg.KeyBlobSize = cfg.KeyBlob
-	}
-	pcfg = pcfgWithDefaults(pcfg)
 	w, err := sim.NewWorld(sim.Options{
 		Seed:     cfg.Seed,
 		N:        cfg.N,
 		NATRatio: 0.7,
-		Model:    cfg.Env.Model(),
 		KeyPool:  keyPool,
 		WCL:      &wcl.Config{MinPublic: 3},
-		PPSS:     &pcfg,
+		PPSS:     &cfg.PPSS,
 		Obs:      worldObs("fig9"),
 	})
 	if err != nil {
@@ -153,7 +141,6 @@ func Fig9(cfg Fig9Config) (Fig9Result, error) {
 	res.DelayCDF = stats.CDF(delays)
 	res.MedianDelay = stats.Percentile(delays, 50)
 	res.RingCorrect = ringCorrectness(ring)
-	recordRun("fig9", wallStart, w)
 	return res, nil
 }
 

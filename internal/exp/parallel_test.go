@@ -47,36 +47,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBenchSinkRecordsEveryRun checks the bench log sees one stat per
-// simulation run with merged CPU meters, regardless of worker count.
-func TestBenchSinkRecordsEveryRun(t *testing.T) {
-	old := BenchSink
-	defer func() { BenchSink = old }()
-	BenchSink = &BenchLog{}
-
-	cfg := fig5TestConfig(2)
-	cfg.PiValues = []int{0, 2}
-	if _, err := Fig5(cfg); err != nil {
-		t.Fatal(err)
-	}
-	runs := BenchSink.Runs()
-	if len(runs) != 2 {
-		t.Fatalf("recorded %d runs, want 2", len(runs))
-	}
-	// Runs() sorts by name, so the order is pi=0, pi=2.
-	for i, want := range []string{"fig5/pi=0", "fig5/pi=2"} {
-		if runs[i].Name != want {
-			t.Errorf("run %d name = %q, want %q", i, runs[i].Name, want)
-		}
-		if runs[i].Events == 0 {
-			t.Errorf("%s: no events recorded", want)
-		}
-		if runs[i].VirtualSec == 0 {
-			t.Errorf("%s: no virtual time recorded", want)
-		}
-	}
-}
-
 // BenchmarkParallelExpHarness times a full Fig5 sweep through the
 // worker pool at GOMAXPROCS workers. Compare with -parallel 1 via
 // BenchmarkSequentialExpHarness to see the multi-core speedup; on a

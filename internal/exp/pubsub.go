@@ -32,7 +32,6 @@ type PubSubConfig struct {
 	Rounds          int // publish rounds; each round publishes once per topic (default 6)
 	PayloadBytes    int // plaintext bytes per publication (default 64)
 	FilterBits      int // live filter size m (default pubsub.DefaultFilterBits)
-	Env             Env
 }
 
 func (c PubSubConfig) withDefaults() PubSubConfig {
@@ -79,8 +78,8 @@ type FPPoint struct {
 }
 
 // PubSubResult is the full comparison plus a determinism fingerprint
-// (CI runs the experiment twice with one seed and diffs the
-// fingerprint lines).
+// (TestExperimentTable runs the experiment twice with one seed and
+// compares them).
 type PubSubResult struct {
 	Members int // members that actually joined
 	Topics  int
@@ -107,12 +106,10 @@ type PubSubResult struct {
 // compare what the relays paid.
 func PubSub(cfg PubSubConfig) (PubSubResult, error) {
 	cfg = cfg.withDefaults()
-	start := time.Now()
 	w, err := sim.NewWorld(sim.Options{
 		Seed:     cfg.Seed,
 		N:        cfg.N,
 		NATRatio: 0.7,
-		Model:    cfg.Env.Model(),
 		KeyPool:  keyPool,
 		WCL:      &wcl.Config{MinPublic: 3},
 		PPSS:     &ppss.Config{Cycle: 20 * time.Second, KeyBlobSize: 256, MinHelpers: 3},
@@ -311,12 +308,6 @@ func PubSub(cfg PubSubConfig) (PubSubResult, error) {
 	}
 	res.Fingerprint = h.Sum64()
 
-	if BenchSink != nil {
-		virtual := w.Now().Seconds()
-		BenchSink.Record(RunStat{Name: "pubsub/deliver", VirtualSec: virtual, Bytes: res.PubSub.RelayBytes})
-		BenchSink.Record(RunStat{Name: "pubsub/naive", VirtualSec: virtual, Bytes: res.Naive.RelayBytes})
-	}
-	recordRun("pubsub", start, w)
 	return res, nil
 }
 
@@ -382,8 +373,10 @@ func PrintPubSub(out io.Writer, res PubSubResult) {
 	for _, p := range res.FPSweep {
 		fmt.Fprintf(out, "m=%-4d %.4f\n", p.Bits, p.Rate)
 	}
-	fmt.Fprintf(out, "fingerprint: %016x\n", res.Fingerprint)
+	fmt.Fprintf(out, "fingerprint: %s\n", res.fingerprint())
 }
+
+func (res PubSubResult) fingerprint() string { return fmt.Sprintf("%016x", res.Fingerprint) }
 
 // PubSubShapeCheck verifies the tentpole claims: near-total delivery
 // through the filters, relay bandwidth strictly below the naive flood,

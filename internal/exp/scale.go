@@ -176,21 +176,6 @@ func Scale(cfg ScaleConfig) (ScaleResult, error) {
 	}
 	runtime.KeepAlive(w)
 
-	if BenchSink != nil {
-		st := RunStat{
-			Name:            "scale",
-			WallMS:          float64(wall.Microseconds()) / 1000,
-			Events:          res.Events,
-			EventsPerSec:    res.EventsPerSec,
-			VirtualSec:      cfg.Runtime.Seconds(),
-			Nodes:           res.Nodes,
-			Shards:          res.Shards,
-			Windows:         res.Windows,
-			BytesPerNode:    res.BytesPerNode,
-			MemBytesPerNode: res.MemBytesPerNode,
-		}
-		BenchSink.Record(st)
-	}
 	return res, nil
 }
 
@@ -207,7 +192,11 @@ func PrintScale(out io.Writer, r ScaleResult) {
 		r.Sent, r.Dropped, r.Live, r.ZeroShuffles)
 	fmt.Fprintf(out, "bytes/node=%.0f mem-bytes/node=%.0f\n",
 		r.BytesPerNode, r.MemBytesPerNode)
-	fmt.Fprintf(out, "fingerprint: n=%d shards=%d events=%d sent=%d dropped=%d live=%d windows=%d\n",
+	fmt.Fprintf(out, "fingerprint: %s\n", r.fingerprint())
+}
+
+func (r ScaleResult) fingerprint() string {
+	return fmt.Sprintf("n=%d shards=%d events=%d sent=%d dropped=%d live=%d windows=%d",
 		r.Nodes, r.Shards, r.Events, r.Sent, r.Dropped, r.Live, r.Windows)
 }
 

@@ -27,7 +27,6 @@ type SuitesConfig struct {
 	Seed     int64
 	N        int // default 300
 	Messages int // round trips per leg (default 100)
-	Env      Env
 }
 
 func (c SuitesConfig) withDefaults() SuitesConfig {
@@ -121,7 +120,6 @@ func suiteLeg(cfg SuitesConfig, suite crypt.SuiteID) (SuiteLeg, error) {
 	if err != nil {
 		return l, err
 	}
-	start := time.Now()
 	keyBlob := 0 // default 1 KB blobs, the paper's accounting
 	if suite == crypt.SuiteECC {
 		keyBlob = 2 * crypt.ECCKeyBlobSize // 65-byte keys need no kilobyte padding
@@ -130,7 +128,6 @@ func suiteLeg(cfg SuitesConfig, suite crypt.SuiteID) (SuiteLeg, error) {
 		Seed:     cfg.Seed,
 		N:        cfg.N,
 		NATRatio: 0.7,
-		Model:    cfg.Env.Model(),
 		KeyPool:  pool,
 		Nylon:    nylon.Config{KeyBlobSize: keyBlob},
 		WCL:      &wcl.Config{MinPublic: 3},
@@ -188,7 +185,6 @@ func suiteLeg(cfg SuitesConfig, suite crypt.SuiteID) (SuiteLeg, error) {
 	if l.OnionBytes, err = suiteOnionBytes(pool, payload[:crypt.SymKeySize]); err != nil {
 		return l, err
 	}
-	recordRun("suites/"+l.Suite, start, w)
 	return l, nil
 }
 

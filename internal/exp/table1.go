@@ -18,16 +18,14 @@ import (
 // under churn (§V-D): 1,000 nodes, 20 private groups, Π = 3, and the
 // churn script of Table I with varying rates.
 type Table1Config struct {
-	Seed    int64
-	N       int // paper: 1,000
-	Groups  int // paper: 20
-	Pi      int // paper: 3
-	Rates   []float64
-	Warmup  time.Duration // group formation + convergence
-	Window  time.Duration // churn + measurement window (paper: 15 min)
-	Env     Env
-	PPSS    ppss.Config
-	KeyBlob int
+	Seed   int64
+	N      int // paper: 1,000
+	Groups int // paper: 20
+	Pi     int // paper: 3
+	Rates  []float64
+	Warmup time.Duration // group formation + convergence
+	Window time.Duration // churn + measurement window (paper: 15 min)
+	PPSS   ppss.Config
 	// Parallel bounds the worker pool running the independent per-rate
 	// runs (<= 0: one worker per CPU; 1: sequential).
 	Parallel int
@@ -51,9 +49,6 @@ func (c Table1Config) withDefaults() Table1Config {
 	}
 	if c.Window == 0 {
 		c.Window = 15 * time.Minute
-	}
-	if c.KeyBlob == 0 {
-		c.KeyBlob = 1024
 	}
 	return c
 }
@@ -80,11 +75,7 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 }
 
 func table1Run(cfg Table1Config, rate float64, pool *identity.Pool) (Table1Row, error) {
-	start := time.Now()
 	pcfg := cfg.PPSS
-	if pcfg.KeyBlobSize == 0 {
-		pcfg.KeyBlobSize = cfg.KeyBlob
-	}
 	if pcfg.MinHelpers == 0 {
 		pcfg.MinHelpers = cfg.Pi
 	}
@@ -92,7 +83,6 @@ func table1Run(cfg Table1Config, rate float64, pool *identity.Pool) (Table1Row, 
 		Seed:     cfg.Seed,
 		N:        cfg.N,
 		NATRatio: 0.7,
-		Model:    cfg.Env.Model(),
 		KeyPool:  pool,
 		WCL:      &wcl.Config{MinPublic: cfg.Pi},
 		PPSS:     &pcfg,
@@ -101,10 +91,7 @@ func table1Run(cfg Table1Config, rate float64, pool *identity.Pool) (Table1Row, 
 	if err != nil {
 		return Table1Row{}, err
 	}
-	w.StartAll()
-	w.Sim.RunUntil(4 * time.Minute) // public underlay
-	gs := formGroups(w, cfg.Groups, 1)
-	w.Sim.RunUntil(cfg.Warmup)
+	gs := startGroups(w, cfg.Groups, 1, cfg.Warmup)
 
 	// Leaders are pinned (not killed) so admissions stay possible; the
 	// measured quantity is WCL route construction, not leader liveness.
@@ -206,7 +193,6 @@ func table1Run(cfg Table1Config, rate float64, pool *identity.Pool) (Table1Row, 
 	w.Sim.RunFor(cfg.Window)
 	measuring = false
 
-	recordRun(fmt.Sprintf("table1/rate=%.1f", rate), start, w)
 	if tally.routes == 0 {
 		return Table1Row{RatePct: rate}, nil
 	}

@@ -16,14 +16,12 @@ import (
 // Table II): average processor time per PPSS cycle spent on AES and RSA
 // by N- and P-nodes.
 type Table2Config struct {
-	Seed    int64
-	N       int // paper: 1,000
-	Groups  int // one group per ~50 nodes
-	Cycles  int // measured PPSS cycles (paper: one full network cycle)
-	Warmup  time.Duration
-	Env     Env
-	PPSS    ppss.Config
-	KeyBlob int
+	Seed   int64
+	N      int // paper: 1,000
+	Groups int // one group per ~50 nodes
+	Cycles int // measured PPSS cycles (paper: one full network cycle)
+	Warmup time.Duration
+	PPSS   ppss.Config
 }
 
 func (c Table2Config) withDefaults() Table2Config {
@@ -39,8 +37,8 @@ func (c Table2Config) withDefaults() Table2Config {
 	if c.Warmup == 0 {
 		c.Warmup = 10 * time.Minute
 	}
-	if c.KeyBlob == 0 {
-		c.KeyBlob = 1024
+	if c.PPSS.Cycle == 0 {
+		c.PPSS.Cycle = time.Minute
 	}
 	return c
 }
@@ -70,29 +68,19 @@ type Table2Result struct {
 // wall-clock crypto cost per node per cycle.
 func Table2(cfg Table2Config) (Table2Result, error) {
 	cfg = cfg.withDefaults()
-	start := time.Now()
-	pcfg := cfg.PPSS
-	if pcfg.KeyBlobSize == 0 {
-		pcfg.KeyBlobSize = cfg.KeyBlob
-	}
-	pcfg = pcfgWithDefaults(pcfg)
 	w, err := sim.NewWorld(sim.Options{
 		Seed:     cfg.Seed,
 		N:        cfg.N,
 		NATRatio: 0.7,
-		Model:    cfg.Env.Model(),
 		KeyPool:  keyPool,
 		WCL:      &wcl.Config{MinPublic: 3},
-		PPSS:     &pcfg,
+		PPSS:     &cfg.PPSS,
 		Obs:      worldObs("table2"),
 	})
 	if err != nil {
 		return Table2Result{}, err
 	}
-	w.StartAll()
-	w.Sim.RunUntil(4 * time.Minute)
-	formGroups(w, cfg.Groups, 1)
-	w.Sim.RunUntil(cfg.Warmup)
+	startGroups(w, cfg.Groups, 1, cfg.Warmup)
 
 	// Snapshot CPU meters, run the measurement window, subtract.
 	before := map[*sim.Node]crypt.CPUMeter{}
@@ -101,11 +89,11 @@ func Table2(cfg Table2Config) (Table2Result, error) {
 			before[n] = *n.WCL.CPU()
 		}
 	}
-	window := time.Duration(cfg.Cycles) * pcfg.Cycle
+	window := time.Duration(cfg.Cycles) * cfg.PPSS.Cycle
 	w.Sim.RunFor(window)
 
 	var res Table2Result
-	res.Cycle = pcfg.Cycle
+	res.Cycle = cfg.PPSS.Cycle
 	classes := map[bool][]crypt.CPUMeter{}
 	for n, b := range before {
 		if n.Nylon.Stopped() {
@@ -140,7 +128,7 @@ func Table2(cfg Table2Config) (Table2Result, error) {
 			RSADecs: float64(decs) / n,
 		}
 		r.Total = r.AES + r.RSA
-		cyc := float64(pcfg.Cycle)
+		cyc := float64(cfg.PPSS.Cycle)
 		r.AESPct = 100 * float64(r.AES) / cyc
 		r.RSAPct = 100 * float64(r.RSA) / cyc
 		r.TotalPct = 100 * float64(r.Total) / cyc
@@ -155,15 +143,7 @@ func Table2(cfg Table2Config) (Table2Result, error) {
 	if nRow.RSADecs > 0 {
 		res.RSADecsRatio = pRow.RSADecs / nRow.RSADecs
 	}
-	recordRun("table2", start, w)
 	return res, nil
-}
-
-func pcfgWithDefaults(c ppss.Config) ppss.Config {
-	if c.Cycle == 0 {
-		c.Cycle = time.Minute
-	}
-	return c
 }
 
 // PrintTable2 renders Table II.

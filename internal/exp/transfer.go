@@ -25,7 +25,6 @@ type TransferConfig struct {
 	N         int // default 300
 	Messages  int // messages per leg (default 8)
 	MessageKB int // payload KiB per message (default 32, one full window)
-	Env       Env
 }
 
 func (c TransferConfig) withDefaults() TransferConfig {
@@ -51,8 +50,8 @@ type TransferLeg struct {
 }
 
 // TransferResult is the full comparison plus the stream-layer health
-// counters and a determinism fingerprint (CI runs the experiment twice
-// with one seed and diffs the fingerprint lines).
+// counters and a determinism fingerprint (TestExperimentTable runs the
+// experiment twice with one seed and compares them).
 type TransferResult struct {
 	Messages     int
 	MessageBytes int
@@ -79,12 +78,10 @@ type TransferResult struct {
 // whole messages to SendStream and lets the window pipeline fragments.
 func Transfer(cfg TransferConfig) (TransferResult, error) {
 	cfg = cfg.withDefaults()
-	start := time.Now()
 	w, err := sim.NewWorld(sim.Options{
 		Seed:     cfg.Seed,
 		N:        cfg.N,
 		NATRatio: 0.7,
-		Model:    cfg.Env.Model(),
 		KeyPool:  keyPool,
 		WCL:      &wcl.Config{MinPublic: 3},
 		PPSS:     &ppss.Config{KeyBlobSize: 256, MinHelpers: 3},
@@ -156,45 +153,22 @@ func Transfer(cfg TransferConfig) (TransferResult, error) {
 		}
 	}
 
-	// chunkedLeg is the strict stop-and-wait driver shared by the
-	// one-shot and cell transports.
-	chunkedLeg := func(label string, send func(wcl.Dest, []byte, func(wcl.Result))) TransferLeg {
+	// leg times one transport: launch starts every message and reports
+	// each one's completion through done; the leg ends at the last.
+	leg := func(label string, launch func(done func(ok bool))) TransferLeg {
 		l := TransferLeg{Label: label}
 		recvBytes = 0
 		t0 := w.Now()
 		tEnd := t0
-		finished := false
-		var nextMsg func(m int)
-		nextMsg = func(m int) {
-			if m == cfg.Messages {
-				finished = true
-				tEnd = w.Now()
-				return
+		completed := 0
+		launch(func(ok bool) {
+			completed++
+			if ok {
+				l.Delivered++
 			}
-			payload := payloads[m]
-			var sendChunk func(off int)
-			sendChunk = func(off int) {
-				end := off + fragSize
-				if end > len(payload) {
-					end = len(payload)
-				}
-				send(expDest(w, dst, 3), payload[off:end], func(r wcl.Result) {
-					if r.Outcome == wcl.Failed {
-						nextMsg(m + 1) // abandon this message, move on
-						return
-					}
-					if end < len(payload) {
-						sendChunk(end)
-						return
-					}
-					l.Delivered++
-					nextMsg(m + 1)
-				})
-			}
-			sendChunk(0)
-		}
-		nextMsg(0)
-		pump(func() bool { return finished })
+			tEnd = w.Now()
+		})
+		pump(func() bool { return completed == cfg.Messages })
 		l.Bytes = recvBytes
 		l.Virtual = tEnd - t0
 		if s := l.Virtual.Seconds(); s > 0 {
@@ -203,34 +177,47 @@ func Transfer(cfg TransferConfig) (TransferResult, error) {
 		return l
 	}
 
-	res.OneShot = chunkedLeg("one-shot", src.WCL.Send)
-	res.Cells = chunkedLeg("cells", src.WCL.SendCircuit)
+	// chunked is the strict stop-and-wait sender shared by the one-shot
+	// and cell transports; a failed chunk abandons its message.
+	chunked := func(send func(wcl.Dest, []byte, func(wcl.Result))) func(func(bool)) {
+		return func(done func(bool)) {
+			var nextMsg func(m int)
+			nextMsg = func(m int) {
+				if m == cfg.Messages {
+					return
+				}
+				payload := payloads[m]
+				var sendChunk func(off int)
+				sendChunk = func(off int) {
+					end := min(off+fragSize, len(payload))
+					send(expDest(w, dst, 3), payload[off:end], func(r wcl.Result) {
+						ok := r.Outcome != wcl.Failed
+						if ok && end < len(payload) {
+							sendChunk(end)
+							return
+						}
+						done(ok)
+						nextMsg(m + 1)
+					})
+				}
+				sendChunk(0)
+			}
+			nextMsg(0)
+		}
+	}
+
+	res.OneShot = leg("one-shot", chunked(src.WCL.Send))
+	res.Cells = leg("cells", chunked(src.WCL.SendCircuit))
 
 	// The stream leg: whole messages go to SendStream up front; the
 	// circuit runs them serially (one active stream, the rest queued),
 	// matching the serial message order of the stop-and-wait legs.
 	streamStats := src.WCL.Stats()
-	l := TransferLeg{Label: "stream"}
-	recvBytes = 0
-	t0 := w.Now()
-	tEnd := t0
-	completed := 0
-	for m := range payloads {
-		src.WCL.SendStream(expDest(w, dst, 3), payloads[m], func(r wcl.Result) {
-			completed++
-			if r.Outcome != wcl.Failed {
-				l.Delivered++
-			}
-			tEnd = w.Now()
-		})
-	}
-	pump(func() bool { return completed == cfg.Messages })
-	l.Bytes = recvBytes
-	l.Virtual = tEnd - t0
-	if s := l.Virtual.Seconds(); s > 0 {
-		l.KBPerSec = float64(l.Bytes) / 1024 / s
-	}
-	res.Stream = l
+	res.Stream = leg("stream", func(done func(bool)) {
+		for m := range payloads {
+			src.WCL.SendStream(expDest(w, dst, 3), payloads[m], func(r wcl.Result) { done(r.Outcome != wcl.Failed) })
+		}
+	})
 	after := src.WCL.Stats()
 	res.Retransmits = after.StreamRetransmits - streamStats.StreamRetransmits
 	res.Fallbacks = after.StreamFallbacks - streamStats.StreamFallbacks
@@ -250,17 +237,6 @@ func Transfer(cfg TransferConfig) (TransferResult, error) {
 	fmt.Fprintf(h, "group=%v;retx=%d;fb=%d", res.GroupJoined, res.Retransmits, res.Fallbacks)
 	res.Fingerprint = h.Sum64()
 
-	if BenchSink != nil {
-		for _, leg := range []TransferLeg{res.OneShot, res.Cells, res.Stream} {
-			BenchSink.Record(RunStat{
-				Name:       "transfer/" + leg.Label,
-				VirtualSec: leg.Virtual.Seconds(),
-				Bytes:      leg.Bytes,
-				KBPerSec:   leg.KBPerSec,
-			})
-		}
-	}
-	recordRun("transfer", start, w)
 	return res, nil
 }
 
@@ -281,8 +257,10 @@ func PrintTransfer(out io.Writer, res TransferResult) {
 	fmt.Fprintf(out, "stream throughput vs one-shot: %.1fx   vs single cells: %.1fx\n",
 		res.StreamVsOneShot, res.StreamVsCells)
 	fmt.Fprintf(out, "stream retransmits: %d   fallbacks: %d\n", res.Retransmits, res.Fallbacks)
-	fmt.Fprintf(out, "fingerprint: %016x\n", res.Fingerprint)
+	fmt.Fprintf(out, "fingerprint: %s\n", res.fingerprint())
 }
+
+func (res TransferResult) fingerprint() string { return fmt.Sprintf("%016x", res.Fingerprint) }
 
 // TransferShapeCheck verifies the tentpole claims: every leg delivers
 // every byte, the group forms, streams never fall back on a healthy

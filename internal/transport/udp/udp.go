@@ -19,8 +19,8 @@
 // so the stacks above never see concurrency. A separate reader
 // goroutine only parses packets and enqueues closures. External
 // goroutines (tests, daemon control planes) interact with the stack
-// through Do, which runs a closure on the dispatch goroutine. Now,
-// Send, and SendRaw are safe from any goroutine; After, EveryJitter,
+// through Do, which runs a closure on the dispatch goroutine. Now and
+// Send are safe from any goroutine; After, EveryJitter,
 // Rand, Attach, and Detach must only be used from dispatch context
 // (handler/timer callbacks or Do) or before Start — the same rule the
 // simulator imposes.
@@ -79,7 +79,6 @@ type Transport struct {
 	maxLearned int
 	timers     timerHeap
 	rng        *rand.Rand
-	raw        func(payload []byte, from *net.UDPAddr)
 	started    bool
 	closed     bool
 	unrouted   uint64
@@ -184,22 +183,6 @@ func (t *Transport) Unrouted() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.unrouted
-}
-
-// SetRawHandler installs a callback for non-overlay datagrams (those
-// whose first byte is not the encapsulation magic). It runs on the
-// dispatch goroutine like any other handler. Set before Start.
-func (t *Transport) SetRawHandler(fn func(payload []byte, from *net.UDPAddr)) {
-	t.mu.Lock()
-	t.raw = fn
-	t.mu.Unlock()
-}
-
-// SendRaw transmits a bare payload (no encapsulation header) to a real
-// address. Safe from any goroutine.
-func (t *Transport) SendRaw(addr *net.UDPAddr, payload []byte) error {
-	_, err := t.conn.WriteToUDP(payload, addr)
-	return err
 }
 
 // Start launches the reader and dispatch goroutines.
@@ -324,18 +307,9 @@ func (t *Transport) reader() {
 }
 
 // dispatch routes one received packet to the dispatch goroutine.
+// Packets without the encapsulation header are dropped.
 func (t *Transport) dispatch(payload []byte, from *net.UDPAddr) {
-	if len(payload) < 1 || payload[0] != encapMagic {
-		t.mu.Lock()
-		raw := t.raw
-		t.mu.Unlock()
-		if raw == nil {
-			return
-		}
-		t.enqueue(func() { raw(payload, from) })
-		return
-	}
-	if len(payload) < encapLen || payload[1] != encapVersion {
+	if len(payload) < encapLen || payload[0] != encapMagic || payload[1] != encapVersion {
 		return
 	}
 	src := transport.Endpoint{

@@ -120,26 +120,44 @@ func TestUnroutedDropped(t *testing.T) {
 	}
 }
 
-// TestRawPath checks that datagrams without the encapsulation magic
-// reach the raw handler (the realudp compatibility surface).
-func TestRawPath(t *testing.T) {
+// TestUnencapsulatedDropped checks that a datagram without the
+// encapsulation header reaches no handler and teaches the book nothing.
+func TestUnencapsulatedDropped(t *testing.T) {
 	a, b := newT(t), newT(t)
-	got := make(chan []byte, 1)
-	b.SetRawHandler(func(payload []byte, from *net.UDPAddr) {
-		got <- payload
-	})
-	a.Start()
-	b.Start()
-	if err := a.SendRaw(b.LocalAddr(), []byte{1, 2, 3}); err != nil {
+	epA := transport.Endpoint{IP: 1, Port: 1}
+	epB := transport.Endpoint{IP: 2, Port: 1}
+	if err := a.AddPeer(epB, b.LocalAddr().String()); err != nil {
 		t.Fatal(err)
 	}
+	got := make(chan transport.Datagram, 4)
+	b.Attach(epB.IP, transport.HandlerFunc(func(dg transport.Datagram) { got <- dg }))
+	a.Start()
+	b.Start()
+	bare, err := net.DialUDP("udp", nil, b.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	// A bare payload shaped like a header but without the magic byte.
+	if _, err := bare.Write([]byte{0, encapVersion, 0, 0, 0, 9, 0, 1, 0, 0, 0, 2, 0, 1, 'x'}); err != nil {
+		t.Fatal(err)
+	}
+	a.Do(func() { a.Send(transport.Datagram{Src: epA, Dst: epB, Payload: []byte("ok")}) })
 	select {
-	case p := <-got:
-		if len(p) != 3 || p[0] != 1 {
-			t.Fatalf("raw payload = %v", p)
+	case dg := <-got:
+		if string(dg.Payload) != "ok" {
+			t.Fatalf("handler got %q, want the encapsulated datagram", dg.Payload)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("raw datagram not delivered")
+		t.Fatal("encapsulated datagram not delivered")
+	}
+	select {
+	case dg := <-got:
+		t.Fatalf("unexpected second delivery %q", dg.Payload)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, learned := b.BookSize(); learned != 1 {
+		t.Fatalf("learned %d book entries, want 1 (only the encapsulated sender)", learned)
 	}
 }
 
