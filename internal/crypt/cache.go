@@ -28,8 +28,9 @@ var aeadCache = struct {
 }{m: make(map[[SymKeySize]byte]cipher.AEAD, 64)}
 
 // cachedGCM returns a memoized AEAD for a (reused) symmetric key.
-// One-shot keys — the fresh key sealed into every hybrid onion layer —
-// must not go through here; they would only churn the cache (see Seal).
+// One-shot keys — the fresh key sealed into every hybrid onion layer,
+// a one-shot send's content key — must not go through here; they would
+// only churn the cache (see SealSymOnce).
 // Non-standard key sizes bypass the cache.
 func cachedGCM(key []byte) (cipher.AEAD, error) {
 	if len(key) != SymKeySize {

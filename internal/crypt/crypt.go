@@ -127,6 +127,21 @@ func SealSym(m *CPUMeter, key, plaintext []byte) ([]byte, error) {
 	return sealWith(gcm, plaintext)
 }
 
+// SealSymOnce is SealSym for a key sealed under once, such as a
+// one-shot send's content key or a hybrid layer's fresh key. It builds
+// the AEAD without the cache, which such keys would only fill: a cache
+// of spent keys grows with every message until it is dropped wholesale.
+func SealSymOnce(m *CPUMeter, key, plaintext []byte) ([]byte, error) {
+	start := time.Now()
+	gcm, err := newGCM(key)
+	if err != nil {
+		return nil, err
+	}
+	ct, err := sealWith(gcm, plaintext)
+	m.chargeAES(start)
+	return ct, err
+}
+
 // sealWith seals plaintext with a single output allocation sized for
 // nonce, ciphertext and tag.
 func sealWith(gcm cipher.AEAD, plaintext []byte) ([]byte, error) {
@@ -147,6 +162,19 @@ func OpenSym(m *CPUMeter, key, ct []byte) ([]byte, error) {
 		return nil, err
 	}
 	return openWith(gcm, nil, ct)
+}
+
+// OpenSymOnce opens a SealSymOnce ciphertext, again without the AEAD
+// cache.
+func OpenSymOnce(m *CPUMeter, key, ct []byte) ([]byte, error) {
+	start := time.Now()
+	gcm, err := newGCM(key)
+	if err != nil {
+		return nil, err
+	}
+	pt, err := openWith(gcm, nil, ct)
+	m.chargeAES(start)
+	return pt, err
 }
 
 // OpenSymInPlace decrypts a SealSym ciphertext where it lies and

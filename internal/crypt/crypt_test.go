@@ -33,6 +33,47 @@ func TestSymRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSymOnceInteroperatesWithoutCaching checks that the one-shot
+// variants read and write SealSym's format, fail like it on a tampered
+// ciphertext, and leave the AEAD cache as they found it.
+func TestSymOnceInteroperatesWithoutCaching(t *testing.T) {
+	key, _ := NewSymKey()
+	aeadCache.Lock()
+	before := len(aeadCache.m)
+	aeadCache.Unlock()
+	var m CPUMeter
+	ct, err := SealSymOnce(&m, key, []byte("attack at dawn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt, err := OpenSymOnce(&m, key, ct); err != nil || string(pt) != "attack at dawn" {
+		t.Fatalf("once → once = (%q, %v)", pt, err)
+	}
+	if m.AESOps != 2 || m.AES <= 0 {
+		t.Fatalf("AES metering: %+v", m)
+	}
+	aeadCache.Lock()
+	after := len(aeadCache.m)
+	aeadCache.Unlock()
+	if after > before {
+		t.Fatalf("AEAD cache grew from %d to %d entries", before, after)
+	}
+	if pt, err := OpenSym(nil, key, ct); err != nil || string(pt) != "attack at dawn" {
+		t.Fatalf("once → cached = (%q, %v)", pt, err)
+	}
+	ct, _ = SealSym(nil, key, []byte("retreat"))
+	if pt, err := OpenSymOnce(nil, key, ct); err != nil || string(pt) != "retreat" {
+		t.Fatalf("cached → once = (%q, %v)", pt, err)
+	}
+	ct[len(ct)-1] ^= 1
+	if _, err := OpenSymOnce(nil, key, ct); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("tampered: err = %v, want ErrDecrypt", err)
+	}
+	if _, err := OpenSymOnce(nil, key, ct[:4]); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("truncated: err = %v, want ErrDecrypt", err)
+	}
+}
+
 func TestSymWrongKeyFails(t *testing.T) {
 	k1, _ := NewSymKey()
 	k2, _ := NewSymKey()

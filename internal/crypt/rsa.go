@@ -25,7 +25,13 @@ import (
 const derSequenceTag = 0x30
 
 // RSAPublicKey wraps an *rsa.PublicKey as a suite-tagged PublicKey.
-type RSAPublicKey struct{ K *rsa.PublicKey }
+type RSAPublicKey struct {
+	K *rsa.PublicKey
+	// holder is the private half when the key pair was made in this
+	// process (NewRSAPrivateKey), which lets rsaSeal speculate the
+	// holder's unwrap (see spec.go); nil for keys parsed from outside.
+	holder *rsa.PrivateKey
+}
 
 // Suite identifies the key as rsa2048.
 func (p *RSAPublicKey) Suite() SuiteID { return SuiteRSA2048 }
@@ -39,7 +45,7 @@ type RSAPrivateKey struct {
 
 // NewRSAPrivateKey wraps an existing RSA private key.
 func NewRSAPrivateKey(k *rsa.PrivateKey) *RSAPrivateKey {
-	return &RSAPrivateKey{K: k, pub: &RSAPublicKey{K: &k.PublicKey}}
+	return &RSAPrivateKey{K: k, pub: &RSAPublicKey{K: &k.PublicKey, holder: k}}
 }
 
 // Suite identifies the key as rsa2048.
@@ -48,7 +54,7 @@ func (p *RSAPrivateKey) Suite() SuiteID { return SuiteRSA2048 }
 // Public returns the wrapped public half (stable across calls).
 func (p *RSAPrivateKey) Public() PublicKey {
 	if p.pub == nil {
-		p.pub = &RSAPublicKey{K: &p.K.PublicKey}
+		p.pub = &RSAPublicKey{K: &p.K.PublicKey, holder: p.K}
 	}
 	return p.pub
 }
@@ -73,15 +79,19 @@ func (rsaSuite) Generate(bits int) (PrivateKey, error) {
 		return nil, fmt.Errorf("crypt: generating rsa key: %w", err)
 	}
 	key.Precompute()
-	return NewRSAPrivateKey(key), nil
+	k := NewRSAPrivateKey(key)
+	// Every in-process parse of this key now yields the wrapper that
+	// knows its holder.
+	internPublicKey(MarshalPublicKey(k.pub), k.pub)
+	return k, nil
 }
 
-func rsaPub(pub PublicKey) (*rsa.PublicKey, error) {
+func rsaPub(pub PublicKey) (*RSAPublicKey, error) {
 	p, ok := pub.(*RSAPublicKey)
 	if !ok {
 		return nil, fmt.Errorf("crypt: rsa2048 suite got %T public key", pub)
 	}
-	return p.K, nil
+	return p, nil
 }
 
 func (rsaSuite) Seal(m *CPUMeter, pub PublicKey, plaintext []byte) ([]byte, error) {
@@ -133,7 +143,7 @@ func (rsaSuite) Verify(m *CPUMeter, pub PublicKey, msg, sig []byte) error {
 		}
 	}()
 	h := sha256.Sum256(msg)
-	if rsa.VerifyPKCS1v15(p, 0, h[:], sig) != nil {
+	if rsa.VerifyPKCS1v15(p.K, 0, h[:], sig) != nil {
 		return ErrBadSignature
 	}
 	return nil
@@ -144,7 +154,7 @@ func (rsaSuite) MarshalPublicKey(pub PublicKey) []byte {
 	if err != nil {
 		panic(err.Error())
 	}
-	der, err := x509.MarshalPKIXPublicKey(p)
+	der, err := x509.MarshalPKIXPublicKey(p.K)
 	if err != nil {
 		// Only possible for malformed in-memory keys: programmer error.
 		panic(fmt.Sprintf("crypt: marshaling public key: %v", err))
@@ -165,15 +175,16 @@ func (rsaSuite) UnmarshalPublicKey(blob []byte) (PublicKey, error) {
 }
 
 // rsaSeal hybrid-encrypts plaintext to pub: an RSA-OAEP-encrypted
-// fresh AES key followed by the AES-GCM ciphertext.
-func rsaSeal(m *CPUMeter, pub *rsa.PublicKey, plaintext []byte) ([]byte, error) {
+// fresh AES key followed by the AES-GCM ciphertext. When pub's holder
+// is in this process, its unwrap is queued for a spare core.
+func rsaSeal(m *CPUMeter, pub *RSAPublicKey, plaintext []byte) ([]byte, error) {
 	key, err := NewSymKey()
 	if err != nil {
 		return nil, err
 	}
 	h := sha256Pool.Get().(hash.Hash)
 	start := time.Now()
-	wrapped, err := rsa.EncryptOAEP(h, rand.Reader, pub, key, nil)
+	wrapped, err := rsa.EncryptOAEP(h, rand.Reader, pub.K, key, nil)
 	sha256Pool.Put(h)
 	if m != nil {
 		m.RSA += time.Since(start)
@@ -182,14 +193,10 @@ func rsaSeal(m *CPUMeter, pub *rsa.PublicKey, plaintext []byte) ([]byte, error) 
 	if err != nil {
 		return nil, fmt.Errorf("crypt: OAEP encrypt: %w", err)
 	}
-	// The key is fresh and sealed exactly once: bypass the AEAD cache.
-	aesStart := time.Now()
-	gcm, err := newGCM(key)
-	if err != nil {
-		return nil, err
+	if pub.holder != nil {
+		speculate(pub.holder, wrapped)
 	}
-	body, err := sealWith(gcm, plaintext)
-	m.chargeAES(aesStart)
+	body, err := SealSymOnce(m, key, plaintext)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +206,8 @@ func rsaSeal(m *CPUMeter, pub *rsa.PublicKey, plaintext []byte) ([]byte, error) 
 	return w.Bytes(), nil
 }
 
-// rsaOpen decrypts an rsaSeal ciphertext with the private key.
+// rsaOpen decrypts an rsaSeal ciphertext with the private key. The
+// meter is charged the unwrap's own time wherever it ran.
 func rsaOpen(m *CPUMeter, priv *rsa.PrivateKey, ct []byte) ([]byte, error) {
 	r := wire.NewReader(ct)
 	wrapped := r.Bytes16()
@@ -207,24 +215,13 @@ func rsaOpen(m *CPUMeter, priv *rsa.PrivateKey, ct []byte) ([]byte, error) {
 	if r.Err() != nil || len(wrapped) == 0 {
 		return nil, ErrDecrypt
 	}
-	h := sha256Pool.Get().(hash.Hash)
-	start := time.Now()
-	key, err := rsa.DecryptOAEP(h, rand.Reader, priv, wrapped, nil)
-	sha256Pool.Put(h)
+	key, took, err := unwrap(priv, wrapped)
 	if m != nil {
-		m.RSA += time.Since(start)
+		m.RSA += took
 		m.RSADecs++
 	}
 	if err != nil {
 		return nil, ErrDecrypt
 	}
-	// One-shot layer key: bypass the AEAD cache (see rsaSeal).
-	aesStart := time.Now()
-	gcm, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	pt, err := openWith(gcm, nil, body)
-	m.chargeAES(aesStart)
-	return pt, err
+	return OpenSymOnce(m, key, body)
 }

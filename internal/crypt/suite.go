@@ -269,13 +269,19 @@ func UnmarshalPublicKey(blob []byte) (PublicKey, error) {
 	if err != nil {
 		return nil, err
 	}
+	internPublicKey(blob, pub)
+	return pub, nil
+}
+
+// internPublicKey makes pub the instance UnmarshalPublicKey returns
+// for blob.
+func internPublicKey(blob []byte, pub PublicKey) {
 	parseCache.Lock()
 	if len(parseCache.m) >= keyCacheMax {
 		parseCache.m = make(map[string]PublicKey, 64)
 	}
 	parseCache.m[string(blob)] = pub
 	parseCache.Unlock()
-	return pub, nil
 }
 
 // KeyFingerprint returns a short stable digest of a public key, used

@@ -79,3 +79,26 @@ func TestCountNeverZero(t *testing.T) {
 		t.Errorf("dur(10m) at scale %v = %v, want the 4-minute floor", p.Scale, got)
 	}
 }
+
+// TestFig9TwiceByteEqual runs the fig9 entry twice in one process: the
+// text is all virtual, so it must come out byte-equal. It did not while
+// PPSS refreshed its persistent pool in map order, each ping drawing
+// from the simulation's RNG.
+func TestFig9TwiceByteEqual(t *testing.T) {
+	sel, err := Select("fig9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{Seed: 2011, Scale: 0.05, Parallel: 1}
+	var texts [2]string
+	for i := range texts {
+		rep, err := sel[0].Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts[i] = rep.Text
+	}
+	if texts[0] != texts[1] {
+		t.Fatalf("fig9 differs between two runs:\n--- first ---\n%s--- second ---\n%s", texts[0], texts[1])
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"whisper/internal/crypt"
@@ -698,13 +700,9 @@ func (in *Instance) MakePersistent(e Entry) {
 // DropPersistent removes a member from the pool.
 func (in *Instance) DropPersistent(id identity.NodeID) { delete(in.pcp, id) }
 
-// PersistentIDs lists the pooled members.
+// PersistentIDs lists the pooled members in NodeID order.
 func (in *Instance) PersistentIDs() []identity.NodeID {
-	out := make([]identity.NodeID, 0, len(in.pcp))
-	for id := range in.pcp {
-		out = append(out, id)
-	}
-	return out
+	return slices.Sorted(maps.Keys(in.pcp))
 }
 
 // refreshPCP pings every pooled member so both sides refresh helper
@@ -716,7 +714,9 @@ func (in *Instance) refreshPCP() {
 		return
 	}
 	now := in.rt.Now()
-	for id, st := range in.pcp {
+	// NodeID order: every send draws from the simulation's RNG.
+	for _, id := range in.PersistentIDs() {
+		st := in.pcp[id]
 		if now-st.lastOK > 4*in.cfg.PCPRefresh {
 			delete(in.pcp, id)
 			in.met.pcpDropped.Inc()

@@ -3,6 +3,8 @@ package ppss
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"whisper/internal/crypt"
 	"whisper/internal/identity"
@@ -99,11 +101,12 @@ func (r *Router) id() identity.NodeID { return r.w.Node().ID() }
 // accounts both together).
 func (r *Router) cpu() *crypt.CPUMeter { return r.w.CPU() }
 
-// Instances returns the groups this node currently belongs to.
+// Instances returns the groups this node currently belongs to, in
+// GroupID order.
 func (r *Router) Instances() []*Instance {
 	out := make([]*Instance, 0, len(r.instances))
-	for _, inst := range r.instances {
-		out = append(out, inst)
+	for _, g := range slices.Sorted(maps.Keys(r.instances)) {
+		out = append(out, r.instances[g])
 	}
 	return out
 }
@@ -214,9 +217,10 @@ func (r *Router) Leave(g GroupID) {
 	}
 }
 
-// Close stops all instances (node shutdown).
+// Close stops all instances (node shutdown), leaving groups in GroupID
+// order.
 func (r *Router) Close() {
-	for g := range r.instances {
+	for _, g := range slices.Sorted(maps.Keys(r.instances)) {
 		r.Leave(g)
 	}
 	for g, wtr := range r.joins {

@@ -49,16 +49,28 @@ func (w *WCL) sendAckBack(pathID uint64) {
 	w.node.SendAppVia(nylon.Descriptor{ID: st.fromID}, st.via, ack)
 }
 
-// pruneAckState drops expired backward-routing entries; called on
-// insertion so the map stays bounded without a dedicated timer.
-func (w *WCL) pruneAckState() {
-	if len(w.ackState) < 512 {
-		return
-	}
+// ackExpiry is one ackOrder record: the expiry an ackState entry was
+// written with.
+type ackExpiry struct {
+	pathID  uint64
+	expires time.Duration
+}
+
+// rememberAck stores e as pathID's backward route for AckTTL. Entries
+// expire in the order they were written, so dropping the expired head
+// of ackOrder on every insert bounds ackState by the paths seen within
+// one AckTTL. A path re-remembered later (a retry through the same
+// hop) keeps its newer entry: a head only deletes the entry it wrote.
+func (w *WCL) rememberAck(pathID uint64, e ackEntry) {
 	now := w.rt.Now()
-	for id, e := range w.ackState {
-		if now > e.expires {
-			delete(w.ackState, id)
+	for len(w.ackOrder) > 0 && now > w.ackOrder[0].expires {
+		old := w.ackOrder[0]
+		if cur, ok := w.ackState[old.pathID]; ok && cur.expires == old.expires {
+			delete(w.ackState, old.pathID)
 		}
+		w.ackOrder = w.ackOrder[1:]
 	}
+	e.expires = now + w.cfg.AckTTL
+	w.ackState[pathID] = e
+	w.ackOrder = append(w.ackOrder, ackExpiry{pathID, e.expires})
 }

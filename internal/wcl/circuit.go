@@ -662,9 +662,11 @@ func (w *WCL) handleCircSetup(src transport.Endpoint, m *circSetupMsg) {
 		w.met.dupForwards.Inc()
 		return
 	}
-	start := time.Now()
+	// The meter, not the wall clock, times the peel: its RSA unwrap may
+	// have run on another core (crypt's speculative unwrap).
+	before := w.cpu.Total()
 	key, next, inner, exit, err := crypt.PeelCircuit(w.cpu, w.node.Identity().Key, m.Onion)
-	peelTime := time.Since(start)
+	peelTime := w.cpu.Total() - before
 	w.met.peelMS.ObserveDuration(peelTime)
 	w.Trace.Emit(obs.KindPeel, w.rt.Now(), peelTime, len(m.Onion), m.CircID)
 	if err != nil {

@@ -54,7 +54,7 @@ func (w *WCL) sendOneShot(dest Dest, payload []byte, done func(Result)) {
 		w.failEarly(done)
 		return
 	}
-	content, err := crypt.SealSym(w.cpu, k, payload)
+	content, err := crypt.SealSymOnce(w.cpu, k, payload)
 	if err != nil {
 		w.failEarly(done)
 		return

@@ -434,6 +434,7 @@ type WCL struct {
 
 	pending     map[uint64]*pendingSend
 	ackState    map[uint64]ackEntry
+	ackOrder    []ackExpiry                       // ackState's writes, oldest first (see rememberAck)
 	pendingKeys map[identity.NodeID]time.Duration // request time, for expiry
 
 	// Circuit layer state: source-side circuits by destination plus a
