@@ -10,7 +10,9 @@
 // The default parameters match the paper (1,000-node cluster runs,
 // 400-node PlanetLab runs, 70% of nodes behind NATs, Π = 3, 1 KB keys).
 // Use -scale to shrink every dimension proportionally for quick runs on
-// modest hardware, e.g. -scale 0.25.
+// modest hardware, e.g. -scale 0.25. An experiment asked to run below
+// its table entry's minimum scale runs at that minimum instead, after a
+// one-line note.
 package main
 
 import (
@@ -112,7 +114,11 @@ func run(out io.Writer, name string, p exp.Params, check bool) (int, error) {
 	}
 	violations := 0
 	for _, e := range sel {
-		rep, err := e.Run(p)
+		ep, note := e.Scaled(p)
+		if note != "" {
+			fmt.Fprintln(out, note)
+		}
+		rep, err := e.Run(ep)
 		if err != nil {
 			return violations, err
 		}

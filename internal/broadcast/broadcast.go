@@ -53,36 +53,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a snapshot of dissemination events, read through
-// Broadcaster.Stats.
+// Stats counts dissemination events: the broadcaster bumps them in
+// place and Broadcaster.Stats returns a copy. The tags name the
+// exported metrics (see obs.Register).
 type Stats struct {
-	Published  uint64
-	Delivered  uint64
-	Duplicates uint64
-	Forwards   uint64
+	Published  uint64 `obs:"broadcast_published_total"`
+	Delivered  uint64 `obs:"broadcast_delivered_total"`
+	Duplicates uint64 `obs:"broadcast_duplicates_total"`
+	Forwards   uint64 `obs:"broadcast_forwards_total"`
 	// ForwardBytes is the encoded bytes of all forwards — the relay
 	// bandwidth the full-group flood costs, which the pub/sub
 	// experiment compares its filtered routing against.
-	ForwardBytes uint64
-}
-
-// met holds the broadcaster's metric instruments.
-type met struct {
-	published    *obs.Counter
-	delivered    *obs.Counter
-	duplicates   *obs.Counter
-	forwards     *obs.Counter
-	forwardBytes *obs.Counter
-}
-
-func newMet(sc *obs.Scope) met {
-	return met{
-		published:    sc.Counter("broadcast_published_total"),
-		delivered:    sc.Counter("broadcast_delivered_total"),
-		duplicates:   sc.Counter("broadcast_duplicates_total"),
-		forwards:     sc.Counter("broadcast_forwards_total"),
-		forwardBytes: sc.Counter("broadcast_forward_bytes_total"),
-	}
+	ForwardBytes uint64 `obs:"broadcast_forward_bytes_total"`
 }
 
 // Broadcaster is the per-member dissemination endpoint of one group.
@@ -98,7 +80,7 @@ type Broadcaster struct {
 	// the member's own publications.
 	OnDeliver func(origin identity.NodeID, payload []byte)
 
-	met met
+	st Stats
 }
 
 // New attaches a broadcaster to a group instance (subscribing to Tag).
@@ -112,30 +94,22 @@ func New(inst *ppss.Instance, cfg Config) *Broadcaster {
 		rt:   inst.Runtime(),
 		cfg:  cfg,
 		seen: make(map[uint64]struct{}),
-		met:  newMet(cfg.Obs),
 	}
+	obs.Register(cfg.Obs, &b.st)
 	inst.Subscribe(Tag, b.handle)
 	return b
 }
 
 // Stats returns a snapshot of the broadcaster's counters.
-func (b *Broadcaster) Stats() Stats {
-	return Stats{
-		Published:    b.met.published.Value(),
-		Delivered:    b.met.delivered.Value(),
-		Duplicates:   b.met.duplicates.Value(),
-		Forwards:     b.met.forwards.Value(),
-		ForwardBytes: b.met.forwardBytes.Value(),
-	}
-}
+func (b *Broadcaster) Stats() Stats { return b.st }
 
 // Publish disseminates payload to the whole group. The publisher
 // delivers to itself immediately.
 func (b *Broadcaster) Publish(payload []byte) {
 	id := b.rt.Rand().Uint64()
-	b.met.published.Inc()
+	obs.Inc(&b.st.Published)
 	b.remember(id)
-	b.met.delivered.Inc()
+	obs.Inc(&b.st.Delivered)
 	if b.OnDeliver != nil {
 		b.OnDeliver(b.inst.SelfEntry().ID, payload)
 	}
@@ -178,11 +152,11 @@ func (b *Broadcaster) handle(_ ppss.Entry, payload []byte) {
 		return
 	}
 	if _, dup := b.seen[m.ID]; dup {
-		b.met.duplicates.Inc()
+		obs.Inc(&b.st.Duplicates)
 		return
 	}
 	b.remember(m.ID)
-	b.met.delivered.Inc()
+	obs.Inc(&b.st.Delivered)
 	if b.OnDeliver != nil {
 		b.OnDeliver(m.Origin, m.Payload)
 	}
@@ -210,8 +184,8 @@ func (b *Broadcaster) forward(m message) {
 	}
 	enc := m.encode()
 	for _, e := range peers {
-		b.met.forwards.Inc()
-		b.met.forwardBytes.Add(uint64(len(enc)))
+		obs.Inc(&b.st.Forwards)
+		obs.Add(&b.st.ForwardBytes, uint64(len(enc)))
 		b.inst.Send(e, enc, nil)
 	}
 }

@@ -82,7 +82,7 @@ func Ablations(cfg AblateConfig) ([]AblationRow, error) {
 	}
 	workers := parallel.Workers(cfg.Parallel)
 	return parallel.Map(workers, len(jobs), func(i int) (AblationRow, error) {
-		return jobs[i].run(cfg, runPool(workers, i), jobs[i].variant)
+		return jobs[i].run(cfg, keyPool.View(i), jobs[i].variant)
 	})
 }
 

@@ -60,21 +60,6 @@ var ObsRoot *obs.Scope
 // the run label keeps their node instruments apart.
 func worldObs(run string) *obs.Scope { return ObsRoot.With("run", run) }
 
-// runPool returns the key pool for run i of an experiment executing
-// with the given worker count. The sequential path keeps the shared
-// pool and its historical cursor (so -parallel 1 output is
-// byte-identical to the sequential harness); concurrent runs each take
-// an independent view whose draws depend only on the run index, never
-// on sibling runs or scheduling. Key assignment does not influence
-// protocol behavior — the pool deals shared moduli round-robin either
-// way — so per-run results are identical across worker counts.
-func runPool(workers, i int) *identity.Pool {
-	if workers <= 1 {
-		return keyPool
-	}
-	return keyPool.View(i)
-}
-
 // groupSet tracks the private groups of an experiment world.
 type groupSet struct {
 	w       *sim.World

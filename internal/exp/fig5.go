@@ -70,7 +70,7 @@ func Fig5(cfg Fig5Config) ([]Fig5Result, error) {
 			Seed:     cfg.Seed + int64(pi),
 			N:        cfg.N,
 			NATRatio: cfg.NATRatio,
-			KeyPool:  runPool(workers, i),
+			KeyPool:  keyPool.View(i),
 			Nylon: nylon.Config{
 				ViewSize:        cfg.ViewSize,
 				MinPublic:       pi,

@@ -98,7 +98,7 @@ func Fig6(cfg Fig6Config) ([]Fig6Row, error) {
 			Seed:     cfg.Seed,
 			N:        cfg.N,
 			NATRatio: ratio,
-			KeyPool:  runPool(workers, i),
+			KeyPool:  keyPool.View(i),
 			Nylon: nylon.Config{
 				Cycle:       cfg.Cycle,
 				MinPublic:   st.pi,

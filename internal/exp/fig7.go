@@ -91,7 +91,7 @@ func Fig7(cfgs []Fig7Config) ([]Fig7Result, error) {
 	}
 	workers := parallel.Workers(cfgs[0].Parallel)
 	return parallel.Map(workers, len(cfgs), func(i int) (Fig7Result, error) {
-		return fig7Run(cfgs[i], runPool(workers, i))
+		return fig7Run(cfgs[i], keyPool.View(i))
 	})
 }
 

@@ -64,7 +64,7 @@ func Fig8(cfg Fig8Config) ([]Fig8Row, error) {
 	cfg = cfg.withDefaults()
 	workers := parallel.Workers(cfg.Parallel)
 	return parallel.Map(workers, len(cfg.GroupsPerNode), func(i int) (Fig8Row, error) {
-		return fig8Run(cfg, cfg.GroupsPerNode[i], runPool(workers, i))
+		return fig8Run(cfg, cfg.GroupsPerNode[i], keyPool.View(i))
 	})
 }
 

@@ -47,7 +47,21 @@ type Report struct {
 type Experiment struct {
 	Name  string
 	InAll bool // run by `whisper-exp all`
-	Run   func(Params) (Report, error)
+	// MinScale is the smallest Params.Scale the entry's shape check is
+	// known to hold at; Scaled raises a smaller one to it.
+	MinScale float64
+	Run      func(Params) (Report, error)
+}
+
+// Scaled returns p with its scale raised to the entry's MinScale, and
+// a one-line note saying so when it had to be raised.
+func (e Experiment) Scaled(p Params) (Params, string) {
+	if p.Scale >= e.MinScale {
+		return p, ""
+	}
+	note := fmt.Sprintf("note: %s runs at its minimum scale %g instead of %g", e.Name, e.MinScale, p.Scale)
+	p.Scale = e.MinScale
+	return p, note
 }
 
 // fingerprinter is implemented by results that carry a determinism
@@ -71,21 +85,21 @@ func report[R any](res R, err error, print func(io.Writer, R), check func(R) []s
 // experiments is the table, in usage order; `all` runs the InAll
 // entries in this order.
 var experiments = []Experiment{
-	{"fig5", true, func(p Params) (Report, error) {
+	{"fig5", true, 0.05, func(p Params) (Report, error) {
 		res, err := Fig5(Fig5Config{Seed: p.Seed, N: p.n(1000), Runtime: p.dur(10 * time.Minute), Parallel: p.Parallel})
 		return report(res, err, PrintFig5, Fig5ShapeCheck)
 	}},
-	{"fig6", true, func(p Params) (Report, error) {
+	{"fig6", true, 0.05, func(p Params) (Report, error) {
 		rows, err := Fig6(Fig6Config{Seed: p.Seed, N: p.n(1000),
 			Warmup: p.dur(5 * time.Minute), Measure: p.dur(5 * time.Minute), Parallel: p.Parallel})
 		return report(rows, err, PrintFig6, Fig6ShapeCheck)
 	}},
-	{"table1", true, func(p Params) (Report, error) {
+	{"table1", true, 0.05, func(p Params) (Report, error) {
 		rows, err := Table1(Table1Config{Seed: p.Seed, N: p.n(1000), Groups: p.n(1000) / 50,
 			Warmup: p.dur(10 * time.Minute), Window: p.dur(15 * time.Minute), Parallel: p.Parallel})
 		return report(rows, err, PrintTable1, Table1ShapeCheck)
 	}},
-	{"fig7", true, func(p Params) (Report, error) {
+	{"fig7", true, 0.15, func(p Params) (Report, error) {
 		var cfgs []Fig7Config
 		for _, env := range []Env{PlanetLab, Cluster} {
 			n := p.n(1000)
@@ -98,11 +112,11 @@ var experiments = []Experiment{
 		res, err := Fig7(cfgs)
 		return report(res, err, PrintFig7, Fig7ShapeCheck)
 	}},
-	{"table2", true, func(p Params) (Report, error) {
+	{"table2", true, 0.05, func(p Params) (Report, error) {
 		res, err := Table2(Table2Config{Seed: p.Seed, N: p.n(1000), Warmup: p.dur(10 * time.Minute)})
 		return report(res, err, PrintTable2, Table2ShapeCheck)
 	}},
-	{"fig8", true, func(p Params) (Report, error) {
+	{"fig8", true, 0.15, func(p Params) (Report, error) {
 		groups := []int{1, 2, 4, 8, 16, 32}
 		if p.Scale < 0.5 {
 			groups = groups[:4]
@@ -111,33 +125,33 @@ var experiments = []Experiment{
 			Warmup: p.dur(10 * time.Minute), Measure: p.dur(10 * time.Minute), Parallel: p.Parallel})
 		return report(rows, err, PrintFig8, Fig8ShapeCheck)
 	}},
-	{"fig9", true, func(p Params) (Report, error) {
+	{"fig9", true, 0.05, func(p Params) (Report, error) {
 		res, err := Fig9(Fig9Config{Seed: p.Seed, N: p.n(400), GroupSize: p.n(60), Queries: p.count(350),
 			Warmup: p.dur(12 * time.Minute), RingTime: p.dur(10 * time.Minute)})
 		return report(res, err, PrintFig9, Fig9ShapeCheck)
 	}},
-	{"circuit", true, func(p Params) (Report, error) {
+	{"circuit", true, 0.05, func(p Params) (Report, error) {
 		res, err := Circuit(CircuitConfig{Seed: p.Seed, N: p.n(300)})
 		return report(res, err, PrintCircuit, CircuitShapeCheck)
 	}},
-	{"suites", true, func(p Params) (Report, error) {
+	{"suites", true, 0.05, func(p Params) (Report, error) {
 		res, err := Suites(SuitesConfig{Seed: p.Seed, N: p.n(300)})
 		return report(res, err, PrintSuites, SuitesShapeCheck)
 	}},
-	{"transfer", true, func(p Params) (Report, error) {
+	{"transfer", true, 0.05, func(p Params) (Report, error) {
 		res, err := Transfer(TransferConfig{Seed: p.Seed, N: p.n(300)})
 		return report(res, err, PrintTransfer, TransferShapeCheck)
 	}},
-	{"pubsub", true, func(p Params) (Report, error) {
+	{"pubsub", true, 0.05, func(p Params) (Report, error) {
 		res, err := PubSub(PubSubConfig{Seed: p.Seed, N: p.n(160)})
 		return report(res, err, PrintPubSub, PubSubShapeCheck)
 	}},
-	{"ablate", false, func(p Params) (Report, error) {
+	{"ablate", false, 0.05, func(p Params) (Report, error) {
 		rows, err := Ablations(AblateConfig{Seed: p.Seed, N: p.n(300),
 			Warmup: p.dur(10 * time.Minute), Measure: p.dur(8 * time.Minute), Parallel: p.Parallel})
 		return report(rows, err, PrintAblations, AblationShapeCheck)
 	}},
-	{"scale", false, func(p Params) (Report, error) {
+	{"scale", false, 0, func(p Params) (Report, error) {
 		// Sized off its own 100k-node, 2-minute baseline and floored at
 		// 30 s rather than 4 minutes: small scales keep the smoke run
 		// cheap, and Nodes/Virtual pin either dimension directly.

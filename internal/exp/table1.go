@@ -70,7 +70,7 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 	cfg = cfg.withDefaults()
 	workers := parallel.Workers(cfg.Parallel)
 	return parallel.Map(workers, len(cfg.Rates), func(i int) (Table1Row, error) {
-		return table1Run(cfg, cfg.Rates[i], runPool(workers, i))
+		return table1Run(cfg, cfg.Rates[i], keyPool.View(i))
 	})
 }
 

@@ -102,3 +102,30 @@ func TestFig9TwiceByteEqual(t *testing.T) {
 		t.Fatalf("fig9 differs between two runs:\n--- first ---\n%s--- second ---\n%s", texts[0], texts[1])
 	}
 }
+
+// TestMinScale pins the rule for scales below an entry's stated
+// minimum: Scaled raises them to the minimum with a one-line note, and
+// leaves every other scale alone.
+func TestMinScale(t *testing.T) {
+	for _, e := range Experiments() {
+		if e.MinScale < 0 || e.MinScale > 1 {
+			t.Errorf("%s: MinScale %v outside [0, 1]", e.Name, e.MinScale)
+		}
+		for _, tc := range []struct {
+			scale, want float64
+			note        bool
+		}{
+			{e.MinScale / 2, e.MinScale, e.MinScale > 0},
+			{e.MinScale, e.MinScale, false},
+			{1, 1, false},
+		} {
+			p, note := e.Scaled(Params{Seed: 7, Scale: tc.scale, Parallel: 3})
+			if p.Scale != tc.want || p.Seed != 7 || p.Parallel != 3 {
+				t.Errorf("%s: Scaled(%v) = %+v, want scale %v and the rest unchanged", e.Name, tc.scale, p, tc.want)
+			}
+			if (note != "") != tc.note || strings.Contains(note, "\n") {
+				t.Errorf("%s: Scaled(%v) note %q, want one line: %v", e.Name, tc.scale, note, tc.note)
+			}
+		}
+	}
+}

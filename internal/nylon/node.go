@@ -76,39 +76,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a snapshot of the node's protocol counters, read through
-// Node.Stats for the evaluation harness.
+// Stats holds the node's protocol counters: the node bumps them in
+// place and Node.Stats returns a copy. The tags name the exported
+// metrics (see obs.Register).
 type Stats struct {
-	ShufflesInitiated uint64
+	ShufflesInitiated uint64 `obs:"nylon_shuffles_initiated_total"`
 	// ShufflesViaRelays counts initiated shuffles whose request had to
 	// travel through a rendezvous chain (no direct association existed).
-	ShufflesViaRelays uint64
-	ShufflesCompleted uint64
-	ShufflesTimedOut  uint64
-	ShufflesServed    uint64
-	RouteFailures     uint64
-	RelaysForwarded   uint64
-	RelayDrops        uint64
-	PunchAttempts     uint64
-	PunchSuccesses    uint64
-	EchoUpdates       uint64
-}
-
-// met holds the node's metric instruments (registered when Config.Obs
-// is set, standalone otherwise — they count either way).
-type met struct {
-	shufflesInitiated *obs.Counter
-	shufflesViaRelays *obs.Counter
-	shufflesCompleted *obs.Counter
-	shufflesTimedOut  *obs.Counter
-	shufflesServed    *obs.Counter
-	routeFailures     *obs.Counter
-	relaysForwarded   *obs.Counter
-	relayDrops        *obs.Counter
-	punchAttempts     *obs.Counter
-	punchSuccesses    *obs.Counter
-	echoUpdates       *obs.Counter
-	punchRTT          *obs.Histogram
+	ShufflesViaRelays uint64 `obs:"nylon_shuffles_via_relays_total"`
+	ShufflesCompleted uint64 `obs:"nylon_shuffles_completed_total"`
+	ShufflesTimedOut  uint64 `obs:"nylon_shuffles_timed_out_total"`
+	ShufflesServed    uint64 `obs:"nylon_shuffles_served_total"`
+	RouteFailures     uint64 `obs:"nylon_route_failures_total"`
+	RelaysForwarded   uint64 `obs:"nylon_relays_forwarded_total"`
+	RelayDrops        uint64 `obs:"nylon_relay_drops_total"`
+	PunchAttempts     uint64 `obs:"nylon_punch_attempts_total"`
+	PunchSuccesses    uint64 `obs:"nylon_punch_successes_total"`
+	EchoUpdates       uint64 `obs:"nylon_echo_updates_total"`
 }
 
 // sharedPunchRTT absorbs punch RTT observations for nodes running
@@ -117,43 +101,6 @@ type met struct {
 // instead of each retaining a bucket array. Histogram writes are
 // atomic, so the shared sink is safe from every node.
 var sharedPunchRTT = obs.NewHistogram()
-
-func newMet(sc *obs.Scope) met {
-	if sc == nil {
-		// Unobserved node: the counters still back Stats, so they stay
-		// per-node — but carved from one block instead of eleven heap
-		// objects each.
-		blk := new([11]obs.Counter)
-		return met{
-			shufflesInitiated: &blk[0],
-			shufflesViaRelays: &blk[1],
-			shufflesCompleted: &blk[2],
-			shufflesTimedOut:  &blk[3],
-			shufflesServed:    &blk[4],
-			routeFailures:     &blk[5],
-			relaysForwarded:   &blk[6],
-			relayDrops:        &blk[7],
-			punchAttempts:     &blk[8],
-			punchSuccesses:    &blk[9],
-			echoUpdates:       &blk[10],
-			punchRTT:          sharedPunchRTT,
-		}
-	}
-	return met{
-		shufflesInitiated: sc.Counter("nylon_shuffles_initiated_total"),
-		shufflesViaRelays: sc.Counter("nylon_shuffles_via_relays_total"),
-		shufflesCompleted: sc.Counter("nylon_shuffles_completed_total"),
-		shufflesTimedOut:  sc.Counter("nylon_shuffles_timed_out_total"),
-		shufflesServed:    sc.Counter("nylon_shuffles_served_total"),
-		routeFailures:     sc.Counter("nylon_route_failures_total"),
-		relaysForwarded:   sc.Counter("nylon_relays_forwarded_total"),
-		relayDrops:        sc.Counter("nylon_relay_drops_total"),
-		punchAttempts:     sc.Counter("nylon_punch_attempts_total"),
-		punchSuccesses:    sc.Counter("nylon_punch_successes_total"),
-		echoUpdates:       sc.Counter("nylon_echo_updates_total"),
-		punchRTT:          sc.Histogram("nylon_punch_rtt_ms"),
-	}
-}
 
 // ExchangeEvent notifies the layer above (the WCL's connection backlog)
 // of a completed bidirectional gossip exchange (§III-A: only successful
@@ -245,7 +192,8 @@ type Node struct {
 	// AppHandler receives MsgApp payloads for the layer above.
 	AppHandler func(src transport.Endpoint, payload []byte)
 
-	met met
+	st       Stats
+	punchRTT *obs.Histogram
 	// punchSent remembers when a punch request left for a peer, to
 	// derive the punch RTT when the peer's probe (or ack) arrives. A
 	// node has at most a handful of punches outstanding, so a packed
@@ -291,7 +239,11 @@ func NewNode(rt transport.Transport, ident *identity.Identity, typ nat.Type, add
 		dev:   dev,
 		view:  pss.NewView[Descriptor](cfg.ViewSize),
 		keys:  keyss.NewStore(),
-		met:   newMet(cfg.Obs),
+	}
+	n.punchRTT = sharedPunchRTT
+	if cfg.Obs != nil {
+		obs.Register(cfg.Obs, &n.st)
+		n.punchRTT = cfg.Obs.Histogram("nylon_punch_rtt_ms")
 	}
 	meter := &transport.Meter{}
 	// Bandwidth gauges read the (atomic) meter at scrape time.
@@ -342,21 +294,7 @@ func (n *Node) Addr() transport.Endpoint { return n.port.Local() }
 func (n *Node) Meter() *transport.Meter { return n.port.Meter() }
 
 // Stats returns a snapshot of the node's protocol counters.
-func (n *Node) Stats() Stats {
-	return Stats{
-		ShufflesInitiated: n.met.shufflesInitiated.Value(),
-		ShufflesViaRelays: n.met.shufflesViaRelays.Value(),
-		ShufflesCompleted: n.met.shufflesCompleted.Value(),
-		ShufflesTimedOut:  n.met.shufflesTimedOut.Value(),
-		ShufflesServed:    n.met.shufflesServed.Value(),
-		RouteFailures:     n.met.routeFailures.Value(),
-		RelaysForwarded:   n.met.relaysForwarded.Value(),
-		RelayDrops:        n.met.relayDrops.Value(),
-		PunchAttempts:     n.met.punchAttempts.Value(),
-		PunchSuccesses:    n.met.punchSuccesses.Value(),
-		EchoUpdates:       n.met.echoUpdates.Value(),
-	}
-}
+func (n *Node) Stats() Stats { return n.st }
 
 // Keys returns the public-key sampling store.
 func (n *Node) Keys() *keyss.Store { return n.keys }
@@ -445,7 +383,7 @@ func (n *Node) cycle() {
 	n.view.Remove(partner.Val.Key())
 	path, ok := n.routeTo(partner.Val)
 	if !ok {
-		n.met.routeFailures.Inc()
+		obs.Inc(&n.st.RouteFailures)
 		return
 	}
 	// The buffer: self (age 0) plus a random sample excluding the
@@ -458,13 +396,13 @@ func (n *Node) cycle() {
 	n.seq++
 	seq := n.seq
 	msg := n.encodeShuffle(msgShuffleReq, seq, path, true, sc.sample)
-	n.met.shufflesInitiated.Inc()
+	obs.Inc(&n.st.ShufflesInitiated)
 	if len(path) > 0 {
-		n.met.shufflesViaRelays.Inc()
+		obs.Inc(&n.st.ShufflesViaRelays)
 	}
 	timer := n.rt.After(n.cfg.ShuffleTimeout, func() {
 		if n.removePending(seq) {
-			n.met.shufflesTimedOut.Inc()
+			obs.Inc(&n.st.ShufflesTimedOut)
 		}
 	})
 	n.pending = append(n.pending, pendingShuffle{seq: seq, partner: partner.Val.ID, path: path, sent: sent, timer: timer})
@@ -584,7 +522,7 @@ func (n *Node) handleShuffleReq(src transport.Endpoint, r *wire.Reader) {
 	if n.cfg.KeySampling && req.Key != nil {
 		n.keys.Put(peer.ID, req.Key)
 	}
-	n.met.shufflesServed.Inc()
+	obs.Inc(&n.st.ShufflesServed)
 	if n.OnExchange != nil {
 		n.OnExchange(ExchangeEvent{Peer: peer.WithRoute(reverse), Path: slices.Clone(reverse), Initiated: false})
 	}
@@ -613,7 +551,7 @@ func (n *Node) handleShuffleResp(src transport.Endpoint, r *wire.Reader) {
 	if n.cfg.KeySampling && resp.Key != nil {
 		n.keys.Put(resp.From.ID, resp.Key)
 	}
-	n.met.shufflesCompleted.Inc()
+	obs.Inc(&n.st.ShufflesCompleted)
 	n.learnRoute(resp.From.ID, p.path)
 	peer := resp.From
 	peer.Route = p.path

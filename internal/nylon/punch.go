@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"whisper/internal/identity"
+	"whisper/internal/obs"
 	"whisper/internal/transport"
 	"whisper/internal/wire"
 )
@@ -78,7 +79,7 @@ func (n *Node) handleEchoResp(r *wire.Reader) {
 	}
 	n.selfExt = ep
 	n.selfExtAt = n.rt.Now()
-	n.met.echoUpdates.Inc()
+	obs.Inc(&n.st.EchoUpdates)
 }
 
 // maybePunch starts a hole-punch attempt towards peer after a relayed
@@ -93,7 +94,7 @@ func (n *Node) maybePunch(peer Descriptor, path []identity.NodeID) {
 	if ext.IsZero() {
 		return // discovery not completed yet; a later exchange will punch
 	}
-	n.met.punchAttempts.Inc()
+	obs.Inc(&n.st.PunchAttempts)
 	now := n.rt.Now()
 	found := false
 	for i := range n.punchSent {
@@ -141,7 +142,7 @@ func (n *Node) handlePunchProbe(src transport.Endpoint, r *wire.Reader) {
 	// A probe that reached us is proof of a working direct path from
 	// the peer; replying from our port completes the other direction.
 	if !n.usableContact(from) {
-		n.met.punchSuccesses.Inc()
+		obs.Inc(&n.st.PunchSuccesses)
 		n.observePunchRTT(from)
 	}
 	n.learnContact(from, src, false)
@@ -154,7 +155,7 @@ func (n *Node) handleProbeAck(src transport.Endpoint, r *wire.Reader) {
 		return
 	}
 	if !n.usableContact(from) {
-		n.met.punchSuccesses.Inc()
+		obs.Inc(&n.st.PunchSuccesses)
 		n.observePunchRTT(from)
 	}
 	n.learnContact(from, src, false)
@@ -170,7 +171,7 @@ func (n *Node) observePunchRTT(from identity.NodeID) {
 			last := len(n.punchSent) - 1
 			n.punchSent[i] = n.punchSent[last]
 			n.punchSent = n.punchSent[:last]
-			n.met.punchRTT.ObserveDuration(n.rt.Now() - t0)
+			n.punchRTT.ObserveDuration(n.rt.Now() - t0)
 			return
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"whisper/internal/identity"
+	"whisper/internal/obs"
 	"whisper/internal/transport"
 	"whisper/internal/wire"
 )
@@ -261,7 +262,7 @@ func (n *Node) send(msg []byte, d Descriptor, path []identity.NodeID) {
 			if d.Public && !d.Contact.IsZero() {
 				ep = d.Contact
 			} else {
-				n.met.routeFailures.Inc()
+				obs.Inc(&n.st.RouteFailures)
 				return
 			}
 		}
@@ -270,7 +271,7 @@ func (n *Node) send(msg []byte, d Descriptor, path []identity.NodeID) {
 	}
 	first, ok := n.contactEndpoint(path[0])
 	if !ok {
-		n.met.routeFailures.Inc()
+		obs.Inc(&n.st.RouteFailures)
 		return
 	}
 	rm := relayMsg{Path: path[1:], Final: d.ID, Inner: msg}
@@ -293,7 +294,7 @@ func (n *Node) handleRelay(src transport.Endpoint, r *wire.Reader) {
 		n.dispatch(transport.Datagram{Src: src, Dst: n.port.Local(), Payload: m.Inner})
 		return
 	}
-	n.met.relaysForwarded.Inc()
+	obs.Inc(&n.st.RelaysForwarded)
 	var nextID identity.NodeID
 	var rest []identity.NodeID
 	if len(m.Path) > 0 {
@@ -303,7 +304,7 @@ func (n *Node) handleRelay(src transport.Endpoint, r *wire.Reader) {
 	}
 	ep, ok := n.contactEndpoint(nextID)
 	if !ok {
-		n.met.relayDrops.Inc()
+		obs.Inc(&n.st.RelayDrops)
 		return
 	}
 	if nextID == m.Final {
@@ -330,7 +331,7 @@ const AppHeadroom = 1
 func (n *Node) SendApp(d Descriptor, frame []byte) error {
 	path, ok := n.routeTo(d)
 	if !ok {
-		n.met.routeFailures.Inc()
+		obs.Inc(&n.st.RouteFailures)
 		return fmt.Errorf("%w to %v", ErrNoRoute, d.ID)
 	}
 	n.SendAppVia(d, path, frame)

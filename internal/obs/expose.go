@@ -67,19 +67,12 @@ func (r *Registry) Export() []MetricPoint {
 				p.Labels[l.Key] = l.Value
 			}
 		}
-		switch m.kind {
-		case kindCounter:
-			v := float64(m.c.Value())
-			p.Value = &v
-		case kindGauge:
-			v := float64(m.g.Value())
-			p.Value = &v
-		case kindGaugeFunc:
-			v := m.fval()
-			p.Value = &v
-		case kindHistogram:
+		if m.kind == kindHistogram {
 			s := m.h.Snapshot()
 			p.Count, p.Sum, p.Bounds, p.Buckets = s.Count, s.Sum, s.Bounds, s.Counts
+		} else {
+			v := m.value()
+			p.Value = &v
 		}
 		out = append(out, p)
 	}
@@ -128,15 +121,10 @@ func (r *Registry) Rollup(drop ...string) []MetricPoint {
 		if (g.kind == kindHistogram) != (m.kind == kindHistogram) {
 			panic(fmt.Sprintf("obs: rollup of %s mixes histogram and scalar instruments", m.name))
 		}
-		switch m.kind {
-		case kindCounter:
-			g.value += float64(m.c.Value())
-		case kindGauge:
-			g.value += float64(m.g.Value())
-		case kindGaugeFunc:
-			g.value += m.fval()
-		case kindHistogram:
+		if m.kind == kindHistogram {
 			g.hist = g.hist.Merge(m.h.Snapshot())
+		} else {
+			g.value += m.value()
 		}
 	}
 	out := make([]MetricPoint, 0, len(order))
@@ -227,9 +215,9 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		}
 		switch m.kind {
 		case kindCounter:
-			fmt.Fprintf(w, "%s%s %d\n", m.name, promLabels(m.labels, "", ""), m.c.Value())
+			fmt.Fprintf(w, "%s%s %d\n", m.name, promLabels(m.labels, "", ""), m.sum())
 		case kindGauge:
-			fmt.Fprintf(w, "%s%s %d\n", m.name, promLabels(m.labels, "", ""), m.g.Value())
+			fmt.Fprintf(w, "%s%s %d\n", m.name, promLabels(m.labels, "", ""), int64(m.sum()))
 		case kindGaugeFunc:
 			fmt.Fprintf(w, "%s%s %s\n", m.name, promLabels(m.labels, "", ""), promFloat(m.fval()))
 		case kindHistogram:

@@ -10,10 +10,15 @@ import (
 	"testing"
 )
 
+// sendStats is a one-counter Stats struct.
+type sendStats struct {
+	Sends uint64 `obs:"wcl_sends_total"`
+}
+
 func TestExportAndWriteJSON(t *testing.T) {
 	reg := NewRegistry()
 	sc := reg.Scope("node", "3")
-	sc.Counter("wcl_sends_total").Add(2)
+	Register(sc, &sendStats{Sends: 2})
 	sc.Histogram("wcl_peel_ms", 1, 10).Observe(5)
 
 	points := reg.Export()
@@ -57,7 +62,9 @@ func TestExportAndWriteJSON(t *testing.T) {
 
 func TestHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Scope("node", "1").Counter("nylon_shuffles_initiated_total").Add(7)
+	Register(reg.Scope("node", "1"), &struct {
+		N uint64 `obs:"nylon_shuffles_initiated_total"`
+	}{7})
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 

@@ -31,8 +31,8 @@ type Histogram struct {
 	bounds []float64 // strictly increasing upper bounds
 	// counts holds len(bounds)+1 counters (the last is the +Inf
 	// overflow), nil until the first observation.
-	counts atomic.Pointer[[]Counter]
-	count  Counter
+	counts atomic.Pointer[[]atomic.Uint64]
+	count  atomic.Uint64
 	sum    atomicFloat
 }
 
@@ -56,11 +56,11 @@ func NewHistogram(bounds ...float64) *Histogram {
 // buckets returns the counter array, allocating it on first use. The
 // CAS makes a racing first Observe from two goroutines converge on one
 // array; the loser's allocation is garbage.
-func (h *Histogram) buckets() []Counter {
+func (h *Histogram) buckets() []atomic.Uint64 {
 	if p := h.counts.Load(); p != nil {
 		return *p
 	}
-	fresh := make([]Counter, len(h.bounds)+1)
+	fresh := make([]atomic.Uint64, len(h.bounds)+1)
 	if h.counts.CompareAndSwap(nil, &fresh) {
 		return fresh
 	}
@@ -75,8 +75,8 @@ func (h *Histogram) Observe(v float64) {
 	// Binary search for the first bound >= v; equal values land in the
 	// bucket they bound (Prometheus "le" semantics).
 	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets()[i].Inc()
-	h.count.Inc()
+	h.buckets()[i].Add(1)
+	h.count.Add(1)
 	h.sum.add(v)
 }
 
@@ -100,15 +100,33 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	if p := h.counts.Load(); p != nil {
 		for i := range *p {
-			s.Counts[i] = (*p)[i].Value()
+			s.Counts[i] = (*p)[i].Load()
 			s.Count += s.Counts[i]
 		}
 	}
 	return s
 }
 
+// atomicFloat accumulates a float64 sum with a CAS loop (no mutex, no
+// allocation).
+type atomicFloat struct {
+	bits atomic.Uint64
+}
+
+func (a *atomicFloat) add(v float64) {
+	for {
+		old := a.bits.Load()
+		next := math.Float64bits(math.Float64frombits(old) + v)
+		if a.bits.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+func (a *atomicFloat) load() float64 { return math.Float64frombits(a.bits.Load()) }
+
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Value() }
+func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Quantile estimates the q-quantile; see HistogramSnapshot.Quantile.
 func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }

@@ -5,16 +5,18 @@
 //
 // Three rules shape the design:
 //
-//  1. Disabled is free and zero-behavior. Every constructor is nil-safe:
-//     a nil *Scope hands out standalone instruments that still count but
-//     are registered nowhere, and a nil *Tracer drops events. Nothing in
+//  1. Disabled is free and zero-behavior. Counters and gauges are the
+//     fields of each layer's Stats struct (stats.go), so they count
+//     whether or not they are registered. Every constructor is nil-safe:
+//     a nil *Scope registers nothing and hands out standalone
+//     histograms, and a nil *Tracer drops events. Nothing in
 //     this package touches a transport, an RNG, or a clock, so attaching
 //     or detaching observability can never shift a simulated event — the
 //     fig5 golden test pins that property.
 //
 //  2. Hot paths do not allocate. Counter and gauge updates are single
-//     atomic operations; histogram observation is an atomic add into a
-//     pre-sized bucket slice. A regression test asserts 0 allocs/op.
+//     atomic operations on a Stats field; histogram observation is an
+//     atomic add into a pre-sized bucket slice. A regression test asserts 0 allocs/op.
 //
 //  3. Instrumentation only records what a node can locally observe.
 //     Metrics are per-node (the Scope carries the node label); trace
@@ -68,16 +70,37 @@ type metric struct {
 	labels []Label
 	kind   metricKind
 
-	c *Counter
-	g *Gauge
 	h *Histogram
 
-	// fns holds the functions behind a kindGaugeFunc metric; duplicate
-	// registrations under one key accumulate here and the exported value
-	// is their sum (shared per-shard scopes register one function per
-	// node). Copy-on-write behind Registry.mu so export-time readers
-	// need no lock.
-	fns atomic.Pointer[[]func() float64]
+	// words holds the Stats fields behind a counter or gauge (an int64
+	// field read as its uint64 bits), fns the functions behind a
+	// kindGaugeFunc metric. Registering one key again appends to them
+	// and the exported value is their sum: shared per-shard scopes
+	// register one field or function per node. Each append publishes a
+	// new slice header under Registry.mu, so export-time readers need
+	// no lock.
+	words atomic.Pointer[[]*uint64]
+	fns   atomic.Pointer[[]func() float64]
+}
+
+// appended returns old with e appended. A reader holding old never
+// looks past its length, so sharing old's backing array is safe.
+func appended[E any](old *[]E, e E) *[]E {
+	var s []E
+	if old != nil {
+		s = *old
+	}
+	s = append(s, e)
+	return &s
+}
+
+// sum adds up the fields registered under a counter or gauge.
+func (m *metric) sum() uint64 {
+	var s uint64
+	for _, p := range *m.words.Load() {
+		s += atomic.LoadUint64(p)
+	}
+	return s
 }
 
 // fval sums the registered gauge functions. Only valid on
@@ -88,6 +111,18 @@ func (m *metric) fval() float64 {
 		sum += fn()
 	}
 	return sum
+}
+
+// value is a counter's, gauge's or gauge func's exported value.
+func (m *metric) value() float64 {
+	switch m.kind {
+	case kindCounter:
+		return float64(m.sum())
+	case kindGauge:
+		return float64(int64(m.sum()))
+	default:
+		return m.fval()
+	}
 }
 
 // key renders the unique registry key: name plus sorted labels.
@@ -107,9 +142,10 @@ func metricKey(name string, labels []Label) string {
 	return sb.String()
 }
 
-// Registry holds named instruments. Registration (the Scope methods)
-// is safe for concurrent use; the instruments themselves are atomic,
-// so updates and export can race freely with protocol goroutines.
+// Registry holds named instruments. Registration (Register and the
+// Scope methods) is safe for concurrent use; the instruments
+// themselves are atomic, so updates and export can race freely with
+// protocol goroutines.
 //
 // The zero value is not usable; call NewRegistry.
 type Registry struct {
@@ -133,25 +169,22 @@ func (r *Registry) Scope(kv ...string) *Scope {
 	return (&Scope{reg: r}).With(kv...)
 }
 
-// getOrCreate returns the instrument registered under (name, labels),
-// creating it with mk if absent. Kind mismatches on the same key are
-// programming errors and panic.
-func (r *Registry) getOrCreate(name string, labels []Label, kind metricKind, mk func() *metric) *metric {
+// register finds or creates the instrument under (name, labels) and
+// runs add on it with the registry locked. Kind mismatches on the same
+// key are programming errors and panic.
+func (r *Registry) register(name string, labels []Label, kind metricKind, add func(*metric)) *metric {
 	key := metricKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byKey[key]; ok {
-		if m.kind != kind {
-			panic(fmt.Sprintf("obs: %s re-registered as %v (was %v)", key, kind, m.kind))
-		}
-		return m
+	m, ok := r.byKey[key]
+	if !ok {
+		m = &metric{name: name, labels: labels, kind: kind}
+		r.byKey[key] = m
+		r.metrics = append(r.metrics, m)
+	} else if m.kind != kind {
+		panic(fmt.Sprintf("obs: %s re-registered as %v (was %v)", key, kind, m.kind))
 	}
-	m := mk()
-	m.name = name
-	m.labels = labels
-	m.kind = kind
-	r.byKey[key] = m
-	r.metrics = append(r.metrics, m)
+	add(m)
 	return m
 }
 
@@ -173,10 +206,9 @@ func (r *Registry) sorted() []*metric {
 
 // Scope is a view of a registry with a fixed label set — the handle a
 // node (or a layer of a node) instruments itself through. A nil Scope
-// is fully functional: it hands out standalone instruments that count
-// normally but are not registered or exported anywhere, so protocol
-// code reads its own statistics identically whether observability is
-// enabled or not.
+// is valid: it registers nothing and hands out standalone histograms,
+// so protocol code runs identically whether observability is enabled
+// or not.
 type Scope struct {
 	reg    *Registry
 	labels []Label
@@ -198,30 +230,6 @@ func (s *Scope) With(kv ...string) *Scope {
 	return &Scope{reg: s.reg, labels: labels}
 }
 
-// Counter returns the counter registered under name in this scope,
-// creating it on first use. On a nil scope it returns a fresh
-// standalone counter.
-func (s *Scope) Counter(name string) *Counter {
-	if s == nil {
-		return new(Counter)
-	}
-	m := s.reg.getOrCreate(name, s.labels, kindCounter, func() *metric {
-		return &metric{c: new(Counter)}
-	})
-	return m.c
-}
-
-// Gauge returns the gauge registered under name in this scope.
-func (s *Scope) Gauge(name string) *Gauge {
-	if s == nil {
-		return new(Gauge)
-	}
-	m := s.reg.getOrCreate(name, s.labels, kindGauge, func() *metric {
-		return &metric{g: new(Gauge)}
-	})
-	return m.g
-}
-
 // GaugeFunc registers a gauge whose value is computed by fn at export
 // time (e.g. reading an externally maintained atomic meter). fn must be
 // safe to call from any goroutine. Registering the same key again adds
@@ -232,17 +240,7 @@ func (s *Scope) GaugeFunc(name string, fn func() float64) {
 	if s == nil {
 		return
 	}
-	m := s.reg.getOrCreate(name, s.labels, kindGaugeFunc, func() *metric {
-		return &metric{}
-	})
-	s.reg.mu.Lock()
-	var fns []func() float64
-	if old := m.fns.Load(); old != nil {
-		fns = append(fns, *old...)
-	}
-	fns = append(fns, fn)
-	m.fns.Store(&fns)
-	s.reg.mu.Unlock()
+	s.reg.register(name, s.labels, kindGaugeFunc, func(m *metric) { m.fns.Store(appended(m.fns.Load(), fn)) })
 }
 
 // Histogram returns the histogram registered under name in this scope.
@@ -252,8 +250,10 @@ func (s *Scope) Histogram(name string, bounds ...float64) *Histogram {
 	if s == nil {
 		return NewHistogram(bounds...)
 	}
-	m := s.reg.getOrCreate(name, s.labels, kindHistogram, func() *metric {
-		return &metric{h: NewHistogram(bounds...)}
+	m := s.reg.register(name, s.labels, kindHistogram, func(m *metric) {
+		if m.h == nil {
+			m.h = NewHistogram(bounds...)
+		}
 	})
 	return m.h
 }

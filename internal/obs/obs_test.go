@@ -8,29 +8,70 @@ import (
 	"time"
 )
 
+// testStats stands in for a layer's Stats struct.
+type testStats struct {
+	Sends uint64 `obs:"wcl_sends_total"`
+	Open  int64  `obs:"wcl_circuits_open,gauge"`
+	Held  uint64 `obs:"tchord_stores_held,gauge"`
+}
+
 func TestScopeGetOrCreate(t *testing.T) {
 	reg := NewRegistry()
-	sc := reg.Scope("node", "1")
-	c1 := sc.Counter("wcl_sends_total")
-	c2 := sc.Counter("wcl_sends_total")
-	if c1 != c2 {
-		t.Fatal("same name+labels must return the same counter")
+	var a, b, other testStats
+	Register(reg.Scope("node", "1"), &a)
+	Register(reg.Scope("node", "1"), &b)
+	Register(reg.Scope("node", "2"), &other)
+	Inc(&a.Sends)
+	Add(&b.Sends, 2)
+	Set(&a.Open, 7)
+	Add(&b.Open, -2)
+	Set(&other.Held, 4)
+	if a.Sends != 1 || b.Sends != 2 || a.Open != 7 || b.Open != -2 {
+		t.Fatalf("fields wrong: %+v %+v", a, b)
 	}
-	other := reg.Scope("node", "2").Counter("wcl_sends_total")
-	if other == c1 {
-		t.Fatal("different labels must return distinct counters")
+	got := map[string]float64{}
+	for _, p := range reg.Export() {
+		got[p.Name+"/"+p.Labels["node"]] = *p.Value
 	}
-	c1.Inc()
-	c1.Add(2)
-	if c1.Value() != 3 || other.Value() != 0 {
-		t.Fatalf("counter isolation broken: %d / %d", c1.Value(), other.Value())
+	want := map[string]float64{
+		// Same name and labels: one instrument exporting the sum.
+		"wcl_sends_total/1": 3, "wcl_circuits_open/1": 5, "tchord_stores_held/1": 0,
+		// Different labels: a distinct instrument.
+		"wcl_sends_total/2": 0, "wcl_circuits_open/2": 0, "tchord_stores_held/2": 4,
 	}
+	if len(got) != len(want) {
+		t.Fatalf("exported %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("%s = %v, want %v (all: %v)", k, got[k], v, got)
+		}
+	}
+}
 
-	g := sc.Gauge("tchord_stores_held")
-	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %d, want 5", g.Value())
+// TestRegisterRejectsBadFields: every field of a registered struct must
+// be a tagged counter or gauge word.
+func TestRegisterRejectsBadFields(t *testing.T) {
+	sc := NewRegistry().Scope()
+	for name, st := range map[string]any{
+		"untagged": &struct{ N uint64 }{},
+		"bad kind": &struct {
+			N int32 `obs:"n"`
+		}{},
+		"bad opt": &struct {
+			N uint64 `obs:"n,hist"`
+		}{},
+		"no struct": new(uint64),
+		"by value":  testStats{},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Register did not panic", name)
+				}
+			}()
+			Register(sc, st)
+		}()
 	}
 }
 
@@ -39,10 +80,11 @@ func TestNilScopeHandsOutWorkingInstruments(t *testing.T) {
 	if sc.With("node", "1") != nil {
 		t.Fatal("nil scope With must stay nil")
 	}
-	c := sc.Counter("x_total")
-	c.Inc()
-	if c.Value() != 1 {
-		t.Fatal("standalone counter must count")
+	var st testStats
+	Register(sc, &st) // must not panic
+	Inc(&st.Sends)
+	if st.Sends != 1 {
+		t.Fatal("unregistered field must count")
 	}
 	h := sc.Histogram("y_ms")
 	h.Observe(3)
@@ -50,10 +92,6 @@ func TestNilScopeHandsOutWorkingInstruments(t *testing.T) {
 		t.Fatal("standalone histogram must count")
 	}
 	sc.GaugeFunc("z", func() float64 { return 1 }) // must not panic
-	var nilC *Counter
-	nilC.Inc()
-	var nilG *Gauge
-	nilG.Set(3)
 	var nilH *Histogram
 	nilH.Observe(1)
 	var reg *Registry
@@ -66,17 +104,16 @@ func TestNilScopeHandsOutWorkingInstruments(t *testing.T) {
 // updates are allocation-free, registered or not.
 func TestCounterIncDoesNotAllocate(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Scope("node", "1").Counter("hot_total")
-	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
-		t.Fatalf("registered Counter.Inc allocates %v/op, want 0", n)
+	var st, standalone testStats
+	Register(reg.Scope("node", "1"), &st)
+	if n := testing.AllocsPerRun(1000, func() { Inc(&st.Sends) }); n != 0 {
+		t.Fatalf("registered Inc allocates %v/op, want 0", n)
 	}
-	standalone := (*Scope)(nil).Counter("hot_total")
-	if n := testing.AllocsPerRun(1000, func() { standalone.Add(3) }); n != 0 {
-		t.Fatalf("standalone Counter.Add allocates %v/op, want 0", n)
+	if n := testing.AllocsPerRun(1000, func() { Add(&standalone.Sends, 3) }); n != 0 {
+		t.Fatalf("unregistered Add allocates %v/op, want 0", n)
 	}
-	g := reg.Scope("node", "1").Gauge("hot_gauge")
-	if n := testing.AllocsPerRun(1000, func() { g.Add(1) }); n != 0 {
-		t.Fatalf("Gauge.Add allocates %v/op, want 0", n)
+	if n := testing.AllocsPerRun(1000, func() { Add(&st.Open, 1); Set(&st.Held, 2) }); n != 0 {
+		t.Fatalf("gauge Add/Set allocates %v/op, want 0", n)
 	}
 	h := reg.Scope("node", "1").Histogram("hot_ms")
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(3.7) }); n != 0 {
@@ -94,9 +131,11 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			sc := reg.Scope("node", fmt.Sprint(n%4))
+			st := new(testStats)
+			Register(sc, st)
 			for i := 0; i < 500; i++ {
-				sc.Counter("conc_total").Inc()
-				sc.Gauge("conc_gauge").Set(int64(i))
+				Inc(&st.Sends)
+				Set(&st.Open, int64(i))
 				sc.Histogram("conc_ms").Observe(float64(i % 50))
 				sc.GaugeFunc("conc_fn", func() float64 { return 1 })
 			}
@@ -114,7 +153,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	var total uint64
 	for _, p := range reg.Export() {
-		if p.Name == "conc_total" {
+		if p.Name == "wcl_sends_total" {
 			total += uint64(*p.Value)
 		}
 	}
@@ -126,8 +165,8 @@ func TestRegistryConcurrent(t *testing.T) {
 func TestPrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
 	sc := reg.Scope("node", "1")
-	sc.Counter("wcl_sends_total").Add(4)
-	sc.Gauge("tchord_stores_held").Set(2)
+	st := testStats{Sends: 4, Open: -1, Held: 2}
+	Register(sc, &st)
 	sc.GaugeFunc("transport_up_bytes", func() float64 { return 1536 })
 	h := sc.Histogram("wcl_peel_ms", 1, 10, 100)
 	h.Observe(0.5)
@@ -140,6 +179,8 @@ func TestPrometheusFormat(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE wcl_sends_total counter",
 		`wcl_sends_total{node="1"} 4`,
+		"# TYPE wcl_circuits_open gauge",
+		`wcl_circuits_open{node="1"} -1`,
 		`tchord_stores_held{node="1"} 2`,
 		`transport_up_bytes{node="1"} 1536`,
 		`wcl_peel_ms_bucket{node="1",le="1"} 1`,

@@ -17,8 +17,10 @@ func TestRollupMergesAcrossNodes(t *testing.T) {
 	seed := reg.Scope("seed", "7")
 	for i, add := range []int64{2, 3, 5} {
 		sc := seed.With("node", string(rune('a'+i)))
-		sc.Counter("wcl_sends_total").Add(uint64(add))
-		sc.Gauge("wcl_circuits_open").Set(add)
+		Register(sc, &struct {
+			Sends uint64 `obs:"wcl_sends_total"`
+			Open  int64  `obs:"wcl_circuits_open,gauge"`
+		}{uint64(add), add})
 		sc.Histogram("wcl_peel_ms", 1, 10).Observe(float64(add))
 		v := float64(add)
 		sc.GaugeFunc("wcl_cpu_ms", func() float64 { return v })
@@ -122,8 +124,10 @@ func TestRollupOrderStable(t *testing.T) {
 	reg := NewRegistry()
 	for _, node := range []string{"2", "1", "3"} {
 		sc := reg.Scope("node", node)
-		sc.Counter("b_total").Inc()
-		sc.Counter("a_total").Inc()
+		Register(sc, &struct {
+			B uint64 `obs:"b_total"`
+			A uint64 `obs:"a_total"`
+		}{1, 1})
 	}
 	first := reg.Rollup("node")
 	for i := 0; i < 10; i++ {
@@ -143,8 +147,8 @@ func TestRollupOrderStable(t *testing.T) {
 // and records which dimensions were collapsed.
 func TestWriteRollupJSON(t *testing.T) {
 	reg := NewRegistry()
-	reg.Scope("node", "1").Counter("wcl_sends_total").Add(4)
-	reg.Scope("node", "2").Counter("wcl_sends_total").Add(6)
+	Register(reg.Scope("node", "1"), &sendStats{Sends: 4})
+	Register(reg.Scope("node", "2"), &sendStats{Sends: 6})
 
 	var buf strings.Builder
 	if err := reg.WriteRollupJSONTo(&buf, "node"); err != nil {
@@ -173,8 +177,8 @@ func TestWriteRollupJSON(t *testing.T) {
 // collapsing the node dimension by default and honoring ?drop=.
 func TestHandlerRollupEndpoint(t *testing.T) {
 	reg := NewRegistry()
-	reg.Scope("node", "1").Counter("wcl_sends_total").Add(4)
-	reg.Scope("node", "2").Counter("wcl_sends_total").Add(6)
+	Register(reg.Scope("node", "1"), &sendStats{Sends: 4})
+	Register(reg.Scope("node", "2"), &sendStats{Sends: 6})
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 

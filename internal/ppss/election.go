@@ -6,6 +6,7 @@ import (
 
 	"whisper/internal/crypt"
 	"whisper/internal/identity"
+	"whisper/internal/obs"
 	"whisper/internal/pss"
 	"whisper/internal/wire"
 )
@@ -81,7 +82,7 @@ func (in *Instance) absorbExtras(x extras) {
 					proposal:   proposalValue(in.grp, in.r.id()),
 					proposer:   in.r.SelfEntry(),
 				}
-				in.met.electionsStarted.Inc()
+				obs.Inc(&in.st.ElectionsStarted)
 			}
 		}
 		if in.election != nil && x.Proposal > in.election.proposal {
@@ -108,7 +109,7 @@ func (in *Instance) tickElection() {
 				proposal:   proposalValue(in.grp, in.r.id()),
 				proposer:   in.r.SelfEntry(),
 			}
-			in.met.electionsStarted.Inc()
+			obs.Inc(&in.st.ElectionsStarted)
 		}
 		return
 	}
@@ -157,7 +158,7 @@ func (in *Instance) becomeLeader() {
 	in.lastHB = in.rt.Now()
 	in.announce = ann
 	in.announced = in.rt.Now()
-	in.met.becameLeader.Inc()
+	obs.Inc(&in.st.BecameLeader)
 	// Re-issue own passport under the new epoch.
 	if p, err := IssuePassport(in.r.cpu(), newKey, in.grp, in.r.id(), newEpoch); err == nil {
 		in.passport = p
@@ -175,11 +176,11 @@ func (in *Instance) acceptAnnounce(a *keyAnnounce) {
 		return
 	}
 	if a.Leader.Verify(in.r.cpu(), in.grp, in.history) != nil {
-		in.met.badPassports.Inc()
+		obs.Inc(&in.st.BadPassports)
 		return
 	}
 	if crypt.Verify(in.r.cpu(), a.LeaderKey, announceBody(in.grp, a.Epoch, a.NewKey), a.Sig) != nil {
-		in.met.badPassports.Inc()
+		obs.Inc(&in.st.BadPassports)
 		return
 	}
 	in.history.Append(a.NewKey)
@@ -188,5 +189,5 @@ func (in *Instance) acceptAnnounce(a *keyAnnounce) {
 	in.election = nil
 	in.announce = a // keep spreading it
 	in.announced = in.rt.Now()
-	in.met.announcesAccepted.Inc()
+	obs.Inc(&in.st.AnnouncesAccepted)
 }

@@ -113,65 +113,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// InstanceStats is a snapshot of per-group protocol events, read
-// through Instance.Stats.
+// InstanceStats holds per-group protocol events: the instance bumps
+// them in place and Instance.Stats returns a copy. The tags name the
+// exported metrics (see obs.Register).
 type InstanceStats struct {
-	ExchangesInitiated uint64
-	ExchangesCompleted uint64
-	ExchangesTimedOut  uint64
-	ExchangesServed    uint64
-	BadPassports       uint64
-	SendFailures       uint64
-	JoinsServed        uint64
-	ElectionsStarted   uint64
-	BecameLeader       uint64
-	AnnouncesAccepted  uint64
-	AppDelivered       uint64
-	PCPRefreshes       uint64
-	PCPDropped         uint64
+	ExchangesInitiated uint64 `obs:"ppss_exchanges_initiated_total"`
+	ExchangesCompleted uint64 `obs:"ppss_exchanges_completed_total"`
+	ExchangesTimedOut  uint64 `obs:"ppss_exchanges_timed_out_total"`
+	ExchangesServed    uint64 `obs:"ppss_exchanges_served_total"`
+	BadPassports       uint64 `obs:"ppss_bad_passports_total"`
+	SendFailures       uint64 `obs:"ppss_send_failures_total"`
+	JoinsServed        uint64 `obs:"ppss_joins_served_total"`
+	ElectionsStarted   uint64 `obs:"ppss_elections_started_total"`
+	BecameLeader       uint64 `obs:"ppss_became_leader_total"`
+	AnnouncesAccepted  uint64 `obs:"ppss_announces_accepted_total"`
+	AppDelivered       uint64 `obs:"ppss_app_delivered_total"`
+	PCPRefreshes       uint64 `obs:"ppss_pcp_refreshes_total"`
+	PCPDropped         uint64 `obs:"ppss_pcp_dropped_total"`
 	// DupExchangesDropped counts shuffle requests whose (sender, seq)
 	// was already served — a duplicated or replayed exchange that, if
 	// processed again, would double-apply its view entries.
-	DupExchangesDropped uint64
-}
-
-// instMet holds an instance's metric instruments.
-type instMet struct {
-	exchangesInitiated  *obs.Counter
-	exchangesCompleted  *obs.Counter
-	exchangesTimedOut   *obs.Counter
-	exchangesServed     *obs.Counter
-	badPassports        *obs.Counter
-	sendFailures        *obs.Counter
-	joinsServed         *obs.Counter
-	electionsStarted    *obs.Counter
-	becameLeader        *obs.Counter
-	announcesAccepted   *obs.Counter
-	appDelivered        *obs.Counter
-	pcpRefreshes        *obs.Counter
-	pcpDropped          *obs.Counter
-	dupExchangesDropped *obs.Counter
-	exchangeRTT         *obs.Histogram
-}
-
-func newInstMet(sc *obs.Scope) instMet {
-	return instMet{
-		exchangesInitiated:  sc.Counter("ppss_exchanges_initiated_total"),
-		exchangesCompleted:  sc.Counter("ppss_exchanges_completed_total"),
-		exchangesTimedOut:   sc.Counter("ppss_exchanges_timed_out_total"),
-		exchangesServed:     sc.Counter("ppss_exchanges_served_total"),
-		badPassports:        sc.Counter("ppss_bad_passports_total"),
-		sendFailures:        sc.Counter("ppss_send_failures_total"),
-		joinsServed:         sc.Counter("ppss_joins_served_total"),
-		electionsStarted:    sc.Counter("ppss_elections_started_total"),
-		becameLeader:        sc.Counter("ppss_became_leader_total"),
-		announcesAccepted:   sc.Counter("ppss_announces_accepted_total"),
-		appDelivered:        sc.Counter("ppss_app_delivered_total"),
-		pcpRefreshes:        sc.Counter("ppss_pcp_refreshes_total"),
-		pcpDropped:          sc.Counter("ppss_pcp_dropped_total"),
-		dupExchangesDropped: sc.Counter("ppss_dup_exchanges_dropped_total"),
-		exchangeRTT:         sc.Histogram("ppss_exchange_rtt_ms"),
-	}
+	DupExchangesDropped uint64 `obs:"ppss_dup_exchanges_dropped_total"`
 }
 
 // exchangeKey identifies one shuffle request for replay suppression.
@@ -262,8 +224,9 @@ type Instance struct {
 	// completed view exchange (the quantity Fig 7 plots).
 	OnExchangeRTT func(rtt time.Duration)
 
-	met instMet
-	obs *obs.Scope
+	st          InstanceStats
+	exchangeRTT *obs.Histogram
+	obs         *obs.Scope
 }
 
 func newInstance(r *Router, g GroupID, name string, history *KeyHistory, passport Passport) *Instance {
@@ -272,7 +235,7 @@ func newInstance(r *Router, g GroupID, name string, history *KeyHistory, passpor
 	// tag (not the name, which may be absent on joiners) scopes the
 	// instruments.
 	sc := r.cfg.Obs.With("group", g.String())
-	return &Instance{
+	in := &Instance{
 		r:        r,
 		cfg:      r.cfg,
 		rt:       r.rt,
@@ -284,9 +247,12 @@ func newInstance(r *Router, g GroupID, name string, history *KeyHistory, passpor
 		pending:  make(map[uint32]*pendingExchange),
 		pcp:      make(map[identity.NodeID]*pcpState),
 		served:   dedup.New[exchangeKey](512),
-		met:      newInstMet(sc),
 		obs:      sc,
+
+		exchangeRTT: sc.Histogram("ppss_exchange_rtt_ms"),
 	}
+	obs.Register(sc, &in.st)
+	return in
 }
 
 // Obs returns the instance's observability scope (node + group labels);
@@ -295,24 +261,7 @@ func newInstance(r *Router, g GroupID, name string, history *KeyHistory, passpor
 func (in *Instance) Obs() *obs.Scope { return in.obs }
 
 // Stats returns a snapshot of the instance's counters.
-func (in *Instance) Stats() InstanceStats {
-	return InstanceStats{
-		ExchangesInitiated:  in.met.exchangesInitiated.Value(),
-		ExchangesCompleted:  in.met.exchangesCompleted.Value(),
-		ExchangesTimedOut:   in.met.exchangesTimedOut.Value(),
-		ExchangesServed:     in.met.exchangesServed.Value(),
-		BadPassports:        in.met.badPassports.Value(),
-		SendFailures:        in.met.sendFailures.Value(),
-		JoinsServed:         in.met.joinsServed.Value(),
-		ElectionsStarted:    in.met.electionsStarted.Value(),
-		BecameLeader:        in.met.becameLeader.Value(),
-		AnnouncesAccepted:   in.met.announcesAccepted.Value(),
-		AppDelivered:        in.met.appDelivered.Value(),
-		PCPRefreshes:        in.met.pcpRefreshes.Value(),
-		PCPDropped:          in.met.pcpDropped.Value(),
-		DupExchangesDropped: in.met.dupExchangesDropped.Value(),
-	}
-}
+func (in *Instance) Stats() InstanceStats { return in.st }
 
 // Group returns the group identifier.
 func (in *Instance) Group() GroupID { return in.grp }
@@ -398,12 +347,12 @@ func (in *Instance) cycle() {
 		Entries:  sent,
 		Extras:   in.extras(sent),
 	}
-	in.met.exchangesInitiated.Inc()
+	obs.Inc(&in.st.ExchangesInitiated)
 	p := &pendingExchange{partner: partner.Val, sent: sent, started: in.rt.Now()}
 	p.timer = in.rt.After(in.cfg.RespTimeout, func() {
 		if in.pending[seq] == p {
 			delete(in.pending, seq)
-			in.met.exchangesTimedOut.Inc()
+			obs.Inc(&in.st.ExchangesTimedOut)
 		}
 	})
 	in.pending[seq] = p
@@ -412,7 +361,7 @@ func (in *Instance) cycle() {
 			// The WCL exhausted its alternatives: the partner is
 			// considered failed and stays out of the private view
 			// (footnote 3 of the paper).
-			in.met.sendFailures.Inc()
+			obs.Inc(&in.st.SendFailures)
 		}
 	})
 }
@@ -432,7 +381,7 @@ func (in *Instance) buffer(exclude identity.NodeID) []pss.Entry[Entry] {
 // claimed sender.
 func (in *Instance) checkPassport(p Passport, from identity.NodeID) bool {
 	if p.Member != from || !in.passportVerified(p) {
-		in.met.badPassports.Inc()
+		obs.Inc(&in.st.BadPassports)
 		return false
 	}
 	return true
@@ -492,7 +441,7 @@ func (in *Instance) handleShuffleReq(m *shuffleMsg) {
 	// second merge would re-insert entries the first exchange already
 	// traded away, skewing the view towards the replayed sample.
 	if in.served.Add(exchangeKey{from: m.From.ID, seq: m.Seq}) {
-		in.met.dupExchangesDropped.Inc()
+		obs.Inc(&in.st.DupExchangesDropped)
 		return
 	}
 	in.absorbExtras(m.Extras)
@@ -512,7 +461,7 @@ func (in *Instance) handleShuffleReq(m *shuffleMsg) {
 	}
 	in.wclSend(m.From, resp.encode(msgShuffleResp, in.cfg.KeyBlobSize), nil)
 	pss.MergeCyclon(in.view, sent, m.Entries, in.selectOpts())
-	in.met.exchangesServed.Inc()
+	obs.Inc(&in.st.ExchangesServed)
 }
 
 func (in *Instance) handleShuffleResp(m *shuffleMsg) {
@@ -534,8 +483,8 @@ func (in *Instance) handleShuffleResp(m *shuffleMsg) {
 	in.absorbExtras(m.Extras)
 	in.absorbDigests(m.Extras.Digests, m.From, m.Entries)
 	pss.MergeCyclon(in.view, p.sent, m.Entries, in.selectOpts())
-	in.met.exchangesCompleted.Inc()
-	in.met.exchangeRTT.ObserveDuration(in.rt.Now() - p.started)
+	obs.Inc(&in.st.ExchangesCompleted)
+	in.exchangeRTT.ObserveDuration(in.rt.Now() - p.started)
 	if in.OnExchangeRTT != nil {
 		in.OnExchangeRTT(in.rt.Now() - p.started)
 	}
@@ -547,7 +496,7 @@ func (in *Instance) handleJoinReq(m *joinReq) {
 		return
 	}
 	if m.Accr.Invitee != m.From.ID || m.Accr.Verify(in.r.cpu(), in.history) != nil {
-		in.met.badPassports.Inc()
+		obs.Inc(&in.st.BadPassports)
 		return
 	}
 	if in.AuthorizeJoin != nil && !in.AuthorizeJoin(m.From.ID, m.From.PubKey) {
@@ -566,7 +515,7 @@ func (in *Instance) handleJoinReq(m *joinReq) {
 	}
 	in.r.w.Send(m.From.Dest(), resp.encode(in.cfg.KeyBlobSize), nil)
 	in.view.Insert(m.From, 0)
-	in.met.joinsServed.Inc()
+	obs.Inc(&in.st.JoinsServed)
 }
 
 func (in *Instance) historyKeys() []crypt.PublicKey {
@@ -613,7 +562,7 @@ func (in *Instance) Send(to Entry, payload []byte, done func(wcl.Result)) {
 	m := appMsg{Group: in.grp, Passport: in.passport, From: in.r.SelfEntry(), Payload: payload}
 	in.wclSend(to, m.encode(in.cfg.KeyBlobSize), func(res wcl.Result) {
 		if res.Outcome == wcl.Failed {
-			in.met.sendFailures.Inc()
+			obs.Inc(&in.st.SendFailures)
 		}
 		if done != nil {
 			done(res)
@@ -632,7 +581,7 @@ func (in *Instance) SendCircuit(to Entry, payload []byte, done func(wcl.Result))
 	m := appMsg{Group: in.grp, Passport: in.passport, From: in.r.SelfEntry(), Payload: payload}
 	in.r.w.SendCircuit(to.Dest(), m.encode(in.cfg.KeyBlobSize), func(res wcl.Result) {
 		if res.Outcome == wcl.Failed {
-			in.met.sendFailures.Inc()
+			obs.Inc(&in.st.SendFailures)
 		}
 		if done != nil {
 			done(res)
@@ -654,7 +603,7 @@ func (in *Instance) handleApp(m *appMsg) {
 	if in.stopped || !in.checkPassport(m.Passport, m.From.ID) {
 		return
 	}
-	in.met.appDelivered.Inc()
+	obs.Inc(&in.st.AppDelivered)
 	if len(m.Payload) > 0 {
 		if h := in.handlers[m.Payload[0]]; h != nil {
 			h(m.From, m.Payload)
@@ -719,13 +668,13 @@ func (in *Instance) refreshPCP() {
 		st := in.pcp[id]
 		if now-st.lastOK > 4*in.cfg.PCPRefresh {
 			delete(in.pcp, id)
-			in.met.pcpDropped.Inc()
+			obs.Inc(&in.st.PCPDropped)
 			continue
 		}
 		in.seq++
 		m := pcpMsg{Group: in.grp, Passport: in.passport, Seq: in.seq, From: in.r.SelfEntry()}
 		in.wclSend(st.entry, m.encode(msgPCPPing, in.cfg.KeyBlobSize), nil)
-		in.met.pcpRefreshes.Inc()
+		obs.Inc(&in.st.PCPRefreshes)
 	}
 }
 

@@ -14,33 +14,15 @@ import (
 	"whisper/internal/wire"
 )
 
-// RouterStats is a snapshot of node-level PPSS events, read through
-// Router.Stats.
+// RouterStats holds node-level PPSS events: the router bumps them in
+// place and Router.Stats returns a copy. The tags name the exported
+// metrics (see obs.Register).
 type RouterStats struct {
-	UnknownGroupDrops uint64
-	MalformedDrops    uint64
-	JoinsSent         uint64
-	JoinsSucceeded    uint64
-	JoinsFailed       uint64
-}
-
-// routerMet holds the router's metric instruments.
-type routerMet struct {
-	unknownGroupDrops *obs.Counter
-	malformedDrops    *obs.Counter
-	joinsSent         *obs.Counter
-	joinsSucceeded    *obs.Counter
-	joinsFailed       *obs.Counter
-}
-
-func newRouterMet(sc *obs.Scope) routerMet {
-	return routerMet{
-		unknownGroupDrops: sc.Counter("ppss_unknown_group_drops_total"),
-		malformedDrops:    sc.Counter("ppss_malformed_drops_total"),
-		joinsSent:         sc.Counter("ppss_joins_sent_total"),
-		joinsSucceeded:    sc.Counter("ppss_joins_succeeded_total"),
-		joinsFailed:       sc.Counter("ppss_joins_failed_total"),
-	}
+	UnknownGroupDrops uint64 `obs:"ppss_unknown_group_drops_total"`
+	MalformedDrops    uint64 `obs:"ppss_malformed_drops_total"`
+	JoinsSent         uint64 `obs:"ppss_joins_sent_total"`
+	JoinsSucceeded    uint64 `obs:"ppss_joins_succeeded_total"`
+	JoinsFailed       uint64 `obs:"ppss_joins_failed_total"`
 }
 
 // Router owns a node's PPSS state: one Instance per private group the
@@ -56,7 +38,7 @@ type Router struct {
 	instances map[GroupID]*Instance
 	joins     map[GroupID]*joinWaiter
 
-	met routerMet
+	st RouterStats
 }
 
 type joinWaiter struct {
@@ -74,8 +56,8 @@ func NewRouter(w *wcl.WCL, cfg Config) *Router {
 		cfg:       cfg,
 		instances: make(map[GroupID]*Instance),
 		joins:     make(map[GroupID]*joinWaiter),
-		met:       newRouterMet(cfg.Obs),
 	}
+	obs.Register(cfg.Obs, &r.st)
 	w.OnReceive = r.handle
 	return r
 }
@@ -84,15 +66,7 @@ func NewRouter(w *wcl.WCL, cfg Config) *Router {
 func (r *Router) WCL() *wcl.WCL { return r.w }
 
 // Stats returns a snapshot of the router's counters.
-func (r *Router) Stats() RouterStats {
-	return RouterStats{
-		UnknownGroupDrops: r.met.unknownGroupDrops.Value(),
-		MalformedDrops:    r.met.malformedDrops.Value(),
-		JoinsSent:         r.met.joinsSent.Value(),
-		JoinsSucceeded:    r.met.joinsSucceeded.Value(),
-		JoinsFailed:       r.met.joinsFailed.Value(),
-	}
-}
+func (r *Router) Stats() RouterStats { return r.st }
 
 // Node ID shorthand.
 func (r *Router) id() identity.NodeID { return r.w.Node().ID() }
@@ -186,13 +160,13 @@ func (r *Router) Join(name string, accr Accreditation, entryPoint Entry, done fu
 		done(nil, fmt.Errorf("ppss: join to %q already in progress", name))
 		return
 	}
-	r.met.joinsSent.Inc()
+	obs.Inc(&r.st.JoinsSent)
 	m := joinReq{Group: g, Accr: accr, From: r.SelfEntry()}
 	waiter := &joinWaiter{done: done}
 	waiter.timer = r.rt.After(r.cfg.JoinTimeout, func() {
 		if r.joins[g] == waiter {
 			delete(r.joins, g)
-			r.met.joinsFailed.Inc()
+			obs.Inc(&r.st.JoinsFailed)
 			done(nil, errors.New("ppss: join timed out"))
 		}
 	})
@@ -202,7 +176,7 @@ func (r *Router) Join(name string, accr Accreditation, entryPoint Entry, done fu
 			if r.joins[g] == waiter {
 				delete(r.joins, g)
 				waiter.timer.Cancel()
-				r.met.joinsFailed.Inc()
+				obs.Inc(&r.st.JoinsFailed)
 				done(nil, fmt.Errorf("ppss: cannot reach entry point: %w", wcl.ErrNoPath))
 			}
 		}
@@ -240,30 +214,30 @@ func (r *Router) handle(payload []byte) {
 	case msgJoinReq:
 		m, err := decodeJoinReq(rd, r.cfg.KeyBlobSize)
 		if err != nil {
-			r.met.malformedDrops.Inc()
+			obs.Inc(&r.st.MalformedDrops)
 			return
 		}
 		if inst := r.instances[m.Group]; inst != nil {
 			inst.handleJoinReq(m)
 		} else {
-			r.met.unknownGroupDrops.Inc()
+			obs.Inc(&r.st.UnknownGroupDrops)
 		}
 	case msgJoinResp:
 		m, err := decodeJoinResp(rd, r.cfg.KeyBlobSize)
 		if err != nil {
-			r.met.malformedDrops.Inc()
+			obs.Inc(&r.st.MalformedDrops)
 			return
 		}
 		r.completeJoin(m)
 	case msgShuffleReq, msgShuffleResp:
 		m, err := decodeShuffleMsg(rd, r.cfg.KeyBlobSize)
 		if err != nil {
-			r.met.malformedDrops.Inc()
+			obs.Inc(&r.st.MalformedDrops)
 			return
 		}
 		inst := r.instances[m.Group]
 		if inst == nil {
-			r.met.unknownGroupDrops.Inc()
+			obs.Inc(&r.st.UnknownGroupDrops)
 			return
 		}
 		if kind == msgShuffleReq {
@@ -274,27 +248,27 @@ func (r *Router) handle(payload []byte) {
 	case msgApp:
 		m, err := decodeAppMsg(rd, r.cfg.KeyBlobSize)
 		if err != nil {
-			r.met.malformedDrops.Inc()
+			obs.Inc(&r.st.MalformedDrops)
 			return
 		}
 		if inst := r.instances[m.Group]; inst != nil {
 			inst.handleApp(m)
 		} else {
-			r.met.unknownGroupDrops.Inc()
+			obs.Inc(&r.st.UnknownGroupDrops)
 		}
 	case msgPCPPing, msgPCPPong:
 		m, err := decodePCPMsg(rd, r.cfg.KeyBlobSize)
 		if err != nil {
-			r.met.malformedDrops.Inc()
+			obs.Inc(&r.st.MalformedDrops)
 			return
 		}
 		if inst := r.instances[m.Group]; inst != nil {
 			inst.handlePCP(kind, m)
 		} else {
-			r.met.unknownGroupDrops.Inc()
+			obs.Inc(&r.st.UnknownGroupDrops)
 		}
 	default:
-		r.met.malformedDrops.Inc()
+		obs.Inc(&r.st.MalformedDrops)
 	}
 }
 
@@ -307,7 +281,7 @@ func (r *Router) completeJoin(m *joinResp) {
 	delete(r.joins, m.Group)
 	waiter.timer.Cancel()
 	if m.Passport.IsZero() || len(m.History) == 0 || m.History[0] == nil {
-		r.met.joinsFailed.Inc()
+		obs.Inc(&r.st.JoinsFailed)
 		waiter.done(nil, errors.New("ppss: malformed join response"))
 		return
 	}
@@ -318,7 +292,7 @@ func (r *Router) completeJoin(m *joinResp) {
 		}
 	}
 	if err := m.Passport.Verify(r.cpu(), m.Group, history); err != nil || m.Passport.Member != r.id() {
-		r.met.joinsFailed.Inc()
+		obs.Inc(&r.st.JoinsFailed)
 		waiter.done(nil, ErrBadPassport)
 		return
 	}
@@ -333,6 +307,6 @@ func (r *Router) completeJoin(m *joinResp) {
 	}
 	r.instances[m.Group] = inst
 	inst.start()
-	r.met.joinsSucceeded.Inc()
+	obs.Inc(&r.st.JoinsSucceeded)
 	waiter.done(inst, nil)
 }

@@ -58,45 +58,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a snapshot of pub/sub events, read through PubSub.Stats.
+// Stats counts pub/sub events: the endpoint bumps them in place and
+// PubSub.Stats returns a copy. The tags name the exported metrics (see
+// obs.Register).
 type Stats struct {
-	Published      uint64
-	Delivered      uint64
-	Duplicates     uint64
-	Matched        uint64
-	Forwards       uint64
-	BytesForwarded uint64
-	FalsePositives uint64
-	Expired        uint64
-	Undecryptable  uint64
-}
-
-type met struct {
-	published      *obs.Counter
-	delivered      *obs.Counter
-	duplicates     *obs.Counter
-	matched        *obs.Counter
-	forwards       *obs.Counter
-	bytesForwarded *obs.Counter
-	falsePositives *obs.Counter
-	expired        *obs.Counter
-	undecryptable  *obs.Counter
-	matchLatency   *obs.Histogram
-}
-
-func newMet(sc *obs.Scope) met {
-	return met{
-		published:      sc.Counter("pubsub_published_total"),
-		delivered:      sc.Counter("pubsub_delivered_total"),
-		duplicates:     sc.Counter("pubsub_duplicates_total"),
-		matched:        sc.Counter("pubsub_matched_total"),
-		forwards:       sc.Counter("pubsub_forwards_total"),
-		bytesForwarded: sc.Counter("pubsub_forward_bytes_total"),
-		falsePositives: sc.Counter("pubsub_false_positives_total"),
-		expired:        sc.Counter("pubsub_expired_total"),
-		undecryptable:  sc.Counter("pubsub_undecryptable_total"),
-		matchLatency:   sc.Histogram("pubsub_match_ms"),
-	}
+	Published      uint64 `obs:"pubsub_published_total"`
+	Delivered      uint64 `obs:"pubsub_delivered_total"`
+	Duplicates     uint64 `obs:"pubsub_duplicates_total"`
+	Matched        uint64 `obs:"pubsub_matched_total"`
+	Forwards       uint64 `obs:"pubsub_forwards_total"`
+	BytesForwarded uint64 `obs:"pubsub_forward_bytes_total"`
+	FalsePositives uint64 `obs:"pubsub_false_positives_total"`
+	Expired        uint64 `obs:"pubsub_expired_total"`
+	Undecryptable  uint64 `obs:"pubsub_undecryptable_total"`
 }
 
 // envKey identifies one envelope in the dedup LRU: the topic tag keeps
@@ -139,7 +113,8 @@ type PubSub struct {
 	// including the member's own publications to subscribed topics.
 	OnDeliver func(topic string, payload []byte)
 
-	met met
+	st           Stats
+	matchLatency *obs.Histogram
 }
 
 // New attaches a pub/sub endpoint to a group instance. Until the first
@@ -153,15 +128,16 @@ func New(inst *ppss.Instance, cfg Config) *PubSub {
 		cfg.Obs = inst.Obs()
 	}
 	p := &PubSub{
-		inst:    inst,
-		rt:      inst.Runtime(),
-		cfg:     cfg,
-		topics:  make(map[TopicTag]*topicState),
-		filter:  NewFilter(cfg.FilterBits, cfg.FilterHashes),
-		seen:    dedup.New[envKey](cfg.CacheSize),
-		decoded: make(map[identity.NodeID]cachedFilter),
-		met:     newMet(cfg.Obs),
+		inst:         inst,
+		rt:           inst.Runtime(),
+		cfg:          cfg,
+		topics:       make(map[TopicTag]*topicState),
+		filter:       NewFilter(cfg.FilterBits, cfg.FilterHashes),
+		seen:         dedup.New[envKey](cfg.CacheSize),
+		decoded:      make(map[identity.NodeID]cachedFilter),
+		matchLatency: cfg.Obs.Histogram("pubsub_match_ms"),
 	}
+	obs.Register(cfg.Obs, &p.st)
 	inst.Subscribe(Tag, p.handle)
 	return p
 }
@@ -170,19 +146,7 @@ func New(inst *ppss.Instance, cfg Config) *PubSub {
 func (p *PubSub) Close() { p.inst.Subscribe(Tag, nil) }
 
 // Stats returns a snapshot of the endpoint's counters.
-func (p *PubSub) Stats() Stats {
-	return Stats{
-		Published:      p.met.published.Value(),
-		Delivered:      p.met.delivered.Value(),
-		Duplicates:     p.met.duplicates.Value(),
-		Matched:        p.met.matched.Value(),
-		Forwards:       p.met.forwards.Value(),
-		BytesForwarded: p.met.bytesForwarded.Value(),
-		FalsePositives: p.met.falsePositives.Value(),
-		Expired:        p.met.expired.Value(),
-		Undecryptable:  p.met.undecryptable.Value(),
-	}
-}
+func (p *PubSub) Stats() Stats { return p.st }
 
 // Topics returns the subscribed topic names, sorted.
 func (p *PubSub) Topics() []string {
@@ -260,9 +224,9 @@ func (p *PubSub) Publish(topic string, payload []byte) error {
 		Ct:    ct,
 	}
 	p.seen.Add(envKey{topic: tag, id: env.ID})
-	p.met.published.Inc()
+	obs.Inc(&p.st.Published)
 	if ts := p.topics[tag]; ts != nil {
-		p.met.delivered.Inc()
+		obs.Inc(&p.st.Delivered)
 		if p.OnDeliver != nil {
 			p.OnDeliver(ts.name, payload)
 		}
@@ -280,15 +244,15 @@ func (p *PubSub) handle(from ppss.Entry, payload []byte) {
 	}
 	start := time.Now()
 	if p.seen.Add(envKey{topic: env.Topic, id: env.ID}) {
-		p.met.duplicates.Inc()
+		obs.Inc(&p.st.Duplicates)
 		return
 	}
 	if ts := p.topics[env.Topic]; ts != nil {
 		pt, err := openTopic(p, ts.key, env.Ct)
 		if err != nil {
-			p.met.undecryptable.Inc()
+			obs.Inc(&p.st.Undecryptable)
 		} else {
-			p.met.delivered.Inc()
+			obs.Inc(&p.st.Delivered)
 			if p.OnDeliver != nil {
 				p.OnDeliver(ts.name, pt)
 			}
@@ -296,15 +260,15 @@ func (p *PubSub) handle(from ppss.Entry, payload []byte) {
 	} else if p.filter.Test(env.Topic) {
 		// Our own filter matched a topic we do not subscribe to: a
 		// real-traffic measurement of the bloom false-positive rate.
-		p.met.falsePositives.Inc()
+		obs.Inc(&p.st.FalsePositives)
 	}
 	if env.Hops == 0 {
-		p.met.expired.Inc()
+		obs.Inc(&p.st.Expired)
 	} else {
 		env.Hops--
 		p.forward(env, from.ID, 0)
 	}
-	p.met.matchLatency.Observe(float64(time.Since(start).Microseconds()) / 1000)
+	p.matchLatency.Observe(float64(time.Since(start).Microseconds()) / 1000)
 }
 
 // peerFilter returns the decoded filter of one gossip digest, cached
@@ -342,15 +306,15 @@ func (p *PubSub) forward(env Envelope, exclude identity.NodeID, spray int) {
 		if f == nil || !f.Test(env.Topic) {
 			continue
 		}
-		p.met.matched.Inc()
+		obs.Inc(&p.st.Matched)
 		e, ok := p.inst.Lookup(d.Owner)
 		if !ok {
 			e = d.Entry
 		}
 		sent[d.Owner] = true
 		matched++
-		p.met.forwards.Inc()
-		p.met.bytesForwarded.Add(uint64(len(enc)))
+		obs.Inc(&p.st.Forwards)
+		obs.Add(&p.st.BytesForwarded, uint64(len(enc)))
 		p.inst.SendCircuit(e, enc, nil)
 	}
 	sprayed := 0
@@ -364,8 +328,8 @@ func (p *PubSub) forward(env Envelope, exclude identity.NodeID, spray int) {
 		}
 		sent[e.ID] = true
 		sprayed++
-		p.met.forwards.Inc()
-		p.met.bytesForwarded.Add(uint64(len(enc)))
+		obs.Inc(&p.st.Forwards)
+		obs.Add(&p.st.BytesForwarded, uint64(len(enc)))
 		p.inst.Send(e, enc, nil)
 	}
 }

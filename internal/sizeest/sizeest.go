@@ -79,14 +79,15 @@ func (e *Estimator) Stop() {
 	e.inst.Subscribe(Tag, nil)
 }
 
-// Estimate returns the current group-size estimate. ok is false until
-// the first epoch has made progress.
+// Estimate returns the group-size estimate of the last completed
+// epoch, or the running epoch's value until one has completed. ok is
+// false until the first epoch has made progress.
 func (e *Estimator) Estimate() (float64, bool) {
-	if cur := e.currentEstimate(); cur > 0 && !math.IsInf(cur, 0) {
-		return cur, true
-	}
 	if e.lastGood > 0 {
 		return e.lastGood, true
+	}
+	if cur := e.currentEstimate(); cur > 0 && !math.IsInf(cur, 0) {
+		return cur, true
 	}
 	return 0, false
 }
@@ -105,6 +106,18 @@ func (e *Estimator) epochOf() uint64 {
 	return uint64(e.rt.Now() / e.cfg.Epoch)
 }
 
+// roll closes the running epoch once virtual time has left it, keeping
+// its estimate, and starts the next.
+func (e *Estimator) roll() {
+	if e.epochOf() == e.epoch {
+		return
+	}
+	if cur := e.currentEstimate(); cur > 0 && !math.IsInf(cur, 0) {
+		e.lastGood = cur
+	}
+	e.restart()
+}
+
 // restart begins a new epoch: the leader seeds 1, everyone else 0.
 func (e *Estimator) restart() {
 	v := 0.0
@@ -119,12 +132,7 @@ func (e *Estimator) cycle() {
 	if e.stopped {
 		return
 	}
-	if now := e.epochOf(); now != e.epoch {
-		if cur := e.currentEstimate(); cur > 0 && !math.IsInf(cur, 0) {
-			e.lastGood = cur
-		}
-		e.restart()
-	}
+	e.roll()
 	peer, ok := e.inst.GetPeer()
 	if !ok {
 		return
@@ -158,9 +166,7 @@ func (e *Estimator) handle(from ppss.Entry, payload []byte) {
 	if r.Err() != nil || math.IsNaN(val) || math.IsInf(val, 0) || val < 0 {
 		return
 	}
-	if now := e.epochOf(); now != e.epoch {
-		e.restart()
-	}
+	e.roll()
 	if epoch != e.epoch {
 		return // stale or early epoch; ignore to preserve mass
 	}

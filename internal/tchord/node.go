@@ -74,36 +74,8 @@ type Node struct {
 	ticker  transport.Ticker
 	stopped bool
 
-	met met
-}
-
-// met holds the node's metric instruments.
-type met struct {
-	exchangesSent     *obs.Counter
-	exchangesReceived *obs.Counter
-	lookupsStarted    *obs.Counter
-	lookupsOwned      *obs.Counter
-	lookupsForwarded  *obs.Counter
-	lookupsAnswered   *obs.Counter
-	lookupsCompleted  *obs.Counter
-	lookupsFailed     *obs.Counter
-	storesHeld        *obs.Gauge
-	lookupMS          *obs.Histogram
-}
-
-func newMet(sc *obs.Scope) met {
-	return met{
-		exchangesSent:     sc.Counter("tchord_exchanges_sent_total"),
-		exchangesReceived: sc.Counter("tchord_exchanges_received_total"),
-		lookupsStarted:    sc.Counter("tchord_lookups_started_total"),
-		lookupsOwned:      sc.Counter("tchord_lookups_owned_total"),
-		lookupsForwarded:  sc.Counter("tchord_lookups_forwarded_total"),
-		lookupsAnswered:   sc.Counter("tchord_lookups_answered_total"),
-		lookupsCompleted:  sc.Counter("tchord_lookups_completed_total"),
-		lookupsFailed:     sc.Counter("tchord_lookups_failed_total"),
-		storesHeld:        sc.Gauge("tchord_stores_held"),
-		lookupMS:          sc.Histogram("tchord_lookup_ms"),
-	}
+	st       Stats
+	lookupMS *obs.Histogram
 }
 
 type storeEntry struct {
@@ -133,17 +105,18 @@ func New(inst *ppss.Instance, cfg Config) *Node {
 		cfg.Obs = inst.Obs()
 	}
 	n := &Node{
-		inst:    inst,
-		rt:      instRuntime(inst),
-		cfg:     cfg,
-		met:     newMet(cfg.Obs),
-		cid:     self.CID,
-		succ:    tman.New(self, cfg.Successors, succRanker{}),
-		pred:    tman.New(self, cfg.Successors, predRanker{}),
-		fingers: make(map[int]peer),
-		store:   make(map[ChordID]storeEntry),
-		pending: make(map[uint64]*pendingLookup),
+		inst:     inst,
+		rt:       instRuntime(inst),
+		cfg:      cfg,
+		lookupMS: cfg.Obs.Histogram("tchord_lookup_ms"),
+		cid:      self.CID,
+		succ:     tman.New(self, cfg.Successors, succRanker{}),
+		pred:     tman.New(self, cfg.Successors, predRanker{}),
+		fingers:  make(map[int]peer),
+		store:    make(map[ChordID]storeEntry),
+		pending:  make(map[uint64]*pendingLookup),
 	}
+	obs.Register(cfg.Obs, &n.st)
 	for _, tag := range []uint8{tagTManReq, tagTManResp, tagLookupReq, tagLookupResp} {
 		inst.Subscribe(tag, n.handle)
 	}
@@ -151,19 +124,7 @@ func New(inst *ppss.Instance, cfg Config) *Node {
 }
 
 // Stats returns a snapshot of the node's counters.
-func (n *Node) Stats() Stats {
-	return Stats{
-		ExchangesSent:     n.met.exchangesSent.Value(),
-		ExchangesReceived: n.met.exchangesReceived.Value(),
-		LookupsStarted:    n.met.lookupsStarted.Value(),
-		LookupsOwned:      n.met.lookupsOwned.Value(),
-		LookupsForwarded:  n.met.lookupsForwarded.Value(),
-		LookupsAnswered:   n.met.lookupsAnswered.Value(),
-		LookupsCompleted:  n.met.lookupsCompleted.Value(),
-		LookupsFailed:     n.met.lookupsFailed.Value(),
-		StoresHeld:        uint64(n.met.storesHeld.Value()),
-	}
-}
+func (n *Node) Stats() Stats { return n.st }
 
 // instSim extracts the simulator driving the instance's node.
 func instRuntime(inst *ppss.Instance) transport.Transport { return inst.Runtime() }
@@ -238,7 +199,7 @@ func (n *Node) cycle() {
 			return
 		}
 	}
-	n.met.exchangesSent.Inc()
+	obs.Inc(&n.st.ExchangesSent)
 	n.inst.Send(partner.E, n.encodeExchange(tagTManReq), nil)
 	if n.cfg.PinRing {
 		n.pinNeighbors()
@@ -344,7 +305,7 @@ func (n *Node) Get(key string, done func(LookupResult)) {
 }
 
 func (n *Node) lookup(key ChordID, op uint8, skey string, value []byte, done func(LookupResult)) {
-	n.met.lookupsStarted.Inc()
+	obs.Inc(&n.st.LookupsStarted)
 	n.startAttempt(&pendingLookup{key: key, start: n.rt.Now(), done: done,
 		op: op, skey: skey, value: value})
 }
@@ -355,7 +316,7 @@ func (n *Node) lookup(key ChordID, op uint8, skey string, value []byte, done fun
 // ring links can be stale.
 func (n *Node) startAttempt(pl *pendingLookup) {
 	if n.owner(pl.key) {
-		n.met.lookupsOwned.Inc()
+		obs.Inc(&n.st.LookupsOwned)
 		res := n.applyLocal(pl.key, pl.op, pl.skey, pl.value)
 		if pl.done != nil {
 			pl.done(res)
@@ -379,7 +340,7 @@ func (n *Node) startAttempt(pl *pendingLookup) {
 			return
 		}
 		delete(n.pending, qid)
-		n.met.lookupsFailed.Inc()
+		obs.Inc(&n.st.LookupsFailed)
 		if pl.done != nil {
 			pl.done(LookupResult{Key: pl.key, Err: errors.New("tchord: lookup timed out")})
 		}
@@ -395,7 +356,7 @@ func (n *Node) applyLocal(key ChordID, op uint8, skey string, value []byte) Look
 	switch op {
 	case opPut:
 		n.store[key] = storeEntry{key: skey, value: value}
-		n.met.storesHeld.Set(int64(len(n.store)))
+		obs.Set(&n.st.StoresHeld, uint64(len(n.store)))
 	case opGet:
 		if se, ok := n.store[key]; ok {
 			res.Value = se.value
@@ -417,7 +378,7 @@ func (n *Node) forward(m lookupMsg) {
 	if m.Hops > n.cfg.MaxHops {
 		return
 	}
-	n.met.lookupsForwarded.Inc()
+	obs.Inc(&n.st.LookupsForwarded)
 	n.inst.Send(next.E, m.encode(n.keyBlob()), func(res wcl.Result) {
 		if res.Outcome == wcl.Failed {
 			n.removePeer(next)
@@ -453,7 +414,7 @@ func (n *Node) handle(from ppss.Entry, payload []byte) {
 		if err != nil {
 			return
 		}
-		n.met.exchangesReceived.Inc()
+		obs.Inc(&n.st.ExchangesReceived)
 		n.inst.Send(from, n.encodeExchange(tagTManResp), nil)
 		for _, p := range peers {
 			n.merge(p)
@@ -486,7 +447,7 @@ func (n *Node) handleLookup(m lookupMsg) {
 		n.forward(m)
 		return
 	}
-	n.met.lookupsAnswered.Inc()
+	obs.Inc(&n.st.LookupsAnswered)
 	res := n.applyLocal(m.Key, m.Op, m.SKey, m.Value)
 	resp := lookupRespMsg{QID: m.QID, Key: m.Key, Owner: n.inst.SelfEntry(),
 		Hops: m.Hops, Value: res.Value, Found: res.Found}
@@ -501,8 +462,8 @@ func (n *Node) handleLookupResp(m lookupRespMsg) {
 	}
 	delete(n.pending, m.QID)
 	pl.timer.Cancel()
-	n.met.lookupsCompleted.Inc()
-	n.met.lookupMS.ObserveDuration(n.rt.Now() - pl.start)
+	obs.Inc(&n.st.LookupsCompleted)
+	n.lookupMS.ObserveDuration(n.rt.Now() - pl.start)
 	if pl.done != nil {
 		pl.done(LookupResult{Key: m.Key, Owner: m.Owner, Hops: m.Hops,
 			Value: m.Value, Found: m.Found})

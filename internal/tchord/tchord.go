@@ -76,17 +76,19 @@ func (predRanker) Equal(x, y peer) bool { return x.E.ID == y.E.ID }
 // fingerLevels is the number of finger-table levels maintained.
 const fingerLevels = 64
 
-// Stats counts protocol events.
+// Stats counts protocol events: the node bumps them in place and
+// Node.Stats returns a copy. The tags name the exported metrics (see
+// obs.Register).
 type Stats struct {
-	ExchangesSent     uint64
-	ExchangesReceived uint64
-	LookupsStarted    uint64
-	LookupsOwned      uint64 // answered locally
-	LookupsForwarded  uint64
-	LookupsAnswered   uint64 // answered as owner for a remote origin
-	LookupsCompleted  uint64
-	LookupsFailed     uint64
-	StoresHeld        uint64
+	ExchangesSent     uint64 `obs:"tchord_exchanges_sent_total"`
+	ExchangesReceived uint64 `obs:"tchord_exchanges_received_total"`
+	LookupsStarted    uint64 `obs:"tchord_lookups_started_total"`
+	LookupsOwned      uint64 `obs:"tchord_lookups_owned_total"` // answered locally
+	LookupsForwarded  uint64 `obs:"tchord_lookups_forwarded_total"`
+	LookupsAnswered   uint64 `obs:"tchord_lookups_answered_total"` // answered as owner for a remote origin
+	LookupsCompleted  uint64 `obs:"tchord_lookups_completed_total"`
+	LookupsFailed     uint64 `obs:"tchord_lookups_failed_total"`
+	StoresHeld        uint64 `obs:"tchord_stores_held,gauge"`
 }
 
 // LookupResult reports a completed lookup.

@@ -39,7 +39,7 @@ func (w *WCL) sendAckBack(pathID uint64) {
 	if !ok || w.rt.Now() > st.expires {
 		return
 	}
-	w.met.acksForwarded.Inc()
+	obs.Inc(&w.st.AcksForwarded)
 	w.Trace.Emit(obs.KindAck, w.rt.Now(), 0, 0, pathID)
 	ack := encodeAck(pathID)
 	if len(st.via) == 0 {

@@ -51,15 +51,15 @@ func TestAckStateBoundedByTTL(t *testing.T) {
 		}
 	}
 
-	acks := w.met.acksForwarded.Value()
+	acks := w.st.AcksForwarded
 	s.RunFor(ttl - time.Second)
 	w.sendAckBack(100)
-	if got := w.met.acksForwarded.Value(); got != acks+1 {
+	if got := w.st.AcksForwarded; got != acks+1 {
 		t.Fatalf("ack within the TTL not routed back (forwarded %d → %d)", acks, got)
 	}
 	s.RunFor(2 * time.Second)
 	w.sendAckBack(100)
-	if got := w.met.acksForwarded.Value(); got != acks+1 {
+	if got := w.st.AcksForwarded; got != acks+1 {
 		t.Fatal("ack after the TTL routed back")
 	}
 }

@@ -198,7 +198,7 @@ func (c *Circuit) Send(payload []byte, done func(Result)) {
 	c.lastUsed = now
 	if p := c.cur; p != nil {
 		if c.opening == nil && w.needsRotation(p, now) {
-			w.met.circuitsRotated.Inc()
+			obs.Inc(&w.st.CircuitsRotated)
 			w.openPath(c)
 		}
 		w.sendCell(c, p, &pendingCell{payload: payload, done: done, start: now})
@@ -263,7 +263,7 @@ func (w *WCL) openPath(c *Circuit) {
 		pendingCells: make(map[uint64]*pendingCell),
 	}
 	c.opening = p
-	w.met.circuitsOpened.Inc()
+	obs.Inc(&w.st.CircuitsOpened)
 	w.attemptSetup(p)
 }
 
@@ -316,7 +316,7 @@ func (w *WCL) attemptSetup(p *circPath) {
 	start := time.Now()
 	onion, err := crypt.BuildCircuitOnion(w.cpu, hops, nil)
 	buildTime := time.Since(start)
-	w.met.buildMS.ObserveDuration(buildTime)
+	w.buildMS.ObserveDuration(buildTime)
 	w.Trace.Emit(obs.KindSend, w.rt.Now(), buildTime, len(onion), p.id)
 	if err != nil {
 		w.retrySetup(p)
@@ -369,7 +369,7 @@ func (w *WCL) retrySetup(p *circPath) {
 // one-shot engine, and the circuit handle is dropped unless another
 // path still serves it (a failed rotation keeps the old path working).
 func (w *WCL) failSetup(p *circPath) {
-	w.met.circuitsFailed.Inc()
+	obs.Inc(&w.st.CircuitsFailed)
 	c := p.c
 	w.closePath(p, false)
 	q := c.queue
@@ -403,9 +403,9 @@ func (w *WCL) establish(p *circPath) {
 		p.timer.Cancel()
 		p.timer = nil
 	}
-	w.met.circuitsEstablished.Inc()
-	w.met.establishMS.ObserveDuration(p.establishedAt - p.createdAt)
-	w.met.circuitsOpen.Add(1)
+	obs.Inc(&w.st.CircuitsEstablished)
+	w.establishMS.ObserveDuration(p.establishedAt - p.createdAt)
+	obs.Add(&w.st.CircuitsOpen, 1)
 	if c.opening == p {
 		c.opening = nil
 	}
@@ -456,7 +456,7 @@ func (w *WCL) sendCell(c *Circuit, p *circPath, cell *pendingCell) {
 	sealDur := time.Since(start)
 	if err != nil {
 		if !cell.ping {
-			w.met.cellFallbacks.Inc()
+			obs.Inc(&w.st.CellFallbacks)
 			w.sendOneShot(c.dest, cell.payload, cell.done)
 		}
 		return
@@ -465,7 +465,7 @@ func (w *WCL) sendCell(c *Circuit, p *circPath, cell *pendingCell) {
 	if !ok {
 		// The first hop went cold: the path is unusable.
 		if !cell.ping {
-			w.met.cellFallbacks.Inc()
+			obs.Inc(&w.st.CellFallbacks)
 			w.sendOneShot(c.dest, cell.payload, cell.done)
 		}
 		w.closePath(p, false)
@@ -476,7 +476,7 @@ func (w *WCL) sendCell(c *Circuit, p *circPath, cell *pendingCell) {
 	if !cell.ping {
 		p.cells++
 	}
-	w.met.cellsSent.Inc()
+	obs.Inc(&w.st.CellsSent)
 	w.Trace.Emit(obs.KindCellSend, w.rt.Now(), sealDur, cw.Len(), p.id)
 	w.node.SendAppVia(p.first, via, frameCircData(cw, p.id, seq))
 	c.lastSent = w.rt.Now()
@@ -498,7 +498,7 @@ func (w *WCL) cellTimeout(p *circPath, seq uint64) {
 	}
 	delete(p.pendingCells, seq)
 	if !cell.ping {
-		w.met.cellFallbacks.Inc()
+		obs.Inc(&w.st.CellFallbacks)
 		w.sendOneShot(p.c.dest, cell.payload, cell.done)
 	}
 	w.closePath(p, false)
@@ -529,7 +529,7 @@ func (w *WCL) closePath(p *circPath, sendClose bool) {
 			cell.timer.Cancel()
 		}
 		if !cell.ping {
-			w.met.cellFallbacks.Inc()
+			obs.Inc(&w.st.CellFallbacks)
 			w.sendOneShot(p.c.dest, cell.payload, cell.done)
 		}
 	}
@@ -538,8 +538,8 @@ func (w *WCL) closePath(p *circPath, sendClose bool) {
 		w.streamFallback(s)
 	}
 	if p.established {
-		w.met.circuitsOpen.Add(-1)
-		w.met.circuitsClosed.Inc()
+		obs.Add(&w.st.CircuitsOpen, -1)
+		obs.Inc(&w.st.CircuitsClosed)
 		if sendClose {
 			if via, ok := w.node.RouteTo(p.first); ok {
 				w.node.SendAppVia(p.first, via, encodeCircClose(p.id))
@@ -588,7 +588,7 @@ func (c *Circuit) armKeepalive() {
 			return
 		}
 		if p := c.cur; p != nil && now-c.lastSent >= w.cfg.CircuitKeepalive {
-			w.met.keepalives.Inc()
+			obs.Inc(&w.st.Keepalives)
 			w.sendCell(c, p, &pendingCell{ping: true, start: now})
 		}
 		c.armKeepalive()
@@ -621,10 +621,10 @@ func (w *WCL) handleCircCellAck(circID, seq uint64) {
 		if cell.timer != nil {
 			cell.timer.Cancel()
 		}
-		w.met.cellsAcked.Inc()
+		obs.Inc(&w.st.CellsAcked)
 		if !cell.ping {
 			r := Result{Outcome: Success, Attempts: 1, Elapsed: w.rt.Now() - cell.start}
-			w.met.cellMS.ObserveDuration(r.Elapsed)
+			w.cellMS.ObserveDuration(r.Elapsed)
 			if w.OnResult != nil {
 				w.OnResult(p.c.dest.ID, r)
 			}
@@ -652,14 +652,14 @@ func (w *WCL) handleCircSetup(src transport.Endpoint, m *circSetupMsg) {
 	// replay): the exit re-acknowledges — its ack may have been lost —
 	// everyone else stays silent rather than re-forwarding setup state.
 	if e := w.relayCirc.get(m.CircID, w.rt.Now()); e != nil {
-		w.met.dupForwards.Inc()
+		obs.Inc(&w.st.DupForwards)
 		if e.exit {
 			w.sendCircBack(e, encodeCircAck(m.CircID))
 		}
 		return
 	}
 	if w.seenForwards.Add(m.CircID ^ fnvSum(m.Onion)) {
-		w.met.dupForwards.Inc()
+		obs.Inc(&w.st.DupForwards)
 		return
 	}
 	// The meter, not the wall clock, times the peel: its RSA unwrap may
@@ -667,13 +667,13 @@ func (w *WCL) handleCircSetup(src transport.Endpoint, m *circSetupMsg) {
 	before := w.cpu.Total()
 	key, next, inner, exit, err := crypt.PeelCircuit(w.cpu, w.node.Identity().Key, m.Onion)
 	peelTime := w.cpu.Total() - before
-	w.met.peelMS.ObserveDuration(peelTime)
+	w.peelMS.ObserveDuration(peelTime)
 	w.Trace.Emit(obs.KindPeel, w.rt.Now(), peelTime, len(m.Onion), m.CircID)
 	if err != nil {
-		w.met.peelErrors.Inc()
+		obs.Inc(&w.st.PeelErrors)
 		return
 	}
-	w.met.forwardsPeeled.Inc()
+	obs.Inc(&w.st.ForwardsPeeled)
 	e := &relayCircuit{
 		id:         m.CircID,
 		key:        key,
@@ -689,7 +689,7 @@ func (w *WCL) handleCircSetup(src transport.Endpoint, m *circSetupMsg) {
 	}
 	addr, err := decodeHopAddr(next)
 	if err != nil {
-		w.met.peelErrors.Inc()
+		obs.Inc(&w.st.PeelErrors)
 		return
 	}
 	fwd := circSetupMsg{CircID: m.CircID, From: w.node.ID(), Onion: inner}
@@ -703,7 +703,7 @@ func (w *WCL) handleCircSetup(src transport.Endpoint, m *circSetupMsg) {
 	case addrByID:
 		d, via, ok := w.routeToID(addr.id)
 		if !ok {
-			w.met.dropNoContact.Inc()
+			obs.Inc(&w.st.DropNoContact)
 			return
 		}
 		e.nextKind = addrByID
@@ -734,20 +734,20 @@ func (w *WCL) sendCircBack(e *relayCircuit, payload []byte) {
 func (w *WCL) handleCircData(payload []byte, m circDataMsg) {
 	e := w.relayCirc.get(m.CircID, w.rt.Now())
 	if e == nil {
-		w.met.cellDrops.Inc()
+		obs.Inc(&w.st.CellDrops)
 		return
 	}
 	start := time.Now()
 	pt, err := crypt.OpenSymInPlace(w.cpu, e.key, m.Cell)
 	dur := time.Since(start)
 	if err != nil {
-		w.met.peelErrors.Inc()
+		obs.Inc(&w.st.PeelErrors)
 		return
 	}
 	if e.exit {
 		typ, body, ok := decodeCellPayload(pt)
 		if !ok {
-			w.met.peelErrors.Inc()
+			obs.Inc(&w.st.PeelErrors)
 			return
 		}
 		// Exactly-once under duplication: a repeated cell is only
@@ -755,7 +755,7 @@ func (w *WCL) handleCircData(payload []byte, m circDataMsg) {
 		// duplicated stream fragments the acknowledgement repeats at
 		// the stream level — the sender tracks fragments, not seqs.
 		if w.deliveredCells.Add(cellKey{m.CircID, m.Seq}) {
-			w.met.dupCells.Inc()
+			obs.Inc(&w.st.DupCells)
 			if typ == cellStream {
 				if f, err := decodeStreamFrag(body); err == nil {
 					w.streamReAck(e, f.StreamID)
@@ -768,7 +768,7 @@ func (w *WCL) handleCircData(payload []byte, m circDataMsg) {
 		if typ == cellStream {
 			f, err := decodeStreamFrag(body)
 			if err != nil {
-				w.met.peelErrors.Inc()
+				obs.Inc(&w.st.PeelErrors)
 				return
 			}
 			// The stream ack (cumulative + selective) carries this
@@ -777,7 +777,7 @@ func (w *WCL) handleCircData(payload []byte, m circDataMsg) {
 			return
 		}
 		if typ == cellData {
-			w.met.cellsDelivered.Inc()
+			obs.Inc(&w.st.CellsDelivered)
 			w.Trace.Emit(obs.KindCellDeliver, w.rt.Now(), dur, len(body), m.CircID)
 			if w.OnReceive != nil {
 				w.OnReceive(body)
@@ -797,14 +797,14 @@ func (w *WCL) handleCircData(payload []byte, m circDataMsg) {
 	case addrByID:
 		d, via, ok := w.routeToID(e.nextID)
 		if !ok {
-			w.met.dropNoContact.Inc()
+			obs.Inc(&w.st.DropNoContact)
 			return
 		}
 		w.node.SendAppVia(d, via, frame)
 	default:
 		return
 	}
-	w.met.cellsForwarded.Inc()
+	obs.Inc(&w.st.CellsForwarded)
 	w.Trace.Emit(obs.KindCellForward, w.rt.Now(), dur, len(pt), m.CircID)
 }
 
@@ -862,10 +862,10 @@ type circTable struct {
 	ttl   time.Duration
 	ll    *list.List // front = most recently used
 	m     map[uint64]*relayCircuit
-	gauge *obs.Gauge
+	gauge *int64
 }
 
-func newCircTable(cap int, ttl time.Duration, gauge *obs.Gauge) *circTable {
+func newCircTable(cap int, ttl time.Duration, gauge *int64) *circTable {
 	return &circTable{cap: cap, ttl: ttl, ll: list.New(), m: make(map[uint64]*relayCircuit), gauge: gauge}
 }
 
@@ -904,7 +904,7 @@ func (t *circTable) put(e *relayCircuit, now time.Duration) {
 	if len(t.m) > t.cap {
 		t.drop(t.ll.Back().Value.(*relayCircuit))
 	}
-	t.gauge.Set(int64(len(t.m)))
+	obs.Set(t.gauge, int64(len(t.m)))
 }
 
 // remove deletes and returns the entry for id, if present.
@@ -919,7 +919,7 @@ func (t *circTable) remove(id uint64) *relayCircuit {
 func (t *circTable) drop(e *relayCircuit) {
 	delete(t.m, e.id)
 	t.ll.Remove(e.elem)
-	t.gauge.Set(int64(len(t.m)))
+	obs.Set(t.gauge, int64(len(t.m)))
 }
 
 func (t *circTable) size() int { return len(t.m) }

@@ -84,7 +84,7 @@ func (w *WCL) handleForward(src transport.Endpoint, m *forwardMsg) {
 	// exit hop, the duplicate means the forward outran our ack (or the
 	// ack was lost), so answer it again instead of staying silent.
 	if w.seenForwards.Add(m.PathID ^ fnvSum(m.Onion)) {
-		w.met.dupForwards.Inc()
+		obs.Inc(&w.st.DupForwards)
 		if w.deliveredPaths.Contains(m.PathID) {
 			w.sendAckBack(m.PathID)
 		}
@@ -95,13 +95,13 @@ func (w *WCL) handleForward(src transport.Endpoint, m *forwardMsg) {
 	before := w.cpu.Total()
 	next, inner, exit, err := crypt.Peel(w.cpu, w.node.Identity().Key, m.Onion)
 	peelTime := w.cpu.Total() - before
-	w.met.peelMS.ObserveDuration(peelTime)
+	w.peelMS.ObserveDuration(peelTime)
 	w.Trace.Emit(obs.KindPeel, w.rt.Now(), peelTime, len(m.Onion), m.PathID)
 	if err != nil {
-		w.met.peelErrors.Inc()
+		obs.Inc(&w.st.PeelErrors)
 		return
 	}
-	w.met.forwardsPeeled.Inc()
+	obs.Inc(&w.st.ForwardsPeeled)
 	// Remember how to route the acknowledgement backwards.
 	w.rememberAck(m.PathID, ackEntry{
 		fromID: m.From,
@@ -113,18 +113,18 @@ func (w *WCL) handleForward(src transport.Endpoint, m *forwardMsg) {
 		// source retried because the first ack was slow or lost): ack
 		// again, but deliver the plaintext exactly once.
 		if w.deliveredPaths.Contains(m.PathID) {
-			w.met.dupDeliveries.Inc()
+			obs.Inc(&w.st.DupDeliveries)
 			w.sendAckBack(m.PathID)
 			return
 		}
 		// inner is the content key k.
 		pt, err := crypt.OpenSymOnce(w.cpu, inner, m.Content)
 		if err != nil {
-			w.met.peelErrors.Inc()
+			obs.Inc(&w.st.PeelErrors)
 			return
 		}
 		w.deliveredPaths.Add(m.PathID)
-		w.met.delivered.Inc()
+		obs.Inc(&w.st.Delivered)
 		w.Trace.Emit(obs.KindDeliver, w.rt.Now(), 0, len(pt), m.PathID)
 		if w.OnReceive != nil {
 			w.OnReceive(pt)
@@ -134,7 +134,7 @@ func (w *WCL) handleForward(src transport.Endpoint, m *forwardMsg) {
 	}
 	addr, err := decodeHopAddr(next)
 	if err != nil {
-		w.met.peelErrors.Inc()
+		obs.Inc(&w.st.PeelErrors)
 		return
 	}
 	fwd := forwardMsg{PathID: m.PathID, From: w.node.ID(), Onion: inner, Content: m.Content}
@@ -148,7 +148,7 @@ func (w *WCL) handleForward(src transport.Endpoint, m *forwardMsg) {
 		// exchange with D.
 		d, via, ok := w.routeToID(addr.id)
 		if !ok {
-			w.met.dropNoContact.Inc()
+			obs.Inc(&w.st.DropNoContact)
 			return
 		}
 		fwd.ViaPath = via

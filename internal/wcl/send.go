@@ -44,7 +44,7 @@ func (w *WCL) Send(dest Dest, payload []byte, done func(Result)) {
 }
 
 func (w *WCL) sendOneShot(dest Dest, payload []byte, done func(Result)) {
-	w.met.sent.Inc()
+	obs.Inc(&w.st.Sent)
 	if dest.Key == nil {
 		w.failEarly(done)
 		return
@@ -245,7 +245,7 @@ func (w *WCL) attempt(st *pendingSend) {
 	start := time.Now()
 	onion, err := crypt.BuildOnion(w.cpu, hops, st.key)
 	buildTime := time.Since(start)
-	w.met.buildMS.ObserveDuration(buildTime)
+	w.buildMS.ObserveDuration(buildTime)
 	w.Trace.Emit(obs.KindSend, w.rt.Now(), buildTime, len(onion), st.pathID)
 	if err != nil {
 		w.retry(st)
@@ -290,17 +290,17 @@ func (w *WCL) finishResult(st *pendingSend, outcome Outcome, noAlt bool) {
 	}
 	switch {
 	case outcome == Success:
-		w.met.firstTrySuccess.Inc()
+		obs.Inc(&w.st.FirstTrySuccess)
 	case outcome == AltSuccess:
-		w.met.altSuccess.Inc()
+		obs.Inc(&w.st.AltSuccess)
 	default:
-		w.met.failed.Inc()
+		obs.Inc(&w.st.Failed)
 		if noAlt {
-			w.met.noAltFailed.Inc()
+			obs.Inc(&w.st.NoAltFailed)
 		}
 	}
-	w.met.mixesTriedSum.Add(uint64(len(st.triedA)))
-	w.met.helpersTriedSum.Add(uint64(len(st.triedB)))
+	obs.Add(&w.st.MixesTriedSum, uint64(len(st.triedA)))
+	obs.Add(&w.st.HelpersTriedSum, uint64(len(st.triedB)))
 	r := Result{
 		Outcome:       outcome,
 		NoAlternative: noAlt,
@@ -309,7 +309,7 @@ func (w *WCL) finishResult(st *pendingSend, outcome Outcome, noAlt bool) {
 		HelpersTried:  len(st.triedB),
 		Elapsed:       w.rt.Now() - st.start,
 	}
-	w.met.elapsedMS.ObserveDuration(r.Elapsed)
+	w.elapsedMS.ObserveDuration(r.Elapsed)
 	if w.OnResult != nil {
 		w.OnResult(st.dest.ID, r)
 	}

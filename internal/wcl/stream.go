@@ -129,7 +129,7 @@ func (c *Circuit) SendStream(payload []byte, done func(Result)) {
 		done:     done,
 	}
 	c.streamQ = append(c.streamQ, s)
-	w.met.streamsSent.Inc()
+	obs.Inc(&w.st.StreamsSent)
 	if c.cur == nil && c.opening == nil {
 		w.openPath(c)
 		if c.closed {
@@ -153,7 +153,7 @@ func (w *WCL) SendStream(dest Dest, payload []byte, done func(Result)) {
 // shedStream refuses a SendStream locally (backpressure or size): no
 // network traffic, the error travels in Result.Err.
 func (w *WCL) shedStream(c *Circuit, payload []byte, done func(Result), err error) {
-	w.met.streamsShed.Inc()
+	obs.Inc(&w.st.StreamsShed)
 	r := Result{Outcome: Failed, Err: err}
 	if w.OnResult != nil {
 		w.OnResult(c.dest.ID, r)
@@ -174,7 +174,7 @@ func (w *WCL) startStreams(c *Circuit) {
 	}
 	if w.needsRotation(p, w.rt.Now()) {
 		if c.opening == nil {
-			w.met.circuitsRotated.Inc()
+			obs.Inc(&w.st.CircuitsRotated)
 			w.openPath(c)
 		}
 		return
@@ -225,15 +225,15 @@ func (w *WCL) sendStreamFrag(s *streamSend, i int) bool {
 	}
 	p.seq++
 	p.cells++
-	w.met.cellsSent.Inc()
-	w.met.streamFragsSent.Inc()
+	obs.Inc(&w.st.CellsSent)
+	obs.Inc(&w.st.StreamFragsSent)
 	w.Trace.Emit(obs.KindCellSend, w.rt.Now(), sealDur, cw.Len(), p.id)
 	w.node.SendAppVia(p.first, via, frameCircData(cw, p.id, p.seq))
 	s.c.lastSent = w.rt.Now()
 	if !s.sent[i] {
 		s.sent[i] = true
 		s.inflight++
-		w.met.streamWindow.Add(1)
+		obs.Add(&w.st.StreamWindow, 1)
 	}
 	s.sentAt[i] = w.rt.Now()
 	return true
@@ -269,7 +269,7 @@ func (w *WCL) streamTimerFire(s *streamSend) {
 			continue
 		}
 		s.retx[i] = true
-		w.met.streamRetransmits.Inc()
+		obs.Inc(&w.st.StreamRetransmits)
 		if !w.sendStreamFrag(s, i) {
 			return
 		}
@@ -309,11 +309,11 @@ func (w *WCL) streamAcked(s *streamSend, m streamAckMsg) {
 		s.progress = true
 		if s.sent[i] && s.inflight > 0 {
 			s.inflight--
-			w.met.streamWindow.Add(-1)
+			obs.Add(&w.st.StreamWindow, -1)
 		}
 		if !s.retx[i] {
 			sample := now - s.sentAt[i]
-			w.met.streamRTT.ObserveDuration(sample)
+			w.streamRTT.ObserveDuration(sample)
 			if s.srtt == 0 {
 				s.srtt = sample
 			} else {
@@ -354,7 +354,7 @@ func (w *WCL) streamAcked(s *streamSend, m streamAckMsg) {
 		if s.holeSeen >= streamDupAckThreshold && s.srtt > 0 && now-s.sentAt[hole] > s.srtt*3/2 {
 			s.fastRetx = hole
 			s.retx[hole] = true
-			w.met.streamRetransmits.Inc()
+			obs.Inc(&w.st.StreamRetransmits)
 			if !w.sendStreamFrag(s, hole) {
 				return
 			}
@@ -379,7 +379,7 @@ func (w *WCL) finishStream(s *streamSend) {
 	if p != nil && p.stream == s {
 		p.stream = nil
 	}
-	w.met.streamWindow.Add(-int64(s.inflight))
+	obs.Add(&w.st.StreamWindow, -int64(s.inflight))
 	s.inflight = 0
 	c := s.c
 	r := Result{Outcome: Success, Attempts: 1, Elapsed: w.rt.Now() - s.start}
@@ -412,9 +412,9 @@ func (w *WCL) streamFallback(s *streamSend) {
 	if s.path != nil && s.path.stream == s {
 		s.path.stream = nil
 	}
-	w.met.streamWindow.Add(-int64(s.inflight))
+	obs.Add(&w.st.StreamWindow, -int64(s.inflight))
 	s.inflight = 0
-	w.met.streamFallbacks.Inc()
+	obs.Inc(&w.st.StreamFallbacks)
 	w.sendOneShot(s.c.dest, s.payload, s.done)
 }
 
@@ -495,18 +495,18 @@ func (w *WCL) handleStreamFrag(e *relayCircuit, f streamFrag) {
 	if int(f.FragCount) != st.total || i >= st.total {
 		// Inconsistent with the state this stream established — a
 		// corrupt or forged fragment. Drop without acknowledging.
-		w.met.peelErrors.Inc()
+		obs.Inc(&w.st.PeelErrors)
 		return
 	}
 	if st.delivered || st.have[i] {
-		w.met.dupStreamFrags.Inc()
+		obs.Inc(&w.st.DupStreamFrags)
 		w.sendStreamAck(e, f.StreamID, st)
 		return
 	}
 	st.have[i] = true
 	st.frags[i] = f.Data
 	st.haveN++
-	w.met.streamFragsRecv.Inc()
+	obs.Inc(&w.st.StreamFragsRecv)
 	for st.cum < st.total && st.have[st.cum] {
 		st.cum++
 	}
@@ -521,8 +521,8 @@ func (w *WCL) handleStreamFrag(e *relayCircuit, f streamFrag) {
 			buf = append(buf, fr...)
 		}
 		st.frags = nil // reassembly buffers freed; delivered entry re-acks
-		w.met.streamsDelivered.Inc()
-		w.met.streamBytes.Observe(float64(size))
+		obs.Inc(&w.st.StreamsDelivered)
+		w.streamBytes.Observe(float64(size))
 		w.Trace.Emit(obs.KindCellDeliver, now, 0, size, e.id)
 		if w.OnReceive != nil {
 			w.OnReceive(buf)
@@ -537,7 +537,7 @@ func (w *WCL) handleStreamFrag(e *relayCircuit, f streamFrag) {
 // exists (recreating state from a replay could double-deliver).
 func (w *WCL) streamReAck(e *relayCircuit, streamID uint64) {
 	if st := w.streamRecv[streamKey{e.id, streamID}]; st != nil {
-		w.met.dupStreamFrags.Inc()
+		obs.Inc(&w.st.DupStreamFrags)
 		st.lastSeen = w.rt.Now()
 		w.sendStreamAck(e, streamID, st)
 	}

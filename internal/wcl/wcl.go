@@ -224,56 +224,57 @@ type Result struct {
 	Err error
 }
 
-// Stats is a snapshot of send outcomes and hop-level events, read
-// through WCL.Stats.
+// Stats holds the layer's send outcomes, hop-level events and gauges:
+// the WCL bumps them in place and WCL.Stats returns a copy. The tags
+// name the exported metrics (see obs.Register).
 type Stats struct {
-	Sent            uint64
-	FirstTrySuccess uint64
-	AltSuccess      uint64
-	Failed          uint64
-	NoAltFailed     uint64
-	MixesTriedSum   uint64
-	HelpersTriedSum uint64
-	Delivered       uint64
-	ForwardsPeeled  uint64
-	PeelErrors      uint64
-	DropNoContact   uint64
-	AcksForwarded   uint64
-	KeyRequests     uint64
+	Sent            uint64 `obs:"wcl_sends_total"`
+	FirstTrySuccess uint64 `obs:"wcl_first_try_success_total"`
+	AltSuccess      uint64 `obs:"wcl_alt_success_total"`
+	Failed          uint64 `obs:"wcl_failed_total"`
+	NoAltFailed     uint64 `obs:"wcl_no_alt_failed_total"`
+	MixesTriedSum   uint64 `obs:"wcl_mixes_tried_total"`
+	HelpersTriedSum uint64 `obs:"wcl_helpers_tried_total"`
+	Delivered       uint64 `obs:"wcl_delivered_total"`
+	ForwardsPeeled  uint64 `obs:"wcl_forwards_peeled_total"`
+	PeelErrors      uint64 `obs:"wcl_peel_errors_total"`
+	DropNoContact   uint64 `obs:"wcl_drop_no_contact_total"`
+	AcksForwarded   uint64 `obs:"wcl_acks_forwarded_total"`
+	KeyRequests     uint64 `obs:"wcl_key_requests_total"`
 	// DupForwards counts exact duplicate forwards suppressed before the
 	// peel (network duplication or replay of the same onion).
-	DupForwards uint64
+	DupForwards uint64 `obs:"wcl_dup_forwards_total"`
 	// DupDeliveries counts exit-hop arrivals for an already-delivered
 	// path suppressed after the peel (a late retry racing the first
 	// attempt's acknowledgement). Neither Delivered nor OnReceive fires
 	// for these; the acknowledgement is resent instead.
-	DupDeliveries uint64
+	DupDeliveries uint64 `obs:"wcl_dup_deliveries_total"`
 
 	// Circuit layer (see circuit.go). Opened counts setup launches,
 	// Established successful handshakes, Failed setups that exhausted
 	// the attempt budget, Rotated age/volume-triggered replacements,
 	// Closed graceful and broken teardowns of established paths.
-	CircuitsOpened      uint64
-	CircuitsEstablished uint64
-	CircuitsFailed      uint64
-	CircuitsRotated     uint64
-	CircuitsClosed      uint64
+	CircuitsOpened      uint64 `obs:"wcl_circuits_opened_total"`
+	CircuitsEstablished uint64 `obs:"wcl_circuits_established_total"`
+	CircuitsFailed      uint64 `obs:"wcl_circuits_failed_total"`
+	CircuitsRotated     uint64 `obs:"wcl_circuits_rotated_total"`
+	CircuitsClosed      uint64 `obs:"wcl_circuits_closed_total"`
 	// CellsSent/Acked count source-side data+keepalive cells;
 	// CellsForwarded relay hops; CellsDelivered exit-hop app payloads.
-	CellsSent      uint64
-	CellsAcked     uint64
-	CellsForwarded uint64
-	CellsDelivered uint64
+	CellsSent      uint64 `obs:"wcl_cells_sent_total"`
+	CellsAcked     uint64 `obs:"wcl_cells_acked_total"`
+	CellsForwarded uint64 `obs:"wcl_cells_forwarded_total"`
+	CellsDelivered uint64 `obs:"wcl_cells_delivered_total"`
 	// DupCells counts exit-hop duplicate cells suppressed (re-acked).
-	DupCells uint64
+	DupCells uint64 `obs:"wcl_dup_cells_total"`
 	// CellDrops counts cells dropped at a relay with no table entry
 	// (expired, evicted, or never set up).
-	CellDrops uint64
+	CellDrops uint64 `obs:"wcl_cell_drops_total"`
 	// CellFallbacks counts data cells that timed out on a circuit and
 	// were re-sent through the one-shot path.
-	CellFallbacks uint64
+	CellFallbacks uint64 `obs:"wcl_cell_fallbacks_total"`
 	// Keepalives counts ping cells sent to keep idle circuits warm.
-	Keepalives uint64
+	Keepalives uint64 `obs:"wcl_circuit_keepalives_total"`
 
 	// Stream layer (see stream.go). StreamsSent counts SendStream
 	// messages launched at the source, StreamsDelivered complete
@@ -285,132 +286,22 @@ type Stats struct {
 	// StreamsShed SendStream calls refused with ErrStreamBacklog or
 	// ErrStreamTooLarge, StreamFallbacks stream messages re-sent whole
 	// through the one-shot engine after their path broke.
-	StreamsSent       uint64
-	StreamsDelivered  uint64
-	StreamFragsSent   uint64
-	StreamFragsRecv   uint64
-	StreamRetransmits uint64
-	DupStreamFrags    uint64
-	StreamsShed       uint64
-	StreamFallbacks   uint64
+	StreamsSent       uint64 `obs:"wcl_streams_sent_total"`
+	StreamsDelivered  uint64 `obs:"wcl_streams_delivered_total"`
+	StreamFragsSent   uint64 `obs:"wcl_stream_frags_sent_total"`
+	StreamFragsRecv   uint64 `obs:"wcl_stream_frags_recv_total"`
+	StreamRetransmits uint64 `obs:"wcl_stream_retransmits_total"`
+	DupStreamFrags    uint64 `obs:"wcl_dup_stream_frags_total"`
+	StreamsShed       uint64 `obs:"wcl_streams_shed_total"`
+	StreamFallbacks   uint64 `obs:"wcl_stream_fallbacks_total"`
 
 	// CircuitsOpen / CircuitTableEntries are point-in-time gauge values:
 	// established source-side circuits and relay-side table entries.
 	// StreamWindow is the current window occupancy: stream fragments in
 	// flight (sent, unacknowledged) across all circuits of this node.
-	CircuitsOpen        int64
-	CircuitTableEntries int64
-	StreamWindow        int64
-}
-
-// met holds the layer's metric instruments (registered when Config.Obs
-// is set, standalone otherwise — they count either way).
-type met struct {
-	sent            *obs.Counter
-	firstTrySuccess *obs.Counter
-	altSuccess      *obs.Counter
-	failed          *obs.Counter
-	noAltFailed     *obs.Counter
-	mixesTriedSum   *obs.Counter
-	helpersTriedSum *obs.Counter
-	delivered       *obs.Counter
-	forwardsPeeled  *obs.Counter
-	peelErrors      *obs.Counter
-	dropNoContact   *obs.Counter
-	acksForwarded   *obs.Counter
-	keyRequests     *obs.Counter
-	dupForwards     *obs.Counter
-	dupDeliveries   *obs.Counter
-
-	circuitsOpened      *obs.Counter
-	circuitsEstablished *obs.Counter
-	circuitsFailed      *obs.Counter
-	circuitsRotated     *obs.Counter
-	circuitsClosed      *obs.Counter
-	cellsSent           *obs.Counter
-	cellsAcked          *obs.Counter
-	cellsForwarded      *obs.Counter
-	cellsDelivered      *obs.Counter
-	dupCells            *obs.Counter
-	cellDrops           *obs.Counter
-	cellFallbacks       *obs.Counter
-	keepalives          *obs.Counter
-
-	streamsSent       *obs.Counter
-	streamsDelivered  *obs.Counter
-	streamFragsSent   *obs.Counter
-	streamFragsRecv   *obs.Counter
-	streamRetransmits *obs.Counter
-	dupStreamFrags    *obs.Counter
-	streamsShed       *obs.Counter
-	streamFallbacks   *obs.Counter
-
-	circuitsOpen *obs.Gauge
-	circuitTable *obs.Gauge
-	streamWindow *obs.Gauge
-
-	buildMS     *obs.Histogram
-	peelMS      *obs.Histogram
-	elapsedMS   *obs.Histogram
-	establishMS *obs.Histogram
-	cellMS      *obs.Histogram
-	streamBytes *obs.Histogram
-	streamRTT   *obs.Histogram
-}
-
-func newMet(sc *obs.Scope) met {
-	return met{
-		sent:            sc.Counter("wcl_sends_total"),
-		firstTrySuccess: sc.Counter("wcl_first_try_success_total"),
-		altSuccess:      sc.Counter("wcl_alt_success_total"),
-		failed:          sc.Counter("wcl_failed_total"),
-		noAltFailed:     sc.Counter("wcl_no_alt_failed_total"),
-		mixesTriedSum:   sc.Counter("wcl_mixes_tried_total"),
-		helpersTriedSum: sc.Counter("wcl_helpers_tried_total"),
-		delivered:       sc.Counter("wcl_delivered_total"),
-		forwardsPeeled:  sc.Counter("wcl_forwards_peeled_total"),
-		peelErrors:      sc.Counter("wcl_peel_errors_total"),
-		dropNoContact:   sc.Counter("wcl_drop_no_contact_total"),
-		acksForwarded:   sc.Counter("wcl_acks_forwarded_total"),
-		keyRequests:     sc.Counter("wcl_key_requests_total"),
-		dupForwards:     sc.Counter("wcl_dup_forwards_total"),
-		dupDeliveries:   sc.Counter("wcl_dup_deliveries_total"),
-
-		circuitsOpened:      sc.Counter("wcl_circuits_opened_total"),
-		circuitsEstablished: sc.Counter("wcl_circuits_established_total"),
-		circuitsFailed:      sc.Counter("wcl_circuits_failed_total"),
-		circuitsRotated:     sc.Counter("wcl_circuits_rotated_total"),
-		circuitsClosed:      sc.Counter("wcl_circuits_closed_total"),
-		cellsSent:           sc.Counter("wcl_cells_sent_total"),
-		cellsAcked:          sc.Counter("wcl_cells_acked_total"),
-		cellsForwarded:      sc.Counter("wcl_cells_forwarded_total"),
-		cellsDelivered:      sc.Counter("wcl_cells_delivered_total"),
-		dupCells:            sc.Counter("wcl_dup_cells_total"),
-		cellDrops:           sc.Counter("wcl_cell_drops_total"),
-		cellFallbacks:       sc.Counter("wcl_cell_fallbacks_total"),
-		keepalives:          sc.Counter("wcl_circuit_keepalives_total"),
-
-		streamsSent:       sc.Counter("wcl_streams_sent_total"),
-		streamsDelivered:  sc.Counter("wcl_streams_delivered_total"),
-		streamFragsSent:   sc.Counter("wcl_stream_frags_sent_total"),
-		streamFragsRecv:   sc.Counter("wcl_stream_frags_recv_total"),
-		streamRetransmits: sc.Counter("wcl_stream_retransmits_total"),
-		dupStreamFrags:    sc.Counter("wcl_dup_stream_frags_total"),
-		streamsShed:       sc.Counter("wcl_streams_shed_total"),
-		streamFallbacks:   sc.Counter("wcl_stream_fallbacks_total"),
-
-		circuitsOpen: sc.Gauge("wcl_circuits_open"),
-		circuitTable: sc.Gauge("wcl_circuit_table_entries"),
-		streamWindow: sc.Gauge("wcl_stream_window"),
-
-		buildMS:     sc.Histogram("wcl_onion_build_ms"),
-		peelMS:      sc.Histogram("wcl_peel_ms"),
-		elapsedMS:   sc.Histogram("wcl_send_elapsed_ms"),
-		establishMS: sc.Histogram("wcl_circuit_establish_ms"),
-		cellMS:      sc.Histogram("wcl_cell_elapsed_ms"),
-		streamBytes: sc.Histogram("wcl_stream_bytes"),
-		streamRTT:   sc.Histogram("wcl_stream_rtt_ms"),
-	}
+	CircuitsOpen        int64 `obs:"wcl_circuits_open,gauge"`
+	CircuitTableEntries int64 `obs:"wcl_circuit_table_entries,gauge"`
+	StreamWindow        int64 `obs:"wcl_stream_window,gauge"`
 }
 
 // ErrNoPath is reported (inside Result) when no usable path exists.
@@ -475,7 +366,11 @@ type WCL struct {
 	// package's relay-visibility rule).
 	Trace *obs.Tracer
 
-	met met
+	st Stats
+	// Histograms of onion build and peel time, send and cell elapsed
+	// time, circuit establishment, stream size and stream RTT. Build
+	// and peel time are host-measured; the rest are virtual.
+	buildMS, peelMS, elapsedMS, establishMS, cellMS, streamBytes, streamRTT *obs.Histogram
 }
 
 // New attaches a WCL to a Nylon node. The node must run with key
@@ -502,9 +397,16 @@ func New(node *nylon.Node, cfg Config) (*WCL, error) {
 		deliveredPaths: dedup.New[uint64](1024),
 		deliveredCells: dedup.New[cellKey](cfg.CircuitDedupCells),
 		streamRecv:     make(map[streamKey]*streamRecvState),
-		met:            newMet(cfg.Obs),
+		buildMS:        cfg.Obs.Histogram("wcl_onion_build_ms"),
+		peelMS:         cfg.Obs.Histogram("wcl_peel_ms"),
+		elapsedMS:      cfg.Obs.Histogram("wcl_send_elapsed_ms"),
+		establishMS:    cfg.Obs.Histogram("wcl_circuit_establish_ms"),
+		cellMS:         cfg.Obs.Histogram("wcl_cell_elapsed_ms"),
+		streamBytes:    cfg.Obs.Histogram("wcl_stream_bytes"),
+		streamRTT:      cfg.Obs.Histogram("wcl_stream_rtt_ms"),
 	}
-	w.relayCirc = newCircTable(cfg.CircuitTableMax, cfg.CircuitTTL, w.met.circuitTable)
+	obs.Register(cfg.Obs, &w.st)
+	w.relayCirc = newCircTable(cfg.CircuitTableMax, cfg.CircuitTTL, &w.st.CircuitTableEntries)
 	node.OnExchange = w.onExchange
 	node.OnKeyExchange = w.onKeyExchange
 	node.AppHandler = w.handleApp
@@ -524,52 +426,7 @@ func (w *WCL) CPU() *crypt.CPUMeter { return w.cpu }
 func (w *WCL) Config() Config { return w.cfg }
 
 // Stats returns a snapshot of the layer's counters.
-func (w *WCL) Stats() Stats {
-	return Stats{
-		Sent:            w.met.sent.Value(),
-		FirstTrySuccess: w.met.firstTrySuccess.Value(),
-		AltSuccess:      w.met.altSuccess.Value(),
-		Failed:          w.met.failed.Value(),
-		NoAltFailed:     w.met.noAltFailed.Value(),
-		MixesTriedSum:   w.met.mixesTriedSum.Value(),
-		HelpersTriedSum: w.met.helpersTriedSum.Value(),
-		Delivered:       w.met.delivered.Value(),
-		ForwardsPeeled:  w.met.forwardsPeeled.Value(),
-		PeelErrors:      w.met.peelErrors.Value(),
-		DropNoContact:   w.met.dropNoContact.Value(),
-		AcksForwarded:   w.met.acksForwarded.Value(),
-		KeyRequests:     w.met.keyRequests.Value(),
-		DupForwards:     w.met.dupForwards.Value(),
-		DupDeliveries:   w.met.dupDeliveries.Value(),
-
-		CircuitsOpened:      w.met.circuitsOpened.Value(),
-		CircuitsEstablished: w.met.circuitsEstablished.Value(),
-		CircuitsFailed:      w.met.circuitsFailed.Value(),
-		CircuitsRotated:     w.met.circuitsRotated.Value(),
-		CircuitsClosed:      w.met.circuitsClosed.Value(),
-		CellsSent:           w.met.cellsSent.Value(),
-		CellsAcked:          w.met.cellsAcked.Value(),
-		CellsForwarded:      w.met.cellsForwarded.Value(),
-		CellsDelivered:      w.met.cellsDelivered.Value(),
-		DupCells:            w.met.dupCells.Value(),
-		CellDrops:           w.met.cellDrops.Value(),
-		CellFallbacks:       w.met.cellFallbacks.Value(),
-		Keepalives:          w.met.keepalives.Value(),
-
-		StreamsSent:       w.met.streamsSent.Value(),
-		StreamsDelivered:  w.met.streamsDelivered.Value(),
-		StreamFragsSent:   w.met.streamFragsSent.Value(),
-		StreamFragsRecv:   w.met.streamFragsRecv.Value(),
-		StreamRetransmits: w.met.streamRetransmits.Value(),
-		DupStreamFrags:    w.met.dupStreamFrags.Value(),
-		StreamsShed:       w.met.streamsShed.Value(),
-		StreamFallbacks:   w.met.streamFallbacks.Value(),
-
-		CircuitsOpen:        w.met.circuitsOpen.Value(),
-		CircuitTableEntries: w.met.circuitTable.Value(),
-		StreamWindow:        w.met.streamWindow.Value(),
-	}
-}
+func (w *WCL) Stats() Stats { return w.st }
 
 // onExchange feeds the connection backlog from successful gossip
 // exchanges and tops up its P-node quota (§III-A).
@@ -615,7 +472,7 @@ func (w *WCL) topUpPublics() {
 		if err := w.node.RequestKey(d); err != nil {
 			continue
 		}
-		w.met.keyRequests.Inc()
+		obs.Inc(&w.st.KeyRequests)
 		w.pendingKeys[d.ID] = now
 		deficit--
 	}
