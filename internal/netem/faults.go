@@ -169,7 +169,13 @@ func (n *Network) faultDrop(rng *rand.Rand, src, dst IP) bool {
 				bad = true
 			}
 		}
-		n.burst[key] = bad
+		// Only Bad links are stored: a missing key reads as Good, so the
+		// map holds the links in a burst right now, not every pair ever used.
+		if bad {
+			n.burst[key] = true
+		} else {
+			delete(n.burst, key)
+		}
 		loss := ge.LossGood
 		if bad {
 			loss = ge.lossBad()

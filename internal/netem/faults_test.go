@@ -163,6 +163,35 @@ func TestGilbertElliottBursts(t *testing.T) {
 	}
 }
 
+// TestBurstMapHoldsOnlyBadLinks pins the burst map to the live set: with
+// LossBad 1 and LossGood 0 a link is Bad exactly when its last datagram
+// was dropped, so after traffic over many links the map must hold those
+// links and no others — not every pair that ever carried a datagram.
+func TestBurstMapHoldsOnlyBadLinks(t *testing.T) {
+	s, n := faultNet(5, &FaultModel{Burst: &GilbertElliott{PGoodBad: 0.05, PBadGood: 0.3}})
+	rng := s.Rand()
+	lastDropped := map[[2]IP]bool{}
+	for i := 0; i < 20000; i++ {
+		src, dst := IP(1+rng.Intn(12)), IP(1+rng.Intn(12))
+		lastDropped[[2]IP{src, dst}] = n.faultDrop(rng, src, dst)
+	}
+	bad := 0
+	for link, dropped := range lastDropped {
+		if dropped {
+			bad++
+			if !n.burst[link] {
+				t.Fatalf("link %v is Bad (its last datagram dropped) but missing from the burst map", link)
+			}
+		}
+	}
+	if bad == 0 || bad == len(lastDropped) {
+		t.Fatalf("%d of %d links Bad at the end; the check needs both states", bad, len(lastDropped))
+	}
+	if len(n.burst) != bad {
+		t.Fatalf("burst map holds %d links, want exactly the %d Bad ones (of %d used)", len(n.burst), bad, len(lastDropped))
+	}
+}
+
 func TestOneWayPartition(t *testing.T) {
 	s, n := faultNet(13, &FaultModel{Partitions: []Partition{NewPartition([]IP{1}, []IP{2})}})
 	got12, got21 := 0, 0

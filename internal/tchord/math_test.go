@@ -1,6 +1,7 @@
 package tchord
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -129,4 +130,27 @@ func (n *Node) merge0(p peer) {
 	n.succ.Merge(p)
 	n.pred.Merge(p)
 	n.mergeFinger(p)
+}
+
+// TestEncodeExchangeIsDeterministic encodes one node's exchange many
+// times: the bytes must not depend on finger-map iteration order. The
+// node knows more peers than the 32 an exchange carries, so the order
+// also decides which fingers are cut.
+func TestEncodeExchangeIsDeterministic(t *testing.T) {
+	n := &Node{inst: &ppss.Instance{}, cid: 0, fingers: map[int]peer{}}
+	n.succ = tman.New(peer{CID: 0}, 4, succRanker{})
+	n.pred = tman.New(peer{CID: 0}, 4, predRanker{})
+	for lvl := 8; lvl < 64; lvl++ {
+		cid := ChordID(1)<<uint(lvl) + 1
+		n.merge0(peer{CID: cid, E: ppss.Entry{ID: identity.NodeID(lvl)}})
+	}
+	if len(n.fingers) <= 32 {
+		t.Fatalf("%d fingers; the check needs more than an exchange carries", len(n.fingers))
+	}
+	want := n.encodeExchange(tagTManReq)
+	for i := 0; i < 20; i++ {
+		if got := n.encodeExchange(tagTManReq); !bytes.Equal(got, want) {
+			t.Fatalf("encoding %d differs from the first", i+1)
+		}
+	}
 }

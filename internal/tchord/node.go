@@ -2,6 +2,7 @@ package tchord
 
 import (
 	"errors"
+	"sort"
 	"time"
 
 	"whisper/internal/obs"
@@ -488,8 +489,16 @@ func (n *Node) encodeExchange(tag uint8) []byte {
 	for _, p := range n.pred.Entries() {
 		add(p)
 	}
-	for _, p := range n.fingers {
-		add(p)
+	// Fingers go in ascending level order: the list is truncated below
+	// and the receiver merges in list order, so map order must not
+	// decide which fingers travel.
+	levels := make([]int, 0, len(n.fingers))
+	for lvl := range n.fingers {
+		levels = append(levels, lvl)
+	}
+	sort.Ints(levels)
+	for _, lvl := range levels {
+		add(n.fingers[lvl])
 	}
 	if len(peers) > 32 {
 		peers = peers[:32]

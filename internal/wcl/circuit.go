@@ -28,6 +28,13 @@ import (
 //	                      └─cell timeout──▶ broken (in-flight cells
 //	                                         fall back to one-shot)
 //
+// Each path keeps one RTT estimator (rttEstimator), fed by the setup
+// handshake, cell acks and stream-fragment acks. An unacknowledged cell
+// is re-sealed and re-sent on its own path under its own (circID, seq)
+// every RTO — the exit's cell dedup re-acks a repeat and never
+// re-delivers it — until PathTimeout after its first send; a cell still
+// unacknowledged then is the cell timeout above.
+//
 // A Circuit outlives its paths: rotation (max age or max cells) opens
 // a replacement path while the old one keeps carrying traffic, then
 // retires it once its in-flight cells drain. Keepalive pings keep the
@@ -79,9 +86,41 @@ const circuitQueueMax = 128
 type pendingCell struct {
 	payload []byte
 	ping    bool
-	start   time.Duration
+	retx    bool          // re-sent at least once (Karn: no RTT sample)
+	start   time.Duration // application send (Result.Elapsed)
+	sentAt  time.Duration // first send on the path (RTT sample, deadline)
 	timer   transport.Timer
 	done    func(Result)
+}
+
+// rtoFloor is the least retransmission timeout: far above a LAN's RTT
+// (no spurious copies there) and above the fault model's 100 ms reorder
+// jitter.
+const rtoFloor = 200 * time.Millisecond
+
+// rttEstimator is RFC 6298's smoothed round-trip time and its mean
+// deviation, for one path. Callers apply Karn's rule: a sample is only
+// taken from a message that was sent once.
+type rttEstimator struct {
+	srtt, rttvar time.Duration // srtt 0: nothing measured yet
+}
+
+func (e *rttEstimator) sample(r time.Duration) {
+	if e.srtt == 0 {
+		e.srtt, e.rttvar = r, r/2
+		return
+	}
+	d := e.srtt - r
+	if d < 0 {
+		d = -d
+	}
+	e.rttvar = (3*e.rttvar + d) / 4
+	e.srtt = (7*e.srtt + r) / 8
+}
+
+// rto is SRTT + 4·RTTVAR, at least rtoFloor.
+func (e *rttEstimator) rto() time.Duration {
+	return max(rtoFloor, e.srtt+4*e.rttvar)
 }
 
 // circPath is one established (or establishing) onion path of a
@@ -104,9 +143,11 @@ type circPath struct {
 	seq          uint64 // last cell sequence number issued
 	pendingCells map[uint64]*pendingCell
 	stream       *streamSend // active stream message pinned to this path
+	rtt          rttEstimator
 
 	// setup state (shares the one-shot attempt budget semantics)
 	attempts int
+	setupAt  time.Duration // launch of the current attempt (first RTT sample)
 	triedA   map[identity.NodeID]bool
 	triedB   map[identity.NodeID]bool
 	timer    transport.Timer
@@ -329,6 +370,7 @@ func (w *WCL) attemptSetup(p *circPath) {
 	}
 	msg := circSetupMsg{CircID: p.id, From: w.node.ID(), ViaPath: via, Onion: onion}
 	w.node.SendAppVia(a, via, msg.encode())
+	p.setupAt = w.rt.Now()
 	p.timer = w.rt.After(w.cfg.PathTimeout, func() {
 		if w.circByID[p.id] == p && !p.established {
 			w.retrySetup(p)
@@ -399,6 +441,8 @@ func (w *WCL) establish(p *circPath) {
 	}
 	p.established = true
 	p.establishedAt = w.rt.Now()
+	// The ack names this attempt's fresh circuit ID: an unambiguous sample.
+	p.rtt.sample(p.establishedAt - p.setupAt)
 	if p.timer != nil {
 		p.timer.Cancel()
 		p.timer = nil
@@ -440,30 +484,11 @@ func (w *WCL) establish(p *circPath) {
 	}
 }
 
-// sendCell seals and launches one cell on p. The plaintext is copied
-// once, into the buffer that travels to the exit; cell.payload itself
-// stays untouched for the one-shot fallback.
+// sendCell launches one cell on p and arms its retransmit timer.
 func (w *WCL) sendCell(c *Circuit, p *circPath, cell *pendingCell) {
-	typ := cellData
-	if cell.ping {
-		typ = cellPing
-	}
-	start := time.Now()
-	cw := newCellWriter(len(p.keys), 1+len(cell.payload))
-	cw.U8(typ)
-	cw.Raw(cell.payload)
-	err := sealCell(w.cpu, p.keys, cw)
-	sealDur := time.Since(start)
-	if err != nil {
-		if !cell.ping {
-			obs.Inc(&w.st.CellFallbacks)
-			w.sendOneShot(c.dest, cell.payload, cell.done)
-		}
-		return
-	}
-	via, ok := w.node.RouteTo(p.first)
-	if !ok {
-		// The first hop went cold: the path is unusable.
+	if !w.launchCell(p, p.seq+1, cell) {
+		// The first hop went cold (or the keys do not seal): the path is
+		// unusable.
 		if !cell.ping {
 			obs.Inc(&w.st.CellFallbacks)
 			w.sendOneShot(c.dest, cell.payload, cell.done)
@@ -472,25 +497,70 @@ func (w *WCL) sendCell(c *Circuit, p *circPath, cell *pendingCell) {
 		return
 	}
 	p.seq++
-	seq := p.seq
 	if !cell.ping {
 		p.cells++
 	}
 	obs.Inc(&w.st.CellsSent)
-	w.Trace.Emit(obs.KindCellSend, w.rt.Now(), sealDur, cw.Len(), p.id)
+	cell.sentAt = w.rt.Now()
+	c.lastSent = cell.sentAt
+	p.pendingCells[p.seq] = cell
+	w.armCellTimer(p, p.seq, cell)
+}
+
+// launchCell seals one copy of cell and sends it on p under seq; false
+// when p cannot carry it. The plaintext is copied once, into the buffer
+// that travels to the exit. Relays open that buffer in place, so every
+// copy is sealed afresh — under fresh nonces, so relays cannot link a
+// retransmit to its original — and cell.payload stays untouched for
+// retransmits and the one-shot fallback.
+func (w *WCL) launchCell(p *circPath, seq uint64, cell *pendingCell) bool {
+	via, ok := w.node.RouteTo(p.first)
+	if !ok {
+		return false
+	}
+	typ := cellData
+	if cell.ping {
+		typ = cellPing
+	}
+	start := time.Now()
+	cw := newCellWriter(len(p.keys), 1+len(cell.payload))
+	cw.U8(typ)
+	cw.Raw(cell.payload)
+	if err := sealCell(w.cpu, p.keys, cw); err != nil {
+		return false
+	}
+	w.Trace.Emit(obs.KindCellSend, w.rt.Now(), time.Since(start), cw.Len(), p.id)
 	w.node.SendAppVia(p.first, via, frameCircData(cw, p.id, seq))
-	c.lastSent = w.rt.Now()
-	p.pendingCells[seq] = cell
-	cell.timer = w.rt.After(w.cfg.PathTimeout, func() {
-		if w.circByID[p.id] == p && p.pendingCells[seq] == cell {
-			w.cellTimeout(p, seq)
+	return true
+}
+
+// armCellTimer schedules a pending cell's next retransmit at the path's
+// current RTO — no backoff: loss here comes in bursts that end per
+// datagram, not per unit of time — and never past PathTimeout after the
+// cell's first send, where it times out instead.
+func (w *WCL) armCellTimer(p *circPath, seq uint64, cell *pendingCell) {
+	wait := min(p.rtt.rto(), cell.sentAt+w.cfg.PathTimeout-w.rt.Now())
+	cell.timer = w.rt.After(wait, func() {
+		if w.circByID[p.id] != p || p.pendingCells[seq] != cell {
+			return
 		}
+		// The retransmit goes on the cell's own path under its own seq;
+		// a path that can no longer carry it is broken.
+		if w.rt.Now()-cell.sentAt >= w.cfg.PathTimeout || !w.launchCell(p, seq, cell) {
+			w.cellTimeout(p, seq)
+			return
+		}
+		cell.retx = true
+		obs.Inc(&w.st.CellRetransmits)
+		p.c.lastSent = w.rt.Now()
+		w.armCellTimer(p, seq, cell)
 	})
 }
 
-// cellTimeout handles a cell that was never acknowledged: the payload
-// falls back to a one-shot send and the path — evidently broken — is
-// torn down (its other in-flight cells fall back too).
+// cellTimeout handles a cell still unacknowledged PathTimeout after its
+// first send: the payload falls back to a one-shot send and the path —
+// evidently broken — is torn down (its other in-flight cells fall back
+// too).
 func (w *WCL) cellTimeout(p *circPath, seq uint64) {
 	cell := p.pendingCells[seq]
 	if cell == nil {
@@ -620,6 +690,9 @@ func (w *WCL) handleCircCellAck(circID, seq uint64) {
 		delete(p.pendingCells, seq)
 		if cell.timer != nil {
 			cell.timer.Cancel()
+		}
+		if !cell.retx {
+			p.rtt.sample(w.rt.Now() - cell.sentAt)
 		}
 		obs.Inc(&w.st.CellsAcked)
 		if !cell.ping {

@@ -22,8 +22,10 @@ import (
 // ascending fragment order; StreamRetries consecutive rounds without
 // any acked progress declare the path broken and the whole message
 // falls back to one one-shot send (same at-least-once caveat across
-// catastrophic path failure as the cell layer's fallback). Karn's
+// catastrophic path failure as the cell layer's fallback). Fragment
+// acks feed the path's RTT estimator, which the cells share; Karn's
 // rule applies: retransmitted fragments never produce an RTT sample.
+// Unlike a data cell, a fragment is retransmitted under a fresh seq.
 //
 // Rotation-drain rule: a stream message is pinned to the circPath its
 // first fragment used and always finishes there. Rotation (and path
@@ -65,12 +67,11 @@ type streamSend struct {
 	next     int // next never-sent fragment
 	inflight int // launched, unacked (window + gauge occupancy)
 
-	rounds   int           // consecutive timer rounds without progress
-	progress bool          // acked progress since the last timer round
-	fastRetx int           // hole index already fast-retransmitted (-1: none)
-	holeAt   int           // hole index currently under observation
-	holeSeen int           // consecutive acks that reported holeAt
-	srtt     time.Duration // smoothed RTT from unretransmitted samples
+	rounds   int  // consecutive timer rounds without progress
+	progress bool // acked progress since the last timer round
+	fastRetx int  // hole index already fast-retransmitted (-1: none)
+	holeAt   int  // hole index currently under observation
+	holeSeen int  // consecutive acks that reported holeAt
 
 	timer    transport.Timer
 	start    time.Duration
@@ -300,6 +301,7 @@ func (w *WCL) handleCircStreamAck(m streamAckMsg) {
 // message finishes.
 func (w *WCL) streamAcked(s *streamSend, m streamAckMsg) {
 	now := w.rt.Now()
+	rtt := &s.path.rtt
 	ackFrag := func(i int) {
 		if i >= s.frags || s.acked[i] {
 			return
@@ -314,11 +316,7 @@ func (w *WCL) streamAcked(s *streamSend, m streamAckMsg) {
 		if !s.retx[i] {
 			sample := now - s.sentAt[i]
 			w.streamRTT.ObserveDuration(sample)
-			if s.srtt == 0 {
-				s.srtt = sample
-			} else {
-				s.srtt = (7*s.srtt + sample) / 8
-			}
+			rtt.sample(sample)
 		}
 	}
 	cum := int(m.Cum)
@@ -344,14 +342,14 @@ func (w *WCL) streamAcked(s *streamSend, m streamAckMsg) {
 	// while later fragments arrive. The network reorders datagrams
 	// freely, so a hole alone is not evidence of loss — require both
 	// streamDupAckThreshold consecutive reports AND the hole's launch
-	// to be older than 1.5x the smoothed RTT (RACK-style) before
+	// to be older than 1.5x the path's smoothed RTT (RACK-style) before
 	// re-sending it ahead of the timer round.
 	if hole := s.cum; hole < s.next && s.ackedN > hole && s.fastRetx != hole {
 		if hole != s.holeAt {
 			s.holeAt, s.holeSeen = hole, 0
 		}
 		s.holeSeen++
-		if s.holeSeen >= streamDupAckThreshold && s.srtt > 0 && now-s.sentAt[hole] > s.srtt*3/2 {
+		if s.holeSeen >= streamDupAckThreshold && rtt.srtt > 0 && now-s.sentAt[hole] > rtt.srtt*3/2 {
 			s.fastRetx = hole
 			s.retx[hole] = true
 			obs.Inc(&w.st.StreamRetransmits)

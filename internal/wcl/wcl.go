@@ -66,10 +66,13 @@ type Config struct {
 	// CircuitDedupCells bounds the exit-side (circID, seq) cell dedup
 	// LRU (default 4096). Invariant: the window must never evict a seq
 	// that could still be retransmitted, or a late retransmit would be
-	// re-delivered and break exactly-once — withDefaults therefore
-	// clamps it to at least 4× StreamWindow (each windowed fragment can
-	// be retransmitted under fresh seqs, so a single window of frags
-	// can occupy several windows' worth of dedup entries).
+	// re-delivered and break exactly-once. A data cell is re-sent under
+	// its own seq until PathTimeout after its first send, so the window
+	// must outlive that budget: hold every cell an exit receives within
+	// PathTimeout. withDefaults also clamps it to at least 4×
+	// StreamWindow (each windowed fragment can be retransmitted under
+	// fresh seqs, so a single window of frags can occupy several
+	// windows' worth of dedup entries).
 	CircuitDedupCells int
 
 	// StreamFragSize is the payload carried by one stream fragment cell
@@ -273,6 +276,9 @@ type Stats struct {
 	// CellFallbacks counts data cells that timed out on a circuit and
 	// were re-sent through the one-shot path.
 	CellFallbacks uint64 `obs:"wcl_cell_fallbacks_total"`
+	// CellRetransmits counts cell copies re-sent on their own circuit
+	// after the path's RTO (CellsSent counts each cell once).
+	CellRetransmits uint64 `obs:"wcl_cell_retransmits_total"`
 	// Keepalives counts ping cells sent to keep idle circuits warm.
 	Keepalives uint64 `obs:"wcl_circuit_keepalives_total"`
 

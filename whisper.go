@@ -82,6 +82,9 @@ func (o Options) withDefaults() Options {
 	if o.Pi == 0 {
 		o.Pi = 3
 	}
+	if o.KeyPoolSize == 0 {
+		o.KeyPoolSize = 64
+	}
 	return o
 }
 
@@ -100,7 +103,7 @@ func NewNetwork(opts Options) (*Network, error) {
 	if opts.WAN {
 		model = netem.DefaultPlanetLab()
 	}
-	pool, err := identity.NewPool(max(1, opts.KeyPoolSize, 64), opts.KeyBits)
+	pool, err := identity.NewPool(opts.KeyPoolSize, opts.KeyBits)
 	if err != nil {
 		return nil, err
 	}
