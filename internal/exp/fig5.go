@@ -16,23 +16,20 @@ import (
 type Fig5Config struct {
 	Seed     int64
 	N        int           // paper: 1,000
-	ViewSize int           // paper: 10
 	NATRatio float64       // paper: 0.7
 	Runtime  time.Duration // settling time before the snapshot
 	PiValues []int         // paper: 0..3
-	// CapExcessPublic exercises the second bias (ablation).
-	CapExcessPublic bool
 	// Parallel bounds the worker pool running the independent Π runs
 	// (<= 0: one worker per CPU; 1: sequential).
 	Parallel int
 }
 
+// fig5ViewSize is the PSS view size of every Fig. 5 run (paper: 10).
+const fig5ViewSize = 10
+
 func (c Fig5Config) withDefaults() Fig5Config {
 	if c.N == 0 {
 		c.N = 1000
-	}
-	if c.ViewSize == 0 {
-		c.ViewSize = 10
 	}
 	if c.NATRatio == 0 {
 		c.NATRatio = 0.7
@@ -71,12 +68,8 @@ func Fig5(cfg Fig5Config) ([]Fig5Result, error) {
 			N:        cfg.N,
 			NATRatio: cfg.NATRatio,
 			KeyPool:  keyPool.View(i),
-			Nylon: nylon.Config{
-				ViewSize:        cfg.ViewSize,
-				MinPublic:       pi,
-				CapExcessPublic: cfg.CapExcessPublic,
-			},
-			Obs: worldObs(fmt.Sprintf("fig5/pi=%d", pi)),
+			Nylon:    nylon.Config{ViewSize: fig5ViewSize, MinPublic: pi},
+			Obs:      worldObs(fmt.Sprintf("fig5/pi=%d", pi)),
 		})
 		if err != nil {
 			return Fig5Result{}, err

@@ -24,7 +24,6 @@ type Fig9Config struct {
 	Warmup    time.Duration // PPSS convergence before T-Chord starts
 	RingTime  time.Duration // T-Chord convergence time
 	PPSS      ppss.Config
-	TChord    tchord.Config
 }
 
 func (c Fig9Config) withDefaults() Fig9Config {
@@ -100,8 +99,7 @@ func Fig9(cfg Fig9Config) (Fig9Result, error) {
 	}
 	w.Sim.RunUntil(cfg.Warmup)
 
-	tcfg := cfg.TChord
-	tcfg.PinRing = true
+	tcfg := tchord.Config{PinRing: true}
 	var ring []*tchord.Node
 	for _, m := range members {
 		inst := m.PPSS.Instance(g)

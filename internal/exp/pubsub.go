@@ -24,37 +24,23 @@ import (
 // offline sweep measures the filter false-positive rate across filter
 // sizes, the plausible-deniability dial.
 type PubSubConfig struct {
-	Seed            int64
-	N               int // overlay size (default 160)
-	Members         int // group size (default 24)
-	Topics          int // distinct topics (default 8)
-	TopicsPerMember int // subscriptions per member (default 2)
-	Rounds          int // publish rounds; each round publishes once per topic (default 6)
-	PayloadBytes    int // plaintext bytes per publication (default 64)
-	FilterBits      int // live filter size m (default pubsub.DefaultFilterBits)
+	Seed int64
+	N    int // overlay size (default 160)
 }
+
+// The pub/sub experiment's schedule. The live filters are
+// pubsub.DefaultFilterBits wide.
+const (
+	pubsubMembers         = 24 // group size
+	pubsubTopics          = 8  // distinct topics
+	pubsubTopicsPerMember = 2  // subscriptions per member
+	pubsubRounds          = 6  // publish rounds; each round publishes once per topic
+	pubsubPayloadBytes    = 64 // plaintext bytes per publication
+)
 
 func (c PubSubConfig) withDefaults() PubSubConfig {
 	if c.N == 0 {
 		c.N = 160
-	}
-	if c.Members == 0 {
-		c.Members = 24
-	}
-	if c.Topics == 0 {
-		c.Topics = 8
-	}
-	if c.TopicsPerMember == 0 {
-		c.TopicsPerMember = 2
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 6
-	}
-	if c.PayloadBytes == 0 {
-		c.PayloadBytes = 64
-	}
-	if c.FilterBits == 0 {
-		c.FilterBits = pubsub.DefaultFilterBits
 	}
 	return c
 }
@@ -126,9 +112,7 @@ func PubSub(cfg PubSubConfig) (PubSubResult, error) {
 	if len(publics) == 0 || len(live) < 4 {
 		return PubSubResult{}, fmt.Errorf("world did not converge: %d live, %d public", len(live), len(publics))
 	}
-	if cfg.Members > len(live) {
-		cfg.Members = len(live)
-	}
+	members := min(pubsubMembers, len(live))
 
 	// One private group, onboarded the way the paper's PPSS does:
 	// a public leader creates it and invites the members, joins
@@ -137,9 +121,9 @@ func PubSub(cfg PubSubConfig) (PubSubResult, error) {
 	if err != nil {
 		return PubSubResult{}, fmt.Errorf("create group: %w", err)
 	}
-	candidates := make([]*sim.Node, 0, cfg.Members-1)
+	candidates := make([]*sim.Node, 0, members-1)
 	for _, n := range live {
-		if n != publics[0] && len(candidates) < cfg.Members-1 {
+		if n != publics[0] && len(candidates) < members-1 {
 			candidates = append(candidates, n)
 		}
 	}
@@ -171,12 +155,12 @@ func PubSub(cfg PubSubConfig) (PubSubResult, error) {
 			insts = append(insts, inst)
 		}
 	}
-	res := PubSubResult{Members: len(insts), Topics: cfg.Topics, Rounds: cfg.Rounds}
+	res := PubSubResult{Members: len(insts), Topics: pubsubTopics, Rounds: pubsubRounds}
 	if len(insts) < 4 {
-		return res, fmt.Errorf("only %d/%d members joined the group", len(insts), cfg.Members)
+		return res, fmt.Errorf("only %d/%d members joined the group", len(insts), members)
 	}
 
-	topics := make([]string, cfg.Topics)
+	topics := make([]string, pubsubTopics)
 	for t := range topics {
 		topics[t] = fmt.Sprintf("topic-%d", t)
 	}
@@ -187,12 +171,12 @@ func PubSub(cfg PubSubConfig) (PubSubResult, error) {
 	// subscribers.
 	endpoints := make([]*pubsub.PubSub, len(insts))
 	subs := make([]map[string]bool, len(insts))
-	subscribers := make(map[string]uint64, cfg.Topics)
+	subscribers := make(map[string]uint64, pubsubTopics)
 	for i, inst := range insts {
-		endpoints[i] = pubsub.New(inst, pubsub.Config{FilterBits: cfg.FilterBits})
-		subs[i] = make(map[string]bool, cfg.TopicsPerMember)
-		for j := 0; j < cfg.TopicsPerMember; j++ {
-			topic := topics[(i*cfg.TopicsPerMember+j)%cfg.Topics]
+		endpoints[i] = pubsub.New(inst, pubsub.Config{FilterBits: pubsub.DefaultFilterBits})
+		subs[i] = make(map[string]bool, pubsubTopicsPerMember)
+		for j := 0; j < pubsubTopicsPerMember; j++ {
+			topic := topics[(i*pubsubTopicsPerMember+j)%pubsubTopics]
 			if subs[i][topic] {
 				continue
 			}
@@ -212,13 +196,13 @@ func PubSub(cfg PubSubConfig) (PubSubResult, error) {
 	// the world's rng so protocol scheduling is untouched.
 	prng := rand.New(rand.NewSource(cfg.Seed ^ 0x707562737562)) // "pubsub"
 	payload := func() []byte {
-		b := make([]byte, cfg.PayloadBytes)
+		b := make([]byte, pubsubPayloadBytes)
 		prng.Read(b)
 		return b
 	}
 
 	// Leg 1: the filter-routed pub/sub.
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < pubsubRounds; round++ {
 		for t, topic := range topics {
 			pub := endpoints[(round+t)%len(endpoints)]
 			if err := pub.Publish(topic, payload()); err != nil {
@@ -268,7 +252,7 @@ func PubSub(cfg PubSubConfig) (PubSubResult, error) {
 			}
 		}
 	}
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < pubsubRounds; round++ {
 		for t, topic := range topics {
 			tag := pubsub.HashTopic(topic)
 			bcs[(round+t)%len(bcs)].Publish(append(tag[:], payload()...))

@@ -39,16 +39,6 @@ type Config struct {
 	// PCPRefresh is the persistent-path refresh period (§IV-C; lower
 	// frequency than gossip, bounded by the NAT lease).
 	PCPRefresh time.Duration
-	// PoolCircuits routes traffic to persistent-pool members over WCL
-	// circuits: the pool is exactly the set of partners a node
-	// re-contacts indefinitely, so the one-time circuit setup amortizes
-	// and the periodic PCP ping doubles as the circuit's keepalive.
-	// Gossip shuffles take the same route when the partner is pooled
-	// (or a circuit already exists), so steady-state shuffling with
-	// persistent partners pays symmetric cells instead of fresh onions.
-	// Defaults to on (set to a false pointer to disable); one-shot
-	// remains the path for everything outside the pool.
-	PoolCircuits *bool
 	// HeartbeatTimeout is how stale the leader heartbeat may grow
 	// before an election starts (§IV-A).
 	HeartbeatTimeout time.Duration
@@ -105,10 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AnnounceFor == 0 {
 		c.AnnounceFor = 10 * c.Cycle
-	}
-	if c.PoolCircuits == nil {
-		on := true
-		c.PoolCircuits = &on
 	}
 	return c
 }
@@ -542,15 +528,16 @@ func (in *Instance) Invite(invitee identity.NodeID) (Accreditation, Entry, error
 
 // wclSend routes one encoded message to a member. Persistent-pool
 // members — and any destination that already has an established
-// circuit — ride the WCL circuit layer when PoolCircuits is on (the
-// circuit transparently falls back to one-shot sends when it breaks);
-// everything else pays the ordinary one-shot onion path.
+// circuit — ride the WCL circuit layer: the pool is exactly the set of
+// partners a node re-contacts indefinitely, so the one-time circuit
+// setup amortizes and the periodic PCP ping doubles as the circuit's
+// keepalive (the circuit transparently falls back to one-shot sends
+// when it breaks). Everything else pays the ordinary one-shot onion
+// path.
 func (in *Instance) wclSend(e Entry, encoded []byte, done func(wcl.Result)) {
-	if *in.cfg.PoolCircuits {
-		if _, pooled := in.pcp[e.ID]; pooled || in.r.w.HasCircuit(e.ID) {
-			in.r.w.SendCircuit(e.Dest(), encoded, done)
-			return
-		}
+	if _, pooled := in.pcp[e.ID]; pooled || in.r.w.HasCircuit(e.ID) {
+		in.r.w.SendCircuit(e.Dest(), encoded, done)
+		return
 	}
 	in.r.w.Send(e.Dest(), encoded, done)
 }

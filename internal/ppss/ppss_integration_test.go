@@ -323,7 +323,7 @@ func TestPersistentPaths(t *testing.T) {
 }
 
 // TestPersistentPoolRidesCircuits: pooled members are reached over WCL
-// circuits (PoolCircuits defaults to on) — the periodic PCP ping
+// circuits — the periodic PCP ping
 // establishes the circuit and then doubles as its keepalive, so pooled
 // application sends travel as RSA-free data cells.
 func TestPersistentPoolRidesCircuits(t *testing.T) {
@@ -430,49 +430,6 @@ func TestShufflesRideCircuits(t *testing.T) {
 	}
 	if a.Stats().ExchangesCompleted == baseline {
 		t.Fatal("no shuffle exchange completed after pooling")
-	}
-}
-
-// TestPoolCircuitsDisabled: with PoolCircuits explicitly off, the pool
-// behaves exactly as before — one-shot paths only, no circuit state.
-func TestPoolCircuitsDisabled(t *testing.T) {
-	off := false
-	cfg := fastPPSS()
-	cfg.PoolCircuits = &off
-	w, err := sim.NewWorld(sim.Options{
-		Seed:     39,
-		N:        80,
-		NATRatio: 0.7,
-		KeyPool:  identity.TestPool(64),
-		PPSS:     cfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.StartAll()
-	w.Sim.RunUntil(4 * time.Minute)
-
-	members := w.Live()[:12]
-	g := ppss.GroupIDFromName("no-circ")
-	formGroup(t, w, "no-circ", members)
-	w.Sim.RunFor(6 * time.Minute)
-
-	a := members[1].PPSS.Instance(g)
-	peer, ok := a.GetPeer()
-	if !ok {
-		t.Fatal("empty private view")
-	}
-	a.MakePersistent(peer)
-	w.Sim.RunFor(5 * time.Minute)
-
-	if a.Stats().PCPRefreshes == 0 {
-		t.Fatal("no PCP refresh ever sent")
-	}
-	for _, m := range members {
-		st := m.WCL.Stats()
-		if st.CircuitsOpened != 0 || st.CellsSent != 0 {
-			t.Fatalf("node %d used circuits with PoolCircuits disabled: %+v", m.ID(), st)
-		}
 	}
 }
 

@@ -62,11 +62,11 @@ type Options struct {
 	// nat.DefaultLease).
 	NATLease time.Duration
 	// WCL, when non-nil, attaches a Whisper communication layer to
-	// every node (forces Nylon key sampling on).
+	// every node (core.NewStack forces Nylon key sampling on).
 	WCL *wcl.Config
 	// PPSS, when non-nil, attaches a private peer sampling router to
-	// every node (requires WCL; a default WCL config is used if WCL is
-	// nil).
+	// every node (requires WCL; core.NewStack implies a default WCL
+	// config if WCL is nil).
 	PPSS *ppss.Config
 	// Obs, when non-nil, registers every node's instruments under it.
 	// Single-shard worlds scope each node by a "node" label; sharded
@@ -101,19 +101,13 @@ func (o Options) withDefaults() Options {
 	if o.Shards == 0 {
 		o.Shards = 1
 	}
-	if o.PPSS != nil && o.WCL == nil {
-		o.WCL = &wcl.Config{}
-	}
-	if o.WCL != nil {
-		o.Nylon.KeySampling = true
-	}
 	return o
 }
 
 // Node bundles one simulated node's stack and bookkeeping.
 type Node struct {
 	Nylon *nylon.Node
-	WCL   *wcl.WCL     // nil unless Options.WCL is set
+	WCL   *wcl.WCL     // nil unless Options.WCL or Options.PPSS is set
 	PPSS  *ppss.Router // nil unless Options.PPSS is set
 	Dev   *nat.Device  // nil for P-nodes
 	Type  nat.Type

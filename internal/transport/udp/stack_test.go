@@ -44,7 +44,7 @@ func TestFullStackOverLoopback(t *testing.T) {
 				ExchangeSize:   3,
 				ShuffleTimeout: time.Second,
 			},
-			WCL: &wcl.Config{PathTimeout: 2 * time.Second},
+			WCL: &wcl.Config{},
 			PPSS: &ppss.Config{
 				Cycle:       150 * time.Millisecond,
 				RespTimeout: time.Second,

@@ -12,11 +12,31 @@ import (
 // Backward acknowledgements: every hop of a one-shot path remembers,
 // for a bounded time, how to route an acknowledgement back to the
 // previous hop; the source resolves it against its pending sends.
+// Circuit relays keep the same backward route in their table entry.
+
+// hopBack is how a hop sends back to its predecessor, captured from
+// the message that reached it: the previous hop's ID, the reverse of
+// the nylon relays that message crossed, and the endpoint it arrived
+// from (used when it crossed none).
+type hopBack struct {
+	from   identity.NodeID
+	via    []identity.NodeID
+	direct transport.Endpoint
+}
+
+// sendBack routes one backward message (an acknowledgement of the
+// path or circuit id) to the previous hop.
+func (w *WCL) sendBack(b hopBack, id uint64, payload []byte) {
+	w.Trace.Emit(obs.KindAck, w.rt.Now(), 0, 0, id)
+	if len(b.via) == 0 {
+		w.node.SendAppDirect(b.direct, payload)
+		return
+	}
+	w.node.SendAppVia(nylon.Descriptor{ID: b.from}, b.via, payload)
+}
 
 type ackEntry struct {
-	fromID  identity.NodeID
-	via     []identity.NodeID // reverse relay chain ([] = direct)
-	direct  transport.Endpoint
+	back    hopBack
 	expires time.Duration
 }
 
@@ -40,13 +60,7 @@ func (w *WCL) sendAckBack(pathID uint64) {
 		return
 	}
 	obs.Inc(&w.st.AcksForwarded)
-	w.Trace.Emit(obs.KindAck, w.rt.Now(), 0, 0, pathID)
-	ack := encodeAck(pathID)
-	if len(st.via) == 0 {
-		w.node.SendAppDirect(st.direct, ack)
-		return
-	}
-	w.node.SendAppVia(nylon.Descriptor{ID: st.fromID}, st.via, ack)
+	w.sendBack(st.back, pathID, encodeAck(pathID))
 }
 
 // ackExpiry is one ackOrder record: the expiry an ackState entry was
@@ -56,12 +70,13 @@ type ackExpiry struct {
 	expires time.Duration
 }
 
-// rememberAck stores e as pathID's backward route for AckTTL. Entries
-// expire in the order they were written, so dropping the expired head
-// of ackOrder on every insert bounds ackState by the paths seen within
-// one AckTTL. A path re-remembered later (a retry through the same
-// hop) keeps its newer entry: a head only deletes the entry it wrote.
-func (w *WCL) rememberAck(pathID uint64, e ackEntry) {
+// rememberAck stores back as pathID's backward route for ackTTL.
+// Entries expire in the order they were written, so dropping the
+// expired head of ackOrder on every insert bounds ackState by the paths
+// seen within one ackTTL. A path re-remembered later (a retry through
+// the same hop) keeps its newer entry: a head only deletes the entry it
+// wrote.
+func (w *WCL) rememberAck(pathID uint64, back hopBack) {
 	now := w.rt.Now()
 	for len(w.ackOrder) > 0 && now > w.ackOrder[0].expires {
 		old := w.ackOrder[0]
@@ -70,7 +85,7 @@ func (w *WCL) rememberAck(pathID uint64, e ackEntry) {
 		}
 		w.ackOrder = w.ackOrder[1:]
 	}
-	e.expires = now + w.cfg.AckTTL
+	e := ackEntry{back: back, expires: now + ackTTL}
 	w.ackState[pathID] = e
 	w.ackOrder = append(w.ackOrder, ackExpiry{pathID, e.expires})
 }

@@ -85,7 +85,7 @@ func TestCellAllocBudgets(t *testing.T) {
 
 	t.Run("relay", func(t *testing.T) {
 		w := newBareWCL(t)
-		w.relayCirc.put(&relayCircuit{id: 7, key: keys[0], nextKind: addrByEndpoint, nextEp: next}, 0)
+		w.relayCirc.put(&relayCircuit{id: 7, key: keys[0], next: hopAddr{kind: addrByEndpoint, ep: next}}, 0)
 		cells, i := sealedCellPayloads(t, runs+1, 7, keys, body), 0
 		got := allocBytesPerRun(runs, func() { w.handleApp(src, cells[i]); i++ })
 		if st := w.Stats(); st.CellsForwarded != runs+1 {
@@ -98,7 +98,7 @@ func TestCellAllocBudgets(t *testing.T) {
 
 	t.Run("exit", func(t *testing.T) {
 		w := newBareWCL(t)
-		w.relayCirc.put(&relayCircuit{id: 7, key: keys[2], exit: true, prevDirect: src}, 0)
+		w.relayCirc.put(&relayCircuit{id: 7, key: keys[2], exit: true, back: hopBack{direct: src}}, 0)
 		delivered := 0
 		w.OnReceive = func(p []byte) {
 			if len(p) == size {
@@ -129,7 +129,7 @@ func TestRelayForwardsTheDatagramItReceived(t *testing.T) {
 	next := netem.Endpoint{IP: 9, Port: 1}
 	var sent []byte
 	w.rt.Attach(next.IP, netem.HandlerFunc(func(dg netem.Datagram) { sent = dg.Payload }))
-	w.relayCirc.put(&relayCircuit{id: 7, key: keys[0], nextKind: addrByEndpoint, nextEp: next}, 0)
+	w.relayCirc.put(&relayCircuit{id: 7, key: keys[0], next: hopAddr{kind: addrByEndpoint, ep: next}}, 0)
 	in := sealedCellPayloads(t, 1, 7, keys, []byte("body"))[0]
 	w.handleApp(netem.Endpoint{IP: 8, Port: 1}, in)
 	w.rt.(*simtr.Transport).Sim().RunFor(time.Second)

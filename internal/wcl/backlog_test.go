@@ -128,7 +128,7 @@ func TestConfigMixesClamp(t *testing.T) {
 	if c.Mixes != 2 {
 		t.Fatalf("Mixes=1 not clamped to 2 (got %d): one mix cannot hide both endpoints", c.Mixes)
 	}
-	if d := (Config{}).withDefaults(); d.Mixes != 2 || d.MaxAttempts != 1+d.MinPublic {
+	if d := (Config{}).withDefaults(); d.Mixes != 2 || d.maxAttempts() != 1+d.MinPublic {
 		t.Fatalf("defaults wrong: %+v", d)
 	}
 }

@@ -2,7 +2,6 @@ package wcl
 
 import (
 	"container/list"
-	"fmt"
 	"time"
 
 	"whisper/internal/crypt"
@@ -32,51 +31,20 @@ import (
 // handshake, cell acks and stream-fragment acks. An unacknowledged cell
 // is re-sealed and re-sent on its own path under its own (circID, seq)
 // every RTO — the exit's cell dedup re-acks a repeat and never
-// re-delivers it — until PathTimeout after its first send; a cell still
+// re-delivers it — until pathTimeout after its first send; a cell still
 // unacknowledged then is the cell timeout above.
 //
 // A Circuit outlives its paths: rotation (max age or max cells) opens
 // a replacement path while the old one keeps carrying traffic, then
 // retires it once its in-flight cells drain. Keepalive pings keep the
 // relay tables of quiet circuits warm; a circuit idle for longer than
-// CircuitIdle is torn down entirely.
+// circuitIdle is torn down entirely.
 //
 // Relay-side state is a bounded LRU table keyed by circuit ID: the
 // hop's cell key plus forward/backward routing captured at setup.
-// Entries expire CircuitTTL after last use and the oldest entry is
-// evicted beyond CircuitTableMax — a lost entry only degrades the
+// Entries expire circuitTTL after last use and the oldest entry is
+// evicted beyond circuitTableMax — a lost entry only degrades the
 // source to one-shot fallback.
-
-// CircuitState labels the observable state of a Circuit.
-type CircuitState uint8
-
-const (
-	// CircuitOpening: setup in flight, no established path yet.
-	CircuitOpening CircuitState = iota
-	// CircuitEstablished: a path is live; sends travel as data cells.
-	CircuitEstablished
-	// CircuitRotating: a replacement path is being established while
-	// the current one still carries traffic.
-	CircuitRotating
-	// CircuitClosed: torn down; the next Send to this destination
-	// starts over.
-	CircuitClosed
-)
-
-func (s CircuitState) String() string {
-	switch s {
-	case CircuitOpening:
-		return "opening"
-	case CircuitEstablished:
-		return "established"
-	case CircuitRotating:
-		return "rotating"
-	case CircuitClosed:
-		return "closed"
-	default:
-		return fmt.Sprintf("CircuitState(%d)", uint8(s))
-	}
-}
 
 // circuitQueueMax bounds cells buffered while a circuit establishes;
 // overflow falls back to one-shot sends.
@@ -125,8 +93,10 @@ func (e *rttEstimator) rto() time.Duration {
 
 // circPath is one established (or establishing) onion path of a
 // circuit: its wire identifier, the per-hop cell keys, and the
-// in-flight cell window.
+// in-flight cell window. Its setup rides the path-attempt engine
+// (send.go) through the embedded pathTry.
 type circPath struct {
+	pathTry
 	c *Circuit
 
 	id    uint64
@@ -144,19 +114,13 @@ type circPath struct {
 	pendingCells map[uint64]*pendingCell
 	stream       *streamSend // active stream message pinned to this path
 	rtt          rttEstimator
-
-	// setup state (shares the one-shot attempt budget semantics)
-	attempts int
-	setupAt  time.Duration // launch of the current attempt (first RTT sample)
-	triedA   map[identity.NodeID]bool
-	triedB   map[identity.NodeID]bool
-	timer    transport.Timer
+	setupAt      time.Duration // launch of the current setup attempt (first RTT sample)
 }
 
 // Circuit is a reusable confidential session to one destination. It is
-// obtained from OpenCircuit (or transparently through Send when
-// Config.Circuits is set) and must only be used from the node's
-// dispatch context, like every other WCL entry point.
+// obtained from OpenCircuit (or used through SendCircuit and
+// SendStream) and must only be used from the node's dispatch context,
+// like every other WCL entry point.
 type Circuit struct {
 	w    *WCL
 	dest Dest
@@ -189,12 +153,11 @@ func (w *WCL) OpenCircuit(dest Dest) *Circuit {
 }
 
 // SendCircuit sends payload over the circuit to dest, establishing one
-// on first use. It works regardless of Config.Circuits (receivers
-// always understand circuit messages); destinations without a known
-// key fail through the one-shot path for identical accounting.
+// on first use (Send is the one-shot send). Destinations without a
+// known key fail through the one-shot path for identical accounting.
 func (w *WCL) SendCircuit(dest Dest, payload []byte, done func(Result)) {
 	if dest.Key == nil {
-		w.sendOneShot(dest, payload, done)
+		w.Send(dest, payload, done)
 		return
 	}
 	w.OpenCircuit(dest).Send(payload, done)
@@ -207,23 +170,6 @@ func (w *WCL) HasCircuit(id identity.NodeID) bool {
 	return ok && !c.closed && c.cur != nil
 }
 
-// State reports the circuit's current lifecycle state.
-func (c *Circuit) State() CircuitState {
-	switch {
-	case c.closed:
-		return CircuitClosed
-	case c.cur != nil && c.opening != nil:
-		return CircuitRotating
-	case c.cur != nil:
-		return CircuitEstablished
-	default:
-		return CircuitOpening
-	}
-}
-
-// Dest returns the destination this circuit serves.
-func (c *Circuit) Dest() Dest { return c.dest }
-
 // Send delivers payload over the circuit: as a data cell when a path
 // is established, queued during establishment, and through the
 // one-shot engine when the circuit cannot serve it (closed, setup
@@ -232,7 +178,7 @@ func (c *Circuit) Dest() Dest { return c.dest }
 func (c *Circuit) Send(payload []byte, done func(Result)) {
 	w := c.w
 	if c.closed {
-		w.sendOneShot(c.dest, payload, done)
+		w.Send(c.dest, payload, done)
 		return
 	}
 	now := w.rt.Now()
@@ -248,13 +194,10 @@ func (c *Circuit) Send(payload []byte, done func(Result)) {
 	if c.opening == nil {
 		w.openPath(c)
 	}
-	if c.closed || c.opening == nil {
-		// Setup failed synchronously (no usable mixes at all).
-		w.sendOneShot(c.dest, payload, done)
-		return
-	}
-	if len(c.queue) >= circuitQueueMax {
-		w.sendOneShot(c.dest, payload, done)
+	if c.closed || c.opening == nil || len(c.queue) >= circuitQueueMax {
+		// Setup failed synchronously (no usable mixes at all), or the
+		// establishment queue is full.
+		w.Send(c.dest, payload, done)
 		return
 	}
 	c.queue = append(c.queue, &pendingCell{payload: payload, done: done, start: now})
@@ -277,135 +220,79 @@ func (c *Circuit) Close() {
 	if c.cur != nil {
 		w.closePath(c.cur, true)
 	}
+	w.drainQueues(c)
+	w.dropCircuit(c)
+}
+
+// drainQueues hands the cells queued during establishment and the
+// waiting stream messages of c to the one-shot engine.
+func (w *WCL) drainQueues(c *Circuit) {
 	q := c.queue
 	c.queue = nil
 	for _, cell := range q {
-		w.sendOneShot(c.dest, cell.payload, cell.done)
+		w.Send(c.dest, cell.payload, cell.done)
 	}
 	sq := c.streamQ
 	c.streamQ = nil
 	for _, s := range sq {
 		w.streamFallback(s)
 	}
-	w.dropCircuit(c)
 }
 
 func (w *WCL) needsRotation(p *circPath, now time.Duration) bool {
-	return p.cells >= w.cfg.CircuitMaxCells || now-p.establishedAt >= w.cfg.CircuitMaxAge
+	return p.cells >= circuitMaxCells || now-p.establishedAt >= circuitMaxAge
 }
 
 // openPath starts establishing a (new or replacement) path for c.
 func (w *WCL) openPath(c *Circuit) {
 	p := &circPath{
+		pathTry:      newPathTry(),
 		c:            c,
 		createdAt:    w.rt.Now(),
-		triedA:       make(map[identity.NodeID]bool),
-		triedB:       make(map[identity.NodeID]bool),
 		pendingCells: make(map[uint64]*pendingCell),
 	}
 	c.opening = p
 	obs.Inc(&w.st.CircuitsOpened)
-	w.attemptSetup(p)
+	w.attempt(p)
 }
 
-// attemptSetup launches one setup onion for p. Every attempt draws a
-// fresh circuit ID and session secret: the keys are bound to the
-// onion, so a late acknowledgement of an earlier attempt must not be
-// confused with the current one (stale attempts' relay entries simply
-// expire).
-func (w *WCL) attemptSetup(p *circPath) {
-	c := p.c
-	a, middles, b, ok := w.pickMixes(c.dest, p.triedA, p.triedB)
-	if !ok {
-		w.failSetup(p)
-		return
-	}
-	p.attempts++
-	p.triedA[a.ID] = true
-	p.triedB[b.ID] = true
+func (p *circPath) target() Dest { return p.c.dest }
 
+// seal builds one setup onion for p. Every attempt draws a fresh
+// circuit ID and session secret: the keys are bound to the onion, so a
+// late acknowledgement of an earlier attempt must not be confused with
+// the current one (stale attempts' relay entries simply expire).
+func (p *circPath) seal(w *WCL, a nylon.Descriptor, hops []crypt.Hop) (uint64, []byte, error) {
 	secret, err := crypt.NewCircuitSecret()
 	if err != nil {
-		w.failSetup(p)
-		return
+		return p.id, nil, err
 	}
-	keys, err := crypt.DeriveCircuitKeys(secret, w.cfg.Mixes+1)
+	keys, err := crypt.DeriveCircuitKeys(secret, len(hops))
 	if err != nil {
-		w.failSetup(p)
-		return
+		return p.id, nil, err
 	}
-
-	aKey := w.node.Keys().Get(a.ID)
-	dAddr := encodeAddrID(c.dest.ID)
-	if !c.dest.Endpoint.IsZero() {
-		dAddr = encodeAddrEndpoint(c.dest.Endpoint, c.dest.ID)
+	chops := make([]crypt.CircuitHop, len(hops))
+	for i, h := range hops {
+		chops[i] = crypt.CircuitHop{Pub: h.Pub, Addr: h.Addr, Key: keys[i]}
 	}
-	hops := make([]crypt.CircuitHop, 0, w.cfg.Mixes+1)
-	hops = append(hops, crypt.CircuitHop{Pub: aKey, Key: keys[0]})
-	for i, m := range middles {
-		hops = append(hops, crypt.CircuitHop{Pub: m.Key, Addr: encodeAddrEndpoint(m.Endpoint, m.ID), Key: keys[i+1]})
-	}
-	hops = append(hops, crypt.CircuitHop{Pub: b.Key, Addr: encodeAddrEndpoint(b.Endpoint, b.ID), Key: keys[len(middles)+1]})
-	hops = append(hops, crypt.CircuitHop{Pub: c.dest.Key, Addr: dAddr, Key: keys[len(keys)-1]})
-
 	delete(w.circByID, p.id)
-	p.id = w.newCircID()
+	p.id = freshID(w, w.circByID)
 	p.keys = keys
 	p.first = a
 	w.circByID[p.id] = p
+	onion, err := crypt.BuildCircuitOnion(w.cpu, chops, nil)
+	return p.id, onion, err
+}
 
-	start := time.Now()
-	onion, err := crypt.BuildCircuitOnion(w.cpu, hops, nil)
-	buildTime := time.Since(start)
-	w.buildMS.ObserveDuration(buildTime)
-	w.Trace.Emit(obs.KindSend, w.rt.Now(), buildTime, len(onion), p.id)
-	if err != nil {
-		w.retrySetup(p)
-		return
-	}
-	via, routable := w.node.RouteTo(a)
-	if !routable {
-		w.retrySetup(p)
-		return
-	}
-	msg := circSetupMsg{CircID: p.id, From: w.node.ID(), ViaPath: via, Onion: onion}
-	w.node.SendAppVia(a, via, msg.encode())
+func (p *circPath) launch(w *WCL, via []identity.NodeID, onion []byte) []byte {
 	p.setupAt = w.rt.Now()
-	p.timer = w.rt.After(w.cfg.PathTimeout, func() {
-		if w.circByID[p.id] == p && !p.established {
-			w.retrySetup(p)
-		}
-	})
+	msg := circSetupMsg{CircID: p.id, From: w.node.ID(), ViaPath: via, Onion: onion}
+	return msg.encode()
 }
 
-// newCircID draws a fresh circuit identifier (zero reserved, in-flight
-// identifiers skipped).
-func (w *WCL) newCircID() uint64 {
-	for {
-		id := w.rt.Rand().Uint64()
-		if id == 0 {
-			continue
-		}
-		if _, used := w.circByID[id]; used {
-			continue
-		}
-		return id
-	}
-}
+func (p *circPath) awaited(w *WCL) bool { return w.circByID[p.id] == p && !p.established }
 
-// retrySetup tries the next setup alternative or gives up.
-func (w *WCL) retrySetup(p *circPath) {
-	if p.timer != nil {
-		p.timer.Cancel()
-		p.timer = nil
-	}
-	if p.attempts >= w.cfg.MaxAttempts {
-		w.failSetup(p)
-		return
-	}
-	w.Trace.Emit(obs.KindRetry, w.rt.Now(), 0, 0, p.id)
-	w.attemptSetup(p)
-}
+func (p *circPath) giveUp(w *WCL, _ bool) { w.failSetup(p) }
 
 // failSetup abandons establishment: queued cells fall back to the
 // one-shot engine, and the circuit handle is dropped unless another
@@ -414,16 +301,7 @@ func (w *WCL) failSetup(p *circPath) {
 	obs.Inc(&w.st.CircuitsFailed)
 	c := p.c
 	w.closePath(p, false)
-	q := c.queue
-	c.queue = nil
-	for _, cell := range q {
-		w.sendOneShot(c.dest, cell.payload, cell.done)
-	}
-	sq := c.streamQ
-	c.streamQ = nil
-	for _, s := range sq {
-		w.streamFallback(s)
-	}
+	w.drainQueues(c)
 	if c.cur == nil && c.old == nil && c.opening == nil {
 		w.dropCircuit(c)
 	}
@@ -473,7 +351,7 @@ func (w *WCL) establish(p *circPath) {
 		if c.cur != p {
 			// The path broke while flushing; the remaining cells take
 			// the one-shot road.
-			w.sendOneShot(c.dest, cell.payload, cell.done)
+			w.Send(c.dest, cell.payload, cell.done)
 			continue
 		}
 		w.sendCell(c, p, cell)
@@ -489,10 +367,7 @@ func (w *WCL) sendCell(c *Circuit, p *circPath, cell *pendingCell) {
 	if !w.launchCell(p, p.seq+1, cell) {
 		// The first hop went cold (or the keys do not seal): the path is
 		// unusable.
-		if !cell.ping {
-			obs.Inc(&w.st.CellFallbacks)
-			w.sendOneShot(c.dest, cell.payload, cell.done)
-		}
+		w.cellFallback(c, cell)
 		w.closePath(p, false)
 		return
 	}
@@ -536,17 +411,17 @@ func (w *WCL) launchCell(p *circPath, seq uint64, cell *pendingCell) bool {
 
 // armCellTimer schedules a pending cell's next retransmit at the path's
 // current RTO — no backoff: loss here comes in bursts that end per
-// datagram, not per unit of time — and never past PathTimeout after the
+// datagram, not per unit of time — and never past pathTimeout after the
 // cell's first send, where it times out instead.
 func (w *WCL) armCellTimer(p *circPath, seq uint64, cell *pendingCell) {
-	wait := min(p.rtt.rto(), cell.sentAt+w.cfg.PathTimeout-w.rt.Now())
+	wait := min(p.rtt.rto(), cell.sentAt+pathTimeout-w.rt.Now())
 	cell.timer = w.rt.After(wait, func() {
 		if w.circByID[p.id] != p || p.pendingCells[seq] != cell {
 			return
 		}
 		// The retransmit goes on the cell's own path under its own seq;
 		// a path that can no longer carry it is broken.
-		if w.rt.Now()-cell.sentAt >= w.cfg.PathTimeout || !w.launchCell(p, seq, cell) {
+		if w.rt.Now()-cell.sentAt >= pathTimeout || !w.launchCell(p, seq, cell) {
 			w.cellTimeout(p, seq)
 			return
 		}
@@ -557,7 +432,7 @@ func (w *WCL) armCellTimer(p *circPath, seq uint64, cell *pendingCell) {
 	})
 }
 
-// cellTimeout handles a cell still unacknowledged PathTimeout after its
+// cellTimeout handles a cell still unacknowledged pathTimeout after its
 // first send: the payload falls back to a one-shot send and the path —
 // evidently broken — is torn down (its other in-flight cells fall back
 // too).
@@ -567,11 +442,17 @@ func (w *WCL) cellTimeout(p *circPath, seq uint64) {
 		return
 	}
 	delete(p.pendingCells, seq)
+	w.cellFallback(p.c, cell)
+	w.closePath(p, false)
+}
+
+// cellFallback re-sends a data cell its circuit could not carry
+// through the one-shot engine; a keepalive ping is simply dropped.
+func (w *WCL) cellFallback(c *Circuit, cell *pendingCell) {
 	if !cell.ping {
 		obs.Inc(&w.st.CellFallbacks)
-		w.sendOneShot(p.c.dest, cell.payload, cell.done)
+		w.Send(c.dest, cell.payload, cell.done)
 	}
-	w.closePath(p, false)
 }
 
 // closePath tears one path down. sendClose announces the teardown
@@ -598,10 +479,7 @@ func (w *WCL) closePath(p *circPath, sendClose bool) {
 		if cell.timer != nil {
 			cell.timer.Cancel()
 		}
-		if !cell.ping {
-			obs.Inc(&w.st.CellFallbacks)
-			w.sendOneShot(p.c.dest, cell.payload, cell.done)
-		}
+		w.cellFallback(p.c, cell)
 	}
 	if s := p.stream; s != nil {
 		p.stream = nil
@@ -647,17 +525,17 @@ func (w *WCL) dropCircuit(c *Circuit) {
 // when idle, ping when quiet, otherwise just stay armed.
 func (c *Circuit) armKeepalive() {
 	w := c.w
-	c.keep = w.rt.After(w.cfg.CircuitKeepalive, func() {
+	c.keep = w.rt.After(circuitKeepalive, func() {
 		c.keep = nil
 		if c.closed {
 			return
 		}
 		now := w.rt.Now()
-		if now-c.lastUsed >= w.cfg.CircuitIdle {
+		if now-c.lastUsed >= circuitIdle {
 			c.Close()
 			return
 		}
-		if p := c.cur; p != nil && now-c.lastSent >= w.cfg.CircuitKeepalive {
+		if p := c.cur; p != nil && now-c.lastSent >= circuitKeepalive {
 			obs.Inc(&w.st.Keepalives)
 			w.sendCell(c, p, &pendingCell{ping: true, start: now})
 		}
@@ -675,7 +553,7 @@ func (w *WCL) handleCircAck(circID uint64) {
 		return
 	}
 	if e := w.relayCirc.get(circID, w.rt.Now()); e != nil {
-		w.sendCircBack(e, encodeCircAck(circID))
+		w.sendBack(e.back, circID, encodeCircAck(circID))
 	}
 }
 
@@ -698,12 +576,7 @@ func (w *WCL) handleCircCellAck(circID, seq uint64) {
 		if !cell.ping {
 			r := Result{Outcome: Success, Attempts: 1, Elapsed: w.rt.Now() - cell.start}
 			w.cellMS.ObserveDuration(r.Elapsed)
-			if w.OnResult != nil {
-				w.OnResult(p.c.dest.ID, r)
-			}
-			if cell.done != nil {
-				cell.done(r)
-			}
+			w.report(p.c.dest.ID, cell.done, r)
 		}
 		if p.closing && w.pathDrained(p) {
 			w.closePath(p, true)
@@ -711,7 +584,7 @@ func (w *WCL) handleCircCellAck(circID, seq uint64) {
 		return
 	}
 	if e := w.relayCirc.get(circID, w.rt.Now()); e != nil {
-		w.sendCircBack(e, encodeCircCellAck(circID, seq))
+		w.sendBack(e.back, circID, encodeCircCellAck(circID, seq))
 	}
 }
 
@@ -727,7 +600,7 @@ func (w *WCL) handleCircSetup(src transport.Endpoint, m *circSetupMsg) {
 	if e := w.relayCirc.get(m.CircID, w.rt.Now()); e != nil {
 		obs.Inc(&w.st.DupForwards)
 		if e.exit {
-			w.sendCircBack(e, encodeCircAck(m.CircID))
+			w.sendBack(e.back, m.CircID, encodeCircAck(m.CircID))
 		}
 		return
 	}
@@ -735,68 +608,28 @@ func (w *WCL) handleCircSetup(src transport.Endpoint, m *circSetupMsg) {
 		obs.Inc(&w.st.DupForwards)
 		return
 	}
-	// The meter, not the wall clock, times the peel: its RSA unwrap may
-	// have run on another core (crypt's speculative unwrap).
 	before := w.cpu.Total()
 	key, next, inner, exit, err := crypt.PeelCircuit(w.cpu, w.node.Identity().Key, m.Onion)
-	peelTime := w.cpu.Total() - before
-	w.peelMS.ObserveDuration(peelTime)
-	w.Trace.Emit(obs.KindPeel, w.rt.Now(), peelTime, len(m.Onion), m.CircID)
-	if err != nil {
-		obs.Inc(&w.st.PeelErrors)
+	if !w.peeled(before, len(m.Onion), m.CircID, err) {
 		return
 	}
-	obs.Inc(&w.st.ForwardsPeeled)
 	e := &relayCircuit{
-		id:         m.CircID,
-		key:        key,
-		prevFrom:   m.From,
-		prevVia:    reverseIDs(m.ViaPath),
-		prevDirect: src,
-		exit:       exit,
+		id:   m.CircID,
+		key:  key,
+		back: hopBack{from: m.From, via: reverseIDs(m.ViaPath), direct: src},
+		exit: exit,
 	}
 	if exit {
 		w.relayCirc.put(e, w.rt.Now())
-		w.sendCircBack(e, encodeCircAck(m.CircID))
-		return
-	}
-	addr, err := decodeHopAddr(next)
-	if err != nil {
-		obs.Inc(&w.st.PeelErrors)
+		w.sendBack(e.back, m.CircID, encodeCircAck(m.CircID))
 		return
 	}
 	fwd := circSetupMsg{CircID: m.CircID, From: w.node.ID(), Onion: inner}
-	switch addr.kind {
-	case addrByEndpoint:
-		e.nextKind = addrByEndpoint
-		e.nextEp = addr.ep
+	frame := func(via []identity.NodeID) []byte { fwd.ViaPath = via; return fwd.encode() }
+	if addr, ok := w.forwardHop(next, m.CircID, len(inner), frame); ok {
+		e.next = addr
 		w.relayCirc.put(e, w.rt.Now())
-		w.node.SendAppDirect(addr.ep, fwd.encode())
-		w.Trace.Emit(obs.KindForward, w.rt.Now(), 0, len(inner), m.CircID)
-	case addrByID:
-		d, via, ok := w.routeToID(addr.id)
-		if !ok {
-			obs.Inc(&w.st.DropNoContact)
-			return
-		}
-		e.nextKind = addrByID
-		e.nextID = addr.id
-		w.relayCirc.put(e, w.rt.Now())
-		fwd.ViaPath = via
-		w.node.SendAppVia(d, via, fwd.encode())
-		w.Trace.Emit(obs.KindForward, w.rt.Now(), 0, len(inner), m.CircID)
 	}
-}
-
-// sendCircBack routes a backward circuit message (ack, cell ack) along
-// the reverse routing captured at setup.
-func (w *WCL) sendCircBack(e *relayCircuit, payload []byte) {
-	w.Trace.Emit(obs.KindAck, w.rt.Now(), 0, 0, e.id)
-	if len(e.prevVia) == 0 {
-		w.node.SendAppDirect(e.prevDirect, payload)
-		return
-	}
-	w.node.SendAppVia(nylon.Descriptor{ID: e.prevFrom}, e.prevVia, payload)
 }
 
 // handleCircData opens one cell layer: relays pass the cell along,
@@ -835,7 +668,7 @@ func (w *WCL) handleCircData(payload []byte, m circDataMsg) {
 				}
 				return
 			}
-			w.sendCircBack(e, encodeCircCellAck(m.CircID, m.Seq))
+			w.sendBack(e.back, m.CircID, encodeCircCellAck(m.CircID, m.Seq))
 			return
 		}
 		if typ == cellStream {
@@ -856,7 +689,7 @@ func (w *WCL) handleCircData(payload []byte, m circDataMsg) {
 				w.OnReceive(body)
 			}
 		}
-		w.sendCircBack(e, encodeCircCellAck(m.CircID, m.Seq))
+		w.sendBack(e.back, m.CircID, encodeCircCellAck(m.CircID, m.Seq))
 		return
 	}
 	// pt lies circDataHeader+NonceSize bytes into payload: the old
@@ -864,17 +697,8 @@ func (w *WCL) handleCircData(payload []byte, m circDataMsg) {
 	// hop's header (and nylon's tag) are written into.
 	const ptAt = circDataHeader + crypt.NonceSize
 	frame := frameCircData(wire.Around(payload[:ptAt+len(pt)], ptAt), m.CircID, m.Seq)
-	switch e.nextKind {
-	case addrByEndpoint:
-		w.node.SendAppDirect(e.nextEp, frame)
-	case addrByID:
-		d, via, ok := w.routeToID(e.nextID)
-		if !ok {
-			obs.Inc(&w.st.DropNoContact)
-			return
-		}
-		w.node.SendAppVia(d, via, frame)
-	default:
+	if !w.sendHop(e.next, func([]identity.NodeID) []byte { return frame }) {
+		obs.Inc(&w.st.DropNoContact)
 		return
 	}
 	obs.Inc(&w.st.CellsForwarded)
@@ -893,14 +717,7 @@ func (w *WCL) handleCircClose(circID uint64) {
 		w.dropStreamRecv(circID)
 		return
 	}
-	switch e.nextKind {
-	case addrByEndpoint:
-		w.node.SendAppDirect(e.nextEp, encodeCircClose(circID))
-	case addrByID:
-		if d, via, ok := w.routeToID(e.nextID); ok {
-			w.node.SendAppVia(d, via, encodeCircClose(circID))
-		}
-	}
+	w.sendHop(e.next, func([]identity.NodeID) []byte { return encodeCircClose(circID) })
 }
 
 // ─── Relay-side circuit table ───
@@ -908,38 +725,31 @@ func (w *WCL) handleCircClose(circID uint64) {
 // cellKey identifies one cell for exit-hop deduplication.
 type cellKey struct{ circ, seq uint64 }
 
-// relayCircuit is one hop's state for a circuit passing through it.
+// relayCircuit is one hop's state for a circuit passing through it:
+// its cell key and the routing captured at setup, backward towards the
+// source and (unless it is the exit) forward towards the exit.
 type relayCircuit struct {
-	id  uint64
-	key []byte // this hop's cell key
-
-	// backward routing (towards the source), captured at setup
-	prevFrom   identity.NodeID
-	prevVia    []identity.NodeID
-	prevDirect transport.Endpoint
-
-	// forward routing (towards the exit)
-	exit     bool
-	nextKind uint8
-	nextEp   transport.Endpoint
-	nextID   identity.NodeID
+	id   uint64
+	key  []byte // this hop's cell key
+	back hopBack
+	exit bool
+	next hopAddr
 
 	lastUsed time.Duration
 	elem     *list.Element
 }
 
 // circTable is the bounded relay-side circuit table: LRU-evicted past
-// cap, TTL-expired past ttl since last use. The gauge tracks its size.
+// cap, expired circuitTTL after last use. The gauge tracks its size.
 type circTable struct {
 	cap   int
-	ttl   time.Duration
 	ll    *list.List // front = most recently used
 	m     map[uint64]*relayCircuit
 	gauge *int64
 }
 
-func newCircTable(cap int, ttl time.Duration, gauge *int64) *circTable {
-	return &circTable{cap: cap, ttl: ttl, ll: list.New(), m: make(map[uint64]*relayCircuit), gauge: gauge}
+func newCircTable(cap int, gauge *int64) *circTable {
+	return &circTable{cap: cap, ll: list.New(), m: make(map[uint64]*relayCircuit), gauge: gauge}
 }
 
 // get returns the live entry for id, refreshing its recency; expired
@@ -949,7 +759,7 @@ func (t *circTable) get(id uint64, now time.Duration) *relayCircuit {
 	if e == nil {
 		return nil
 	}
-	if now-e.lastUsed > t.ttl {
+	if now-e.lastUsed > circuitTTL {
 		t.drop(e)
 		return nil
 	}
@@ -966,7 +776,7 @@ func (t *circTable) put(e *relayCircuit, now time.Duration) {
 	}
 	for back := t.ll.Back(); back != nil; back = t.ll.Back() {
 		oldest := back.Value.(*relayCircuit)
-		if now-oldest.lastUsed <= t.ttl {
+		if now-oldest.lastUsed <= circuitTTL {
 			break
 		}
 		t.drop(oldest)

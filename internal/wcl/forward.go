@@ -2,6 +2,7 @@ package wcl
 
 import (
 	"hash/fnv"
+	"time"
 
 	"whisper/internal/crypt"
 	"whisper/internal/identity"
@@ -14,7 +15,7 @@ import (
 // Relay and exit handling: dispatching WCL messages off the nylon app
 // channel, peeling one-shot onions, and forwarding towards the next
 // hop or delivering at the destination. Circuit-specific handlers live
-// in circuit.go; the address resolution helpers here are shared.
+// in circuit.go; the forward hop route (sendHop) here is shared.
 
 // handleApp dispatches WCL messages arriving over nylon.
 func (w *WCL) handleApp(src transport.Endpoint, payload []byte) {
@@ -90,24 +91,13 @@ func (w *WCL) handleForward(src transport.Endpoint, m *forwardMsg) {
 		}
 		return
 	}
-	// The meter, not the wall clock, times the peel: its RSA unwrap may
-	// have run on another core (crypt's speculative unwrap).
 	before := w.cpu.Total()
 	next, inner, exit, err := crypt.Peel(w.cpu, w.node.Identity().Key, m.Onion)
-	peelTime := w.cpu.Total() - before
-	w.peelMS.ObserveDuration(peelTime)
-	w.Trace.Emit(obs.KindPeel, w.rt.Now(), peelTime, len(m.Onion), m.PathID)
-	if err != nil {
-		obs.Inc(&w.st.PeelErrors)
+	if !w.peeled(before, len(m.Onion), m.PathID, err) {
 		return
 	}
-	obs.Inc(&w.st.ForwardsPeeled)
 	// Remember how to route the acknowledgement backwards.
-	w.rememberAck(m.PathID, ackEntry{
-		fromID: m.From,
-		via:    reverseIDs(m.ViaPath),
-		direct: src,
-	})
+	w.rememberAck(m.PathID, hopBack{from: m.From, via: reverseIDs(m.ViaPath), direct: src})
 	if exit {
 		// A later attempt of a path this node already delivered (the
 		// source retried because the first ack was slow or lost): ack
@@ -132,29 +122,63 @@ func (w *WCL) handleForward(src transport.Endpoint, m *forwardMsg) {
 		w.sendAckBack(m.PathID)
 		return
 	}
+	fwd := forwardMsg{PathID: m.PathID, From: w.node.ID(), Onion: inner, Content: m.Content}
+	frame := func(via []identity.NodeID) []byte { fwd.ViaPath = via; return fwd.encode() }
+	w.forwardHop(next, m.PathID, len(inner), frame)
+}
+
+// forwardHop sends a peeled onion of size bytes, for path or circuit
+// id, on to the hop its address blob next names. An undecodable
+// address counts as a peel error, an unroutable hop as DropNoContact.
+// It returns the decoded address and whether the message left.
+func (w *WCL) forwardHop(next []byte, id uint64, size int, frame func(via []identity.NodeID) []byte) (hopAddr, bool) {
 	addr, err := decodeHopAddr(next)
 	if err != nil {
 		obs.Inc(&w.st.PeelErrors)
-		return
+		return addr, false
 	}
-	fwd := forwardMsg{PathID: m.PathID, From: w.node.ID(), Onion: inner, Content: m.Content}
-	switch addr.kind {
-	case addrByEndpoint:
-		// The A→B hop: B is a P-node, no setup needed.
-		w.node.SendAppDirect(addr.ep, fwd.encode())
-		w.Trace.Emit(obs.KindForward, w.rt.Now(), 0, len(inner), m.PathID)
-	case addrByID:
-		// The B→D hop: rides the warm route from B's recent gossip
-		// exchange with D.
-		d, via, ok := w.routeToID(addr.id)
-		if !ok {
-			obs.Inc(&w.st.DropNoContact)
-			return
-		}
-		fwd.ViaPath = via
-		w.node.SendAppVia(d, via, fwd.encode())
-		w.Trace.Emit(obs.KindForward, w.rt.Now(), 0, len(inner), m.PathID)
+	if !w.sendHop(addr, frame) {
+		obs.Inc(&w.st.DropNoContact)
+		return addr, false
 	}
+	w.Trace.Emit(obs.KindForward, w.rt.Now(), 0, size, id)
+	return addr, true
+}
+
+// sendHop sends one message forward to the hop addr names and reports
+// whether a route existed. A P-node (the A→B hop, and middle mixes) is
+// addressed by endpoint and needs no setup; a node addressed by ID
+// (the B→D hop) is reached over the warm route from its recent gossip
+// exchange (routeToID). frame encodes the message given the nylon
+// relays it will cross (nil when direct): one-shot forwards and
+// circuit setups carry them for backward routing, cells ignore them.
+func (w *WCL) sendHop(addr hopAddr, frame func(via []identity.NodeID) []byte) bool {
+	if addr.kind == addrByEndpoint {
+		w.node.SendAppDirect(addr.ep, frame(nil))
+		return true
+	}
+	d, via, ok := w.routeToID(addr.id)
+	if !ok {
+		return false
+	}
+	w.node.SendAppVia(d, via, frame(via))
+	return true
+}
+
+// peeled accounts one onion layer peeled since the CPU meter read
+// before, for the size-byte onion of path or circuit id, and reports
+// whether it opened. The meter, not the wall clock, times the peel: its
+// RSA unwrap may have run on another core (crypt's speculative unwrap).
+func (w *WCL) peeled(before time.Duration, size int, id uint64, err error) bool {
+	peelTime := w.cpu.Total() - before
+	w.peelMS.ObserveDuration(peelTime)
+	w.Trace.Emit(obs.KindPeel, w.rt.Now(), peelTime, size, id)
+	if err != nil {
+		obs.Inc(&w.st.PeelErrors)
+		return false
+	}
+	obs.Inc(&w.st.ForwardsPeeled)
+	return true
 }
 
 // routeToID resolves a warm route to a node known only by ID. If the

@@ -232,13 +232,14 @@ func decodeCellPayload(b []byte) (typ uint8, payload []byte, ok bool) {
 
 // maxStreamFrags bounds the fragments of one stream message. Together
 // with the fragment size it caps what a single SendStream can carry
-// (64 Ki fragments at the 1 KiB default = 64 MiB) and what a receiver
+// (64 Ki fragments of 1 KiB = 64 MiB) and what a receiver
 // will ever allocate reassembly bookkeeping for.
 const maxStreamFrags = 1 << 16
 
-// DefaultStreamFragSize is the default Config.StreamFragSize: the
-// payload bytes carried by one stream fragment cell. Exported so
-// experiments can chunk comparison transports identically.
+// DefaultStreamFragSize is the payload bytes carried by one stream
+// fragment cell: Circuit.SendStream splits larger payloads into
+// fragments of this size. Exported so experiments can chunk comparison
+// transports identically.
 const DefaultStreamFragSize = 1024
 
 // streamFrag is the plaintext sub-frame inside a cellStream cell: which

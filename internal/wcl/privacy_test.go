@@ -195,7 +195,7 @@ func TestRelayTraceUnlinkable(t *testing.T) {
 // the sim-only correlating collector CAN reconstruct the whole circuit
 // lifetime from the same traffic, so the protection is the schema.
 func TestCircuitRelayTraceUnlinkable(t *testing.T) {
-	w := buildCircuitWorld(t, 51, 120, wcl.Config{CircuitMaxCells: 8})
+	w := buildCircuitWorld(t, 51, 120, wcl.Config{})
 	natted := w.LiveNatted()
 	s, d := natted[0], natted[1]
 
@@ -205,7 +205,7 @@ func TestCircuitRelayTraceUnlinkable(t *testing.T) {
 	}
 
 	// A full lifetime: enough cells to cross the rotation budget.
-	const sends = 20
+	const sends = wcl.CircuitMaxCells + 100
 	ok := 0
 	for i := 0; i < sends; i++ {
 		s.WCL.SendCircuit(destFor(w, d, 3), []byte("circuit-confidential"), func(r wcl.Result) {
@@ -213,7 +213,9 @@ func TestCircuitRelayTraceUnlinkable(t *testing.T) {
 				ok++
 			}
 		})
-		w.Sim.RunFor(2 * time.Second)
+		if i%50 == 0 {
+			w.Sim.RunFor(2 * time.Second)
+		}
 	}
 	w.Sim.RunFor(30 * time.Second)
 	if ok < sends-1 {

@@ -124,7 +124,7 @@ func TestCellLostAckIsDeliveredOnce(t *testing.T) {
 func TestCellDeadPathFallsBackAtPathTimeout(t *testing.T) {
 	w, s, d, received := openCircuit(t, 49)
 	dropTag(w, tagCircData, func(int) bool { return true })
-	timeout := s.WCL.Config().PathTimeout
+	const timeout = wcl.PathTimeout
 	t0 := w.Sim.Now()
 	results := sendOne(w, s, d, "dead-path")
 

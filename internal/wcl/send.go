@@ -10,94 +10,110 @@ import (
 	"whisper/internal/transport"
 )
 
-// Source-side one-shot path engine: every Send pays full path
-// selection and onion construction. Streams that re-contact the same
-// destination should ride the circuit layer instead (circuit.go),
-// which also uses this engine as its retry fallback.
+// The path-attempt engine (§III, footnote 3): pick A from the
+// connection backlog and B from the destination's helpers, wrap an
+// onion, route it to A, and retry over an alternative path after
+// pathTimeout, up to 1+Π attempts. A one-shot send (pendingSend) and a
+// circuit setup (circPath) both ride it; they differ only in the onion
+// they build and in how the run ends (the pathOwner methods). Streams
+// that re-contact the same destination should ride the circuit layer
+// (circuit.go), which falls back to one-shot sends.
 
-type pendingSend struct {
-	pathID   uint64
-	dest     Dest
-	content  []byte // AES-GCM under k
-	key      []byte // k
-	payload  []byte
-	start    time.Duration
+// pathTry is the attempt state of one engine run: paths constructed,
+// the (A, B) combinations spent, and the live attempt's timeout.
+type pathTry struct {
 	attempts int
 	triedA   map[identity.NodeID]bool
 	triedB   map[identity.NodeID]bool
 	timer    transport.Timer
-	done     func(Result)
 }
 
-// Send opens a confidential one-way route to dest and delivers payload
-// over it. done (optional) receives the final Result. Content privacy
-// comes from the AES encryption under a fresh key k; relationship
-// anonymity from the onion path S → A → B → dest. When Config.Circuits
-// is set the send rides the circuit layer instead (one-shot remains
-// the fallback there).
-func (w *WCL) Send(dest Dest, payload []byte, done func(Result)) {
-	if w.cfg.Circuits {
-		w.SendCircuit(dest, payload, done)
-		return
-	}
-	w.sendOneShot(dest, payload, done)
+func newPathTry() pathTry {
+	return pathTry{triedA: make(map[identity.NodeID]bool), triedB: make(map[identity.NodeID]bool)}
 }
 
-func (w *WCL) sendOneShot(dest Dest, payload []byte, done func(Result)) {
-	obs.Inc(&w.st.Sent)
-	if dest.Key == nil {
-		w.failEarly(done)
+func (t *pathTry) try() *pathTry { return t }
+
+// A pathOwner is what the engine opens paths for. Owners embed a
+// pathTry, which supplies try.
+type pathOwner interface {
+	try() *pathTry
+	// target is the destination the next attempt is built towards.
+	target() Dest
+	// seal builds this attempt's onion over hops (first mix a first,
+	// the destination last) and returns the identifier the attempt
+	// travels under.
+	seal(w *WCL, a nylon.Descriptor, hops []crypt.Hop) (id uint64, onion []byte, err error)
+	// launch returns the message that hands onion to the first mix over
+	// the nylon relays via.
+	launch(w *WCL, via []identity.NodeID, onion []byte) []byte
+	// awaited reports whether the attempt's acknowledgement is still
+	// due when its timeout fires.
+	awaited(w *WCL) bool
+	// giveUp ends the run without a path; noAlt when no untried (A, B)
+	// combination remained.
+	giveUp(w *WCL, noAlt bool)
+}
+
+// attempt constructs and launches one onion path for o.
+func (w *WCL) attempt(o pathOwner) {
+	t, dest := o.try(), o.target()
+	a, middles, b, ok := w.pickMixes(dest, t.triedA, t.triedB)
+	if !ok {
+		o.giveUp(w, true)
 		return
 	}
-	k, err := crypt.NewSymKey()
+	t.attempts++
+	t.triedA[a.ID] = true
+	t.triedB[b.ID] = true
+
+	dAddr := encodeAddrID(dest.ID)
+	if !dest.Endpoint.IsZero() {
+		dAddr = encodeAddrEndpoint(dest.Endpoint, dest.ID)
+	}
+	hops := make([]crypt.Hop, 0, w.cfg.Mixes+1)
+	hops = append(hops, crypt.Hop{Pub: w.node.Keys().Get(a.ID)})
+	for _, m := range middles {
+		hops = append(hops, crypt.Hop{Pub: m.Key, Addr: encodeAddrEndpoint(m.Endpoint, m.ID)})
+	}
+	hops = append(hops, crypt.Hop{Pub: b.Key, Addr: encodeAddrEndpoint(b.Endpoint, b.ID)})
+	hops = append(hops, crypt.Hop{Pub: dest.Key, Addr: dAddr})
+	start := time.Now()
+	id, onion, err := o.seal(w, a, hops)
+	buildTime := time.Since(start)
+	w.buildMS.ObserveDuration(buildTime)
+	w.Trace.Emit(obs.KindSend, w.rt.Now(), buildTime, len(onion), id)
 	if err != nil {
-		w.failEarly(done)
+		w.retry(o, id)
 		return
 	}
-	content, err := crypt.SealSymOnce(w.cpu, k, payload)
-	if err != nil {
-		w.failEarly(done)
+	via, routable := w.node.RouteTo(a)
+	if !routable {
+		w.retry(o, id)
 		return
 	}
-	st := &pendingSend{
-		pathID:  w.newPathID(),
-		dest:    dest,
-		content: content,
-		key:     k,
-		payload: payload,
-		start:   w.rt.Now(),
-		triedA:  make(map[identity.NodeID]bool),
-		triedB:  make(map[identity.NodeID]bool),
-		done:    done,
-	}
-	w.pending[st.pathID] = st
-	w.attempt(st)
+	w.node.SendAppVia(a, via, o.launch(w, via, onion))
+	t.timer = w.rt.After(pathTimeout, func() {
+		if o.awaited(w) {
+			w.retry(o, id)
+		}
+	})
 }
 
-// failEarly reports a send that failed before any path state existed:
-// no path ID was drawn, no attempt launched, no trace event emitted.
-// The throwaway state's zero pathID keeps finishResult's ownership
-// guard from touching any live entry, and its fresh start keeps
-// Elapsed at zero. Exactly one Result reaches done and OnResult.
-func (w *WCL) failEarly(done func(Result)) {
-	w.finishResult(&pendingSend{done: done, start: w.rt.Now()}, Failed, true)
-}
-
-// newPathID draws a fresh path identifier. Zero is reserved (it is the
-// pathID of the throwaway state used for sends that fail before a path
-// exists), and identifiers of in-flight sends are skipped so a
-// collision cannot alias two pending entries.
-func (w *WCL) newPathID() uint64 {
-	for {
-		id := w.rt.Rand().Uint64()
-		if id == 0 {
-			continue
-		}
-		if _, inFlight := w.pending[id]; inFlight {
-			continue
-		}
-		return id
+// retry tries the next alternative for o or gives up; id is the
+// identifier of the attempt that failed.
+func (w *WCL) retry(o pathOwner, id uint64) {
+	t := o.try()
+	if t.timer != nil {
+		t.timer.Cancel()
+		t.timer = nil
 	}
+	if t.attempts >= w.cfg.maxAttempts() {
+		o.giveUp(w, false)
+		return
+	}
+	w.Trace.Emit(obs.KindRetry, w.rt.Now(), 0, 0, id)
+	w.attempt(o)
 }
 
 // pickMixes chooses an untried (A, B) pair plus any extra middle
@@ -105,8 +121,7 @@ func (w *WCL) newPathID() uint64 {
 // from the destination's helper set (or, for destinations that are
 // themselves P-nodes, any P-node of the backlog), middles from the
 // backlog's P-nodes. triedA/triedB carry the combinations already
-// spent (one-shot attempts and circuit setups share this engine).
-// Returns false when no untried combination remains.
+// spent. Returns false when no untried combination remains.
 func (w *WCL) pickMixes(dest Dest, triedA, triedB map[identity.NodeID]bool) (a nylon.Descriptor, middles []Helper, b Helper, ok bool) {
 	rng := w.rt.Rand()
 	exclude := map[identity.NodeID]bool{w.node.ID(): true, dest.ID: true}
@@ -219,63 +234,99 @@ func (w *WCL) pickMixes(dest Dest, triedA, triedB map[identity.NodeID]bool) (a n
 	return a, middles, b, true
 }
 
-// attempt constructs and launches one onion path for st.
-func (w *WCL) attempt(st *pendingSend) {
-	a, middles, b, ok := w.pickMixes(st.dest, st.triedA, st.triedB)
-	if !ok {
-		w.finishResult(st, Failed, true)
-		return
-	}
-	st.attempts++
-	st.triedA[a.ID] = true
-	st.triedB[b.ID] = true
+// ─── The one-shot send ───
 
-	aKey := w.node.Keys().Get(a.ID)
-	dAddr := encodeAddrID(st.dest.ID)
-	if !st.dest.Endpoint.IsZero() {
-		dAddr = encodeAddrEndpoint(st.dest.Endpoint, st.dest.ID)
-	}
-	hops := make([]crypt.Hop, 0, w.cfg.Mixes+1)
-	hops = append(hops, crypt.Hop{Pub: aKey})
-	for _, m := range middles {
-		hops = append(hops, crypt.Hop{Pub: m.Key, Addr: encodeAddrEndpoint(m.Endpoint, m.ID)})
-	}
-	hops = append(hops, crypt.Hop{Pub: b.Key, Addr: encodeAddrEndpoint(b.Endpoint, b.ID)})
-	hops = append(hops, crypt.Hop{Pub: st.dest.Key, Addr: dAddr})
-	start := time.Now()
-	onion, err := crypt.BuildOnion(w.cpu, hops, st.key)
-	buildTime := time.Since(start)
-	w.buildMS.ObserveDuration(buildTime)
-	w.Trace.Emit(obs.KindSend, w.rt.Now(), buildTime, len(onion), st.pathID)
-	if err != nil {
-		w.retry(st)
-		return
-	}
-	via, routable := w.node.RouteTo(a)
-	if !routable {
-		w.retry(st)
-		return
-	}
-	fwd := forwardMsg{PathID: st.pathID, From: w.node.ID(), ViaPath: via, Onion: onion, Content: st.content}
-	w.node.SendAppVia(a, via, fwd.encode())
-	st.timer = w.rt.After(w.cfg.PathTimeout, func() {
-		if _, live := w.pending[st.pathID]; live {
-			w.retry(st)
-		}
-	})
+// pendingSend is one one-shot send in flight. Its path ID is drawn
+// once per send and stays the same across attempts, so the exit
+// delivers the payload exactly once whichever attempt arrives.
+type pendingSend struct {
+	pathTry
+	pathID  uint64
+	dest    Dest
+	content []byte // AES-GCM under k
+	key     []byte // k
+	payload []byte
+	start   time.Duration
+	done    func(Result)
 }
 
-// retry tries the next alternative or gives up.
-func (w *WCL) retry(st *pendingSend) {
-	if st.timer != nil {
-		st.timer.Cancel()
-	}
-	if st.attempts >= w.cfg.MaxAttempts {
-		w.finishResult(st, Failed, false)
+// Send opens a confidential one-way route to dest and delivers payload
+// over it. done (optional) receives the final Result. Content privacy
+// comes from the AES encryption under a fresh key k; relationship
+// anonymity from the onion path S → A → B → dest.
+func (w *WCL) Send(dest Dest, payload []byte, done func(Result)) {
+	obs.Inc(&w.st.Sent)
+	if dest.Key == nil {
+		w.failEarly(done)
 		return
 	}
-	w.Trace.Emit(obs.KindRetry, w.rt.Now(), 0, 0, st.pathID)
+	k, err := crypt.NewSymKey()
+	if err != nil {
+		w.failEarly(done)
+		return
+	}
+	content, err := crypt.SealSymOnce(w.cpu, k, payload)
+	if err != nil {
+		w.failEarly(done)
+		return
+	}
+	st := &pendingSend{
+		pathTry: newPathTry(),
+		pathID:  freshID(w, w.pending),
+		dest:    dest,
+		content: content,
+		key:     k,
+		payload: payload,
+		start:   w.rt.Now(),
+		done:    done,
+	}
+	w.pending[st.pathID] = st
 	w.attempt(st)
+}
+
+func (st *pendingSend) target() Dest { return st.dest }
+
+func (st *pendingSend) seal(w *WCL, _ nylon.Descriptor, hops []crypt.Hop) (uint64, []byte, error) {
+	onion, err := crypt.BuildOnion(w.cpu, hops, st.key)
+	return st.pathID, onion, err
+}
+
+func (st *pendingSend) launch(w *WCL, via []identity.NodeID, onion []byte) []byte {
+	fwd := forwardMsg{PathID: st.pathID, From: w.node.ID(), ViaPath: via, Onion: onion, Content: st.content}
+	return fwd.encode()
+}
+
+func (st *pendingSend) awaited(w *WCL) bool {
+	_, live := w.pending[st.pathID]
+	return live
+}
+
+func (st *pendingSend) giveUp(w *WCL, noAlt bool) { w.finishResult(st, Failed, noAlt) }
+
+// failEarly reports a send that failed before any path state existed:
+// no path ID was drawn, no attempt launched, no trace event emitted.
+// The throwaway state's zero pathID keeps finishResult's ownership
+// guard from touching any live entry, and its fresh start keeps
+// Elapsed at zero. Exactly one Result reaches done and OnResult.
+func (w *WCL) failEarly(done func(Result)) {
+	w.finishResult(&pendingSend{done: done, start: w.rt.Now()}, Failed, true)
+}
+
+// freshID draws a fresh path or circuit identifier, skipping the keys
+// of inFlight so a collision cannot alias two live entries. Zero is
+// reserved: it is the pathID of the throwaway state of a send that
+// fails before a path exists.
+func freshID[V any](w *WCL, inFlight map[uint64]V) uint64 {
+	for {
+		id := w.rt.Rand().Uint64()
+		if id == 0 {
+			continue
+		}
+		if _, used := inFlight[id]; used {
+			continue
+		}
+		return id
+	}
 }
 
 func (w *WCL) finishResult(st *pendingSend, outcome Outcome, noAlt bool) {
@@ -310,10 +361,16 @@ func (w *WCL) finishResult(st *pendingSend, outcome Outcome, noAlt bool) {
 		Elapsed:       w.rt.Now() - st.start,
 	}
 	w.elapsedMS.ObserveDuration(r.Elapsed)
+	w.report(st.dest.ID, st.done, r)
+}
+
+// report hands the final Result of one send to OnResult and to its done
+// callback.
+func (w *WCL) report(dest identity.NodeID, done func(Result), r Result) {
 	if w.OnResult != nil {
-		w.OnResult(st.dest.ID, r)
+		w.OnResult(dest, r)
 	}
-	if st.done != nil {
-		st.done(r)
+	if done != nil {
+		done(r)
 	}
 }

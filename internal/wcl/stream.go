@@ -10,7 +10,7 @@ import (
 
 // The stream layer. Circuit.SendStream turns a circuit into a true
 // stream transport for arbitrary-size payloads: the message is split
-// into StreamFragSize fragments, each riding one data cell
+// into DefaultStreamFragSize fragments, each riding one data cell
 // (cellStream), governed by a per-stream sliding send window with
 // cumulative + selective acknowledgements (streamAckMsg). The exit
 // reassembles and delivers the complete message exactly once.
@@ -19,7 +19,7 @@ import (
 // pendingCells tracking (the exit sends stream acks, not cell acks,
 // for them), so the window — not a per-cell timer — paces the flow.
 // A retransmission timer re-sends the unacknowledged tail in
-// ascending fragment order; StreamRetries consecutive rounds without
+// ascending fragment order; streamRetries consecutive rounds without
 // any acked progress declare the path broken and the whole message
 // falls back to one one-shot send (same at-least-once caveat across
 // catastrophic path failure as the cell layer's fallback). Fragment
@@ -34,7 +34,7 @@ import (
 // always covers a whole message. New stream messages start only on a
 // path that is not due for rotation.
 //
-// Backpressure: one stream is active per circuit; up to StreamQueueMax
+// Backpressure: one stream is active per circuit; up to streamQueueMax
 // further messages queue behind it, and overflow is shed immediately
 // with ErrStreamBacklog in Result.Err — bounded memory, explicit
 // refusal, never silent unbounded buffering.
@@ -79,9 +79,9 @@ type streamSend struct {
 	done     func(Result)
 }
 
-func (s *streamSend) fragData(i int, fragSize int) []byte {
-	lo := i * fragSize
-	hi := lo + fragSize
+func (s *streamSend) fragData(i int) []byte {
+	lo := i * DefaultStreamFragSize
+	hi := lo + DefaultStreamFragSize
 	if hi > len(s.payload) {
 		hi = len(s.payload)
 	}
@@ -91,17 +91,17 @@ func (s *streamSend) fragData(i int, fragSize int) []byte {
 // SendStream sends payload over the circuit as a fragmented,
 // windowed, reliably-acknowledged stream message, reassembled and
 // delivered in one piece at the destination. Messages queue behind
-// the active one up to StreamQueueMax; overflow is refused with
+// the active one up to streamQueueMax; overflow is refused with
 // Result.Err = ErrStreamBacklog (and oversized payloads with
 // ErrStreamTooLarge). done (optional) observes the final Result
 // exactly once in every case.
 func (c *Circuit) SendStream(payload []byte, done func(Result)) {
 	w := c.w
 	if c.closed {
-		w.sendOneShot(c.dest, payload, done)
+		w.Send(c.dest, payload, done)
 		return
 	}
-	nf := (len(payload) + w.cfg.StreamFragSize - 1) / w.cfg.StreamFragSize
+	nf := (len(payload) + DefaultStreamFragSize - 1) / DefaultStreamFragSize
 	if nf == 0 {
 		nf = 1 // an empty message still travels as one fragment
 	}
@@ -109,7 +109,7 @@ func (c *Circuit) SendStream(payload []byte, done func(Result)) {
 		w.shedStream(c, payload, done, ErrStreamTooLarge)
 		return
 	}
-	if len(c.streamQ) >= w.cfg.StreamQueueMax {
+	if len(c.streamQ) >= streamQueueMax {
 		w.shedStream(c, payload, done, ErrStreamBacklog)
 		return
 	}
@@ -145,7 +145,7 @@ func (c *Circuit) SendStream(payload []byte, done func(Result)) {
 // Destinations without a known key fall back to the one-shot engine.
 func (w *WCL) SendStream(dest Dest, payload []byte, done func(Result)) {
 	if dest.Key == nil {
-		w.sendOneShot(dest, payload, done)
+		w.Send(dest, payload, done)
 		return
 	}
 	w.OpenCircuit(dest).SendStream(payload, done)
@@ -155,13 +155,7 @@ func (w *WCL) SendStream(dest Dest, payload []byte, done func(Result)) {
 // network traffic, the error travels in Result.Err.
 func (w *WCL) shedStream(c *Circuit, payload []byte, done func(Result), err error) {
 	obs.Inc(&w.st.StreamsShed)
-	r := Result{Outcome: Failed, Err: err}
-	if w.OnResult != nil {
-		w.OnResult(c.dest.ID, r)
-	}
-	if done != nil {
-		done(r)
-	}
+	w.report(c.dest.ID, done, Result{Outcome: Failed, Err: err})
 }
 
 // startStreams activates the next queued stream message on the
@@ -193,7 +187,7 @@ func (w *WCL) startStreams(c *Circuit) {
 // pumpStream launches fragments until the window is full or the
 // message is fully on the wire.
 func (w *WCL) pumpStream(s *streamSend) {
-	for s.inflight < w.cfg.StreamWindow && s.next < s.frags {
+	for s.inflight < streamWindow && s.next < s.frags {
 		i := s.next
 		s.next++
 		if !w.sendStreamFrag(s, i) {
@@ -208,7 +202,7 @@ func (w *WCL) pumpStream(s *streamSend) {
 // (the stream has already fallen back).
 func (w *WCL) sendStreamFrag(s *streamSend, i int) bool {
 	p := s.path
-	f := streamFrag{StreamID: s.id, Frag: uint32(i), FragCount: uint32(s.frags), Data: s.fragData(i, w.cfg.StreamFragSize)}
+	f := streamFrag{StreamID: s.id, Frag: uint32(i), FragCount: uint32(s.frags), Data: s.fragData(i)}
 	start := time.Now()
 	cw := newCellWriter(len(p.keys), 1+streamFragHeader+len(f.Data))
 	cw.U8(cellStream)
@@ -242,7 +236,7 @@ func (w *WCL) sendStreamFrag(s *streamSend, i int) bool {
 
 // armStreamTimer schedules the stream's retransmission round.
 func (w *WCL) armStreamTimer(s *streamSend) {
-	s.timer = w.rt.After(w.cfg.PathTimeout, func() {
+	s.timer = w.rt.After(pathTimeout, func() {
 		s.timer = nil
 		if s.finished || s.path == nil || s.path.stream != s {
 			return
@@ -253,7 +247,7 @@ func (w *WCL) armStreamTimer(s *streamSend) {
 
 // streamTimerFire runs one retransmission round: re-send every
 // launched-but-unacked fragment in ascending order, and give the path
-// up after StreamRetries consecutive rounds with no acked progress.
+// up after streamRetries consecutive rounds with no acked progress.
 func (w *WCL) streamTimerFire(s *streamSend) {
 	if s.progress {
 		s.rounds = 0
@@ -261,7 +255,7 @@ func (w *WCL) streamTimerFire(s *streamSend) {
 		s.rounds++
 	}
 	s.progress = false
-	if s.rounds >= w.cfg.StreamRetries {
+	if s.rounds >= streamRetries {
 		w.streamBroken(s)
 		return
 	}
@@ -290,7 +284,7 @@ func (w *WCL) handleCircStreamAck(m streamAckMsg) {
 		return
 	}
 	if e := w.relayCirc.get(m.CircID, w.rt.Now()); e != nil {
-		w.sendCircBack(e, m.encode())
+		w.sendBack(e.back, m.CircID, m.encode())
 	}
 }
 
@@ -365,28 +359,11 @@ func (w *WCL) streamAcked(s *streamSend, m streamAckMsg) {
 // Result fires, the path unpins (closing paths retire once drained),
 // and the next queued message starts.
 func (w *WCL) finishStream(s *streamSend) {
-	if s.finished {
+	if !w.endStream(s) {
 		return
 	}
-	s.finished = true
-	if s.timer != nil {
-		s.timer.Cancel()
-		s.timer = nil
-	}
-	p := s.path
-	if p != nil && p.stream == s {
-		p.stream = nil
-	}
-	obs.Add(&w.st.StreamWindow, -int64(s.inflight))
-	s.inflight = 0
-	c := s.c
-	r := Result{Outcome: Success, Attempts: 1, Elapsed: w.rt.Now() - s.start}
-	if w.OnResult != nil {
-		w.OnResult(c.dest.ID, r)
-	}
-	if s.done != nil {
-		s.done(r)
-	}
+	p, c := s.path, s.c
+	w.report(c.dest.ID, s.done, Result{Outcome: Success, Attempts: 1, Elapsed: w.rt.Now() - s.start})
 	if p != nil && p.closing && !p.closed && w.pathDrained(p) {
 		w.closePath(p, true)
 	}
@@ -399,21 +376,31 @@ func (w *WCL) finishStream(s *streamSend) {
 // engine — the stream's terminal failure path (path broken, rotation
 // replacement failed). done fires from the one-shot machinery.
 func (w *WCL) streamFallback(s *streamSend) {
-	if s.finished {
+	if !w.endStream(s) {
 		return
+	}
+	obs.Inc(&w.st.StreamFallbacks)
+	w.Send(s.c.dest, s.payload, s.done)
+}
+
+// endStream retires s, finished or fallen back: its timer stops, its
+// path unpins and its fragments leave the window gauge. False when s
+// had already ended.
+func (w *WCL) endStream(s *streamSend) bool {
+	if s.finished {
+		return false
 	}
 	s.finished = true
 	if s.timer != nil {
 		s.timer.Cancel()
 		s.timer = nil
 	}
-	if s.path != nil && s.path.stream == s {
-		s.path.stream = nil
+	if p := s.path; p != nil && p.stream == s {
+		p.stream = nil
 	}
 	obs.Add(&w.st.StreamWindow, -int64(s.inflight))
 	s.inflight = 0
-	obs.Inc(&w.st.StreamFallbacks)
-	w.sendOneShot(s.c.dest, s.payload, s.done)
+	return true
 }
 
 // streamBroken handles a path evidently broken mid-stream: the message
@@ -556,16 +543,16 @@ func (w *WCL) sendStreamAck(e *relayCircuit, streamID uint64, st *streamRecvStat
 		}
 	}
 	m := streamAckMsg{CircID: e.id, StreamID: streamID, Cum: uint32(cum), Bits: bits}
-	w.sendCircBack(e, m.encode())
+	w.sendBack(e.back, m.CircID, m.encode())
 }
 
 // pruneStreamRecv expires stale reassembly state and, past the bound,
 // evicts oldest-first with a deterministic tie-break — reassembly
-// never outlives the relay circuit entry (CircuitTTL) and never grows
+// never outlives the relay circuit entry (circuitTTL) and never grows
 // past streamRecvMax entries.
 func (w *WCL) pruneStreamRecv(now time.Duration) {
 	for k, st := range w.streamRecv {
-		if now-st.lastSeen > w.cfg.CircuitTTL {
+		if now-st.lastSeen > circuitTTL {
 			delete(w.streamRecv, k)
 		}
 	}

@@ -163,23 +163,23 @@ func TestStreamExactlyOnceUnderFaults(t *testing.T) {
 	}
 }
 
-// TestStreamRotationMidStream: with a tiny cell budget every message
-// overruns the rotation threshold, yet each stream message must finish
+// TestStreamRotationMidStream: messages of 100 fragments cross the
+// rotation threshold mid-message, yet each stream message must finish
 // on the path it started on (the rotation-drain rule) — byte-identical
 // exactly-once delivery with rotations happening between messages.
 func TestStreamRotationMidStream(t *testing.T) {
-	w := buildCircuitWorld(t, 62, 120, wcl.Config{CircuitMaxCells: 5})
+	w := buildCircuitWorld(t, 62, 120, wcl.Config{})
 	natted := w.LiveNatted()
 	s, d := natted[2], natted[3]
 
 	var got [][]byte
 	d.WCL.OnReceive = func(p []byte) { got = append(got, append([]byte(nil), p...)) }
 
-	const msgs = 4
+	const msgs, frags = 8, 100 // 800 cells: the sixth message crosses the 512-cell budget
 	payloads := make([][]byte, msgs)
 	ok := 0
 	for i := 0; i < msgs; i++ {
-		payloads[i] = streamPayload(int64(200+i), 16<<10) // 16 frags ≫ 5-cell budget
+		payloads[i] = streamPayload(int64(200+i), frags*wcl.DefaultStreamFragSize)
 		s.WCL.SendStream(destFor(w, d, 3), payloads[i], func(r wcl.Result) {
 			if r.Outcome != wcl.Failed {
 				ok++
@@ -202,7 +202,7 @@ func TestStreamRotationMidStream(t *testing.T) {
 	}
 	st := s.WCL.Stats()
 	if st.CircuitsRotated == 0 {
-		t.Fatalf("no rotation with CircuitMaxCells=5 and %d×16 fragment messages: %+v", msgs, st)
+		t.Fatalf("no rotation with a %d-cell budget and %d×%d fragment messages: %+v", wcl.CircuitMaxCells, msgs, frags, st)
 	}
 	if st.StreamFallbacks != 0 {
 		t.Fatalf("rotation mid-stream forced %d one-shot fallbacks — messages split across circuits?", st.StreamFallbacks)
@@ -213,7 +213,7 @@ func TestStreamRotationMidStream(t *testing.T) {
 // immediately with ErrStreamBacklog instead of buffering without
 // limit; the accepted messages still all deliver.
 func TestStreamBackpressureSheds(t *testing.T) {
-	w := buildCircuitWorld(t, 63, 120, wcl.Config{StreamQueueMax: 2})
+	w := buildCircuitWorld(t, 63, 120, wcl.Config{})
 	natted := w.LiveNatted()
 	s, d := natted[4], natted[5]
 
@@ -222,7 +222,7 @@ func TestStreamBackpressureSheds(t *testing.T) {
 
 	// Burst far past the queue bound before the sim runs: the overflow
 	// must shed synchronously.
-	const burst = 8
+	const burst = wcl.StreamQueueMax + 6
 	shed, accepted := 0, 0
 	for i := 0; i < burst; i++ {
 		s.WCL.SendStream(destFor(w, d, 3), streamPayload(int64(300+i), 4<<10), func(r wcl.Result) {
@@ -235,16 +235,16 @@ func TestStreamBackpressureSheds(t *testing.T) {
 			}
 		})
 	}
-	if shed != burst-2 {
-		t.Fatalf("shed %d of %d, want %d (queue bound 2)", shed, burst, burst-2)
+	if shed != burst-wcl.StreamQueueMax {
+		t.Fatalf("shed %d of %d, want %d (queue bound %d)", shed, burst, burst-wcl.StreamQueueMax, wcl.StreamQueueMax)
 	}
 	w.Sim.RunFor(2 * time.Minute)
 
-	if accepted != 2 {
-		t.Fatalf("accepted %d streams completed, want 2", accepted)
+	if accepted != wcl.StreamQueueMax {
+		t.Fatalf("accepted %d streams completed, want %d", accepted, wcl.StreamQueueMax)
 	}
-	if delivered != 2 {
-		t.Fatalf("delivered %d messages, want 2", delivered)
+	if delivered != wcl.StreamQueueMax {
+		t.Fatalf("delivered %d messages, want %d", delivered, wcl.StreamQueueMax)
 	}
 	if st := s.WCL.Stats(); st.StreamsShed != uint64(shed) {
 		t.Fatalf("StreamsShed = %d, want %d", st.StreamsShed, shed)
@@ -263,7 +263,7 @@ func TestStreamBackpressureSheds(t *testing.T) {
 // state mid-stream breaks the path; the in-flight message must still
 // arrive — whole, exactly once — through the one-shot fallback.
 func TestStreamBrokenPathFallsBack(t *testing.T) {
-	w := buildCircuitWorld(t, 64, 120, wcl.Config{PathTimeout: 3 * time.Second, StreamRetries: 2})
+	w := buildCircuitWorld(t, 64, 120, wcl.Config{})
 	natted := w.LiveNatted()
 	s, d := natted[6], natted[7]
 

@@ -66,40 +66,24 @@ func TestClosePathDrainsPendingInSeqOrder(t *testing.T) {
 
 // TestCellDedupClampedToWindow pins the exactly-once invariant between
 // the exit's (circID, seq) dedup LRU and the stream send window: the
-// dedup capacity must never be configurable below 4× the window (a
-// window's worth of fragments can be retransmitted under fresh seqs),
-// or a late retransmit of an evicted seq would be re-delivered.
+// dedup capacity is at least 4× the window (a window's worth of
+// fragments can be retransmitted under fresh seqs), or a late
+// retransmit of an evicted seq would be re-delivered. Both are
+// constants (wcl.go also asserts the relation at compile time), and New
+// must size the exit dedup from the dedup constant.
 func TestCellDedupClampedToWindow(t *testing.T) {
-	cases := []struct {
-		name   string
-		cfg    Config
-		window int
-		dedup  int
-	}{
-		{"defaults", Config{}, 32, 4096},
-		{"dedup below clamp", Config{StreamWindow: 64, CircuitDedupCells: 10}, 64, 256},
-		{"window capped at 64", Config{StreamWindow: 1000, CircuitDedupCells: 10}, 64, 256},
-		{"explicit large dedup kept", Config{CircuitDedupCells: 8192}, 32, 8192},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg.withDefaults()
-			if cfg.StreamWindow != tc.window {
-				t.Fatalf("StreamWindow = %d, want %d", cfg.StreamWindow, tc.window)
-			}
-			if cfg.CircuitDedupCells != tc.dedup {
-				t.Fatalf("CircuitDedupCells = %d, want %d", cfg.CircuitDedupCells, tc.dedup)
-			}
-			if cfg.CircuitDedupCells < 4*cfg.StreamWindow {
-				t.Fatalf("invariant violated: dedup %d < 4×window %d", cfg.CircuitDedupCells, cfg.StreamWindow)
-			}
-		})
-	}
-	// New must actually size the exit dedup from the clamped config.
-	w := newBareWCLWith(t, Config{StreamWindow: 64, CircuitDedupCells: 1})
-	if got := w.deliveredCells.Cap(); got != 256 {
-		t.Fatalf("deliveredCells capacity = %d, want clamped 256", got)
-	}
+	t.Run("defaults", func(t *testing.T) {
+		if circuitDedupCells < 4*streamWindow {
+			t.Fatalf("invariant violated: dedup %d < 4×window %d", circuitDedupCells, streamWindow)
+		}
+		if streamWindow > 64 {
+			t.Fatalf("streamWindow %d exceeds the 64-bit selective-ack bitmap", streamWindow)
+		}
+		w := newBareWCLWith(t, Config{})
+		if got := w.deliveredCells.Cap(); got != circuitDedupCells {
+			t.Fatalf("deliveredCells capacity = %d, want circuitDedupCells %d", got, circuitDedupCells)
+		}
+	})
 }
 
 // fragBytes is the stream sub-frame as it lies inside a cell.

@@ -1,8 +1,9 @@
 // Package wcl implements the WHISPER communication layer: confidential
 // one-way routes over onion paths (§III-A), split across files by role —
-// send.go (source-side one-shot path engine), circuit.go (the circuit
-// layer amortizing onion setup over message streams), forward.go
-// (relay/exit handling), ack.go (backward acknowledgements).
+// send.go (the path-attempt engine and the one-shot send), circuit.go
+// (the circuit layer amortizing onion setup over message streams),
+// forward.go (relay/exit handling and the hop routes), ack.go
+// (backward acknowledgements).
 package wcl
 
 import (
@@ -21,77 +22,15 @@ import (
 // Config parameterizes the WCL.
 type Config struct {
 	// MinPublic is Π: the minimum number of P-nodes the connection
-	// backlog maintains (paper default 3).
+	// backlog maintains (paper default 3). A send makes at most 1+Π
+	// path attempts: the first try plus Π retries, per the paper's
+	// footnote 3.
 	MinPublic int
 	// Mixes is the number of mixes on each onion path (default 2, the
 	// paper's S → A → B → D). Using f mixes tolerates f−1 colluding
 	// nodes (§III, footnote 2); the extra middle mixes are P-nodes from
 	// the backlog, addressed directly by endpoint.
 	Mixes int
-	// PathTimeout is how long the source waits for the end-to-end
-	// acknowledgement before retrying with an alternative path.
-	PathTimeout time.Duration
-	// MaxAttempts bounds path attempts per send (default 1+Π: the first
-	// try plus Π retries, per the paper's footnote 3).
-	MaxAttempts int
-	// AckTTL bounds how long hops remember backward-routing state.
-	AckTTL time.Duration
-
-	// Circuits opts Send into the circuit layer: a first send to a
-	// destination establishes a circuit over the one-shot onion
-	// machinery and later sends ride it as RSA-free data cells. Off by
-	// default — one-shot remains the wire behavior unless a caller asks
-	// for circuits (the PPSS persistent pool turns them on for its
-	// members). SendCircuit works regardless of this flag.
-	Circuits bool
-	// CircuitMaxAge rotates a circuit that has been established longer
-	// than this, bounding how long one circuit identifier stays
-	// observable on a path (default 15 minutes).
-	CircuitMaxAge time.Duration
-	// CircuitMaxCells rotates a circuit after this many data cells
-	// (default 512).
-	CircuitMaxCells int
-	// CircuitIdle tears a circuit down after this long without an
-	// application send (default 5 minutes).
-	CircuitIdle time.Duration
-	// CircuitKeepalive is the ping period keeping an established but
-	// momentarily quiet circuit's relay entries warm (default 1 minute).
-	CircuitKeepalive time.Duration
-	// CircuitTableMax bounds the relay-side circuit table (default
-	// 4096 entries, LRU-evicted).
-	CircuitTableMax int
-	// CircuitTTL expires relay-side circuit entries this long after
-	// their last use (default 5 minutes).
-	CircuitTTL time.Duration
-	// CircuitDedupCells bounds the exit-side (circID, seq) cell dedup
-	// LRU (default 4096). Invariant: the window must never evict a seq
-	// that could still be retransmitted, or a late retransmit would be
-	// re-delivered and break exactly-once. A data cell is re-sent under
-	// its own seq until PathTimeout after its first send, so the window
-	// must outlive that budget: hold every cell an exit receives within
-	// PathTimeout. withDefaults also clamps it to at least 4×
-	// StreamWindow (each windowed fragment can be retransmitted under
-	// fresh seqs, so a single window of frags can occupy several
-	// windows' worth of dedup entries).
-	CircuitDedupCells int
-
-	// StreamFragSize is the payload carried by one stream fragment cell
-	// (default DefaultStreamFragSize). Circuit.SendStream splits larger
-	// payloads into fragments of this size.
-	StreamFragSize int
-	// StreamWindow is the per-stream sliding send window: the maximum
-	// number of unacknowledged fragments in flight (default 32, capped
-	// at 64 — the selective-ack bitmap is one 64-bit word).
-	StreamWindow int
-	// StreamQueueMax bounds the stream messages queued per circuit
-	// behind the active one; overflow is shed with ErrStreamBacklog
-	// rather than buffered without limit (default 16).
-	StreamQueueMax int
-	// StreamRetries is how many consecutive retransmission rounds
-	// without any acknowledged progress a stream tolerates before the
-	// path is declared broken and the whole message falls back to a
-	// one-shot send (default 4).
-	StreamRetries int
 
 	// Obs is the observability scope the layer's instruments register
 	// under. Nil runs unobserved (counters still count).
@@ -102,64 +41,75 @@ func (c Config) withDefaults() Config {
 	if c.MinPublic == 0 {
 		c.MinPublic = 3
 	}
-	if c.Mixes == 0 {
-		c.Mixes = 2
-	}
 	if c.Mixes < 2 {
 		c.Mixes = 2 // fewer than two mixes cannot hide both endpoints
 	}
-	if c.PathTimeout == 0 {
-		c.PathTimeout = 5 * time.Second
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 1 + c.MinPublic
-	}
-	if c.AckTTL == 0 {
-		c.AckTTL = time.Minute
-	}
-	if c.CircuitMaxAge == 0 {
-		c.CircuitMaxAge = 15 * time.Minute
-	}
-	if c.CircuitMaxCells == 0 {
-		c.CircuitMaxCells = 512
-	}
-	if c.CircuitIdle == 0 {
-		c.CircuitIdle = 5 * time.Minute
-	}
-	if c.CircuitKeepalive == 0 {
-		c.CircuitKeepalive = time.Minute
-	}
-	if c.CircuitTableMax == 0 {
-		c.CircuitTableMax = 4096
-	}
-	if c.CircuitTTL == 0 {
-		c.CircuitTTL = 5 * time.Minute
-	}
-	if c.StreamFragSize == 0 {
-		c.StreamFragSize = DefaultStreamFragSize
-	}
-	if c.StreamWindow == 0 {
-		c.StreamWindow = 32
-	}
-	if c.StreamWindow > 64 {
-		c.StreamWindow = 64 // sack bitmap is one u64
-	}
-	if c.StreamQueueMax == 0 {
-		c.StreamQueueMax = 16
-	}
-	if c.StreamRetries == 0 {
-		c.StreamRetries = 4
-	}
-	if c.CircuitDedupCells == 0 {
-		c.CircuitDedupCells = 4096
-	}
-	// Exactly-once invariant: the dedup window must outlive any seq a
-	// stream retransmit can still put on the wire (see the field doc).
-	if min := 4 * c.StreamWindow; c.CircuitDedupCells < min {
-		c.CircuitDedupCells = min
-	}
 	return c
 }
+
+// maxAttempts bounds path attempts per send or circuit setup: 1+Π.
+func (c Config) maxAttempts() int { return 1 + c.MinPublic }
+
+// The layer's timing and sizing constants.
+const (
+	// pathTimeout is how long the source waits for the end-to-end
+	// acknowledgement before retrying with an alternative path. It is
+	// also a data cell's retransmit budget and a stream's
+	// retransmission round.
+	pathTimeout = 5 * time.Second
+	// ackTTL bounds how long hops remember backward-routing state.
+	ackTTL = time.Minute
+
+	// circuitMaxAge rotates a circuit that has been established longer
+	// than this, bounding how long one circuit identifier stays
+	// observable on a path.
+	circuitMaxAge = 15 * time.Minute
+	// circuitMaxCells rotates a circuit after this many data cells.
+	circuitMaxCells = 512
+	// circuitIdle tears a circuit down after this long without an
+	// application send.
+	circuitIdle = 5 * time.Minute
+	// circuitKeepalive is the ping period keeping an established but
+	// momentarily quiet circuit's relay entries warm.
+	circuitKeepalive = time.Minute
+	// circuitTableMax bounds the relay-side circuit table (LRU-evicted).
+	circuitTableMax = 4096
+	// circuitTTL expires relay-side circuit entries this long after
+	// their last use.
+	circuitTTL = 5 * time.Minute
+	// circuitDedupCells bounds the exit-side (circID, seq) cell dedup
+	// LRU. Invariant: the window must never evict a seq that could
+	// still be retransmitted, or a late retransmit would be
+	// re-delivered and break exactly-once. A data cell is re-sent under
+	// its own seq until pathTimeout after its first send, so the window
+	// must outlive that budget: hold every cell an exit receives within
+	// pathTimeout. It is also at least 4× streamWindow (each windowed
+	// fragment can be retransmitted under fresh seqs, so a single
+	// window of frags can occupy several windows' worth of dedup
+	// entries); the assertion below the block keeps it so.
+	circuitDedupCells = 4096
+
+	// streamWindow is the per-stream sliding send window: the maximum
+	// number of unacknowledged fragments in flight (at most 64 — the
+	// selective-ack bitmap is one 64-bit word).
+	streamWindow = 32
+	// streamQueueMax bounds the stream messages queued per circuit
+	// behind the active one; overflow is shed with ErrStreamBacklog
+	// rather than buffered without limit.
+	streamQueueMax = 16
+	// streamRetries is how many consecutive retransmission rounds
+	// without any acknowledged progress a stream tolerates before the
+	// path is declared broken and the whole message falls back to a
+	// one-shot send.
+	streamRetries = 4
+)
+
+// Compile-time checks of the relations above: a negative constant does
+// not convert to uint.
+const (
+	_ = uint(circuitDedupCells - 4*streamWindow) // dedup ≥ 4 × window
+	_ = uint(64 - streamWindow)                  // window fits the sack bitmap
+)
 
 // Helper identifies a P-node that can act as the next-to-last mix
 // towards a destination (it holds a warm route to it).
@@ -318,7 +268,7 @@ var ErrNoPath = errors.New("wcl: no usable path")
 var ErrStreamBacklog = errors.New("wcl: stream backlog full")
 
 // ErrStreamTooLarge reports a SendStream payload exceeding the
-// fragment-count bound (maxStreamFrags × StreamFragSize bytes).
+// fragment-count bound (maxStreamFrags × DefaultStreamFragSize bytes).
 var ErrStreamTooLarge = errors.New("wcl: stream payload too large")
 
 // WCL is the Whisper communication layer of one node.
@@ -401,7 +351,7 @@ func New(node *nylon.Node, cfg Config) (*WCL, error) {
 		circByID:       make(map[uint64]*circPath),
 		seenForwards:   dedup.New[uint64](2048),
 		deliveredPaths: dedup.New[uint64](1024),
-		deliveredCells: dedup.New[cellKey](cfg.CircuitDedupCells),
+		deliveredCells: dedup.New[cellKey](circuitDedupCells),
 		streamRecv:     make(map[streamKey]*streamRecvState),
 		buildMS:        cfg.Obs.Histogram("wcl_onion_build_ms"),
 		peelMS:         cfg.Obs.Histogram("wcl_peel_ms"),
@@ -412,7 +362,7 @@ func New(node *nylon.Node, cfg Config) (*WCL, error) {
 		streamRTT:      cfg.Obs.Histogram("wcl_stream_rtt_ms"),
 	}
 	obs.Register(cfg.Obs, &w.st)
-	w.relayCirc = newCircTable(cfg.CircuitTableMax, cfg.CircuitTTL, &w.st.CircuitTableEntries)
+	w.relayCirc = newCircTable(circuitTableMax, &w.st.CircuitTableEntries)
 	node.OnExchange = w.onExchange
 	node.OnKeyExchange = w.onKeyExchange
 	node.AppHandler = w.handleApp
@@ -427,9 +377,6 @@ func (w *WCL) Backlog() *Backlog { return w.cb }
 
 // CPU returns the node's crypto cost meter (Table II data).
 func (w *WCL) CPU() *crypt.CPUMeter { return w.cpu }
-
-// Config returns the effective configuration.
-func (w *WCL) Config() Config { return w.cfg }
 
 // Stats returns a snapshot of the layer's counters.
 func (w *WCL) Stats() Stats { return w.st }
