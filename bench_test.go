@@ -20,7 +20,7 @@ import (
 
 // BenchmarkExperiments runs every whisper-exp table entry (the paper's
 // figures and tables, the ablations and the scale run) at -scale 0.2,
-// the smallest scale at which every shape check holds at seed 2011, and
+// the scale of CI's shape gate and above every entry's MinScale, and
 // fails on any shape violation.
 func BenchmarkExperiments(b *testing.B) {
 	for _, e := range exp.Experiments() {

@@ -105,8 +105,9 @@ func realMain() int {
 	return 0
 }
 
-// run executes the experiments name selects, printing each report and,
-// when check is set, its shape verdict. It returns the violation count.
+// run executes the experiments name selects, printing each report (its
+// virtual text, then its host-timed rows) and, when check is set, its
+// shape verdict. It returns the violation count.
 func run(out io.Writer, name string, p exp.Params, check bool) (int, error) {
 	sel, err := exp.Select(name)
 	if err != nil {
@@ -122,7 +123,7 @@ func run(out io.Writer, name string, p exp.Params, check bool) (int, error) {
 		if err != nil {
 			return violations, err
 		}
-		fmt.Fprint(out, rep.Text)
+		fmt.Fprint(out, rep.Text, rep.Host)
 		if check {
 			for _, v := range rep.Violations {
 				fmt.Fprintln(out, "SHAPE VIOLATION:", v)

@@ -9,88 +9,70 @@ import (
 	"whisper/internal/netem"
 	"whisper/internal/nylon"
 	"whisper/internal/obs"
-	"whisper/internal/parallel"
 	"whisper/internal/ppss"
 	"whisper/internal/sim"
 	"whisper/internal/stats"
 	"whisper/internal/wcl"
 )
 
-// AblateConfig parameterizes the ablation studies of the design choices
+// ablateConfig is the ablation studies of the design choices
 // DESIGN.md calls out: NAT lease style, hole punching, the second view
-// bias, and mix-path length.
-type AblateConfig struct {
-	Seed    int64
-	N       int
-	Groups  int
-	Warmup  time.Duration
-	Measure time.Duration
-	KeyBlob int
-	// Parallel bounds the worker pool running the independent variant
-	// runs (<= 0: one worker per CPU; 1: sequential).
-	Parallel int
+// bias, mix-path length and network faults.
+type ablateConfig struct {
+	Seed     int64
+	N        int
+	Groups   int
+	Warmup   time.Duration
+	Measure  time.Duration
+	KeyBlob  int
+	Parallel int // bounds the worker pool running the independent variant runs (<= 0: one per CPU; 1: sequential)
 }
 
-func (c AblateConfig) withDefaults() AblateConfig {
-	if c.N == 0 {
-		c.N = 300
-	}
-	if c.Groups == 0 {
-		c.Groups = 6
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * time.Minute
-	}
-	if c.Measure == 0 {
-		c.Measure = 8 * time.Minute
-	}
-	if c.KeyBlob == 0 {
-		c.KeyBlob = 512
-	}
-	return c
+// newAblate runs 300 nodes in 6 groups with 512-byte keys.
+func newAblate(p Params) ablateConfig {
+	return ablateConfig{Seed: p.Seed, N: p.n(300), Groups: 6,
+		Warmup: p.dur(10 * time.Minute), Measure: p.dur(8 * time.Minute), KeyBlob: 512, Parallel: p.Parallel}
 }
 
-// AblationRow summarizes one variant.
-type AblationRow struct {
+// ablationRow summarizes one variant.
+type ablationRow struct {
 	Study   string
 	Variant string
 	Metrics map[string]float64
 	Order   []string // metric print order
 }
 
-// Ablations runs all five studies — flattened into one job per variant
+type ablationRows []ablationRow
+
+// run runs all five studies — flattened into one job per variant
 // so the worker pool sees every independent run — and returns one row
 // per variant in the sequential harness's order (lease tcp/udp,
 // punching default/relay-only, bias quota/cap, mixes 2/3, faults
 // none/dup+reorder/burst). New variants append at the end so existing
 // jobs keep their key-pool view indices and results stay reproducible
 // across versions.
-func Ablations(cfg AblateConfig) ([]AblationRow, error) {
-	cfg = cfg.withDefaults()
+func (cfg ablateConfig) run() (ablationRows, error) {
 	type job struct {
-		run     func(AblateConfig, *identity.Pool, int) (AblationRow, error)
+		run     func(ablateConfig, *identity.Pool, int) (ablationRow, error)
 		variant int
 	}
 	var jobs []job
 	for _, s := range []struct {
-		run      func(AblateConfig, *identity.Pool, int) (AblationRow, error)
+		run      func(ablateConfig, *identity.Pool, int) (ablationRow, error)
 		variants int
 	}{{ablateLease, 2}, {ablatePunching, 2}, {ablateBiasCap, 2}, {ablateMixCount, 2}, {ablateFaults, 3}} {
 		for vi := range s.variants {
 			jobs = append(jobs, job{s.run, vi})
 		}
 	}
-	workers := parallel.Workers(cfg.Parallel)
-	return parallel.Map(workers, len(jobs), func(i int) (AblationRow, error) {
-		return jobs[i].run(cfg, keyPool.View(i), jobs[i].variant)
-	})
+	return sweep(cfg.Parallel, jobs, func(j job, pool *identity.Pool) (ablationRow, error) { return j.run(cfg, pool, j.variant) })
 }
 
 // ablateLease compares TCP-style 24 h NAT association rules (the
 // paper's RFC 5382 setting, our default) with UDP-style 5-minute rules:
 // warm routes decay before view entries rotate, so first-try route
 // success collapses.
-func ablateLease(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, error) {
+func ablateLease(cfg ablateConfig, pool *identity.Pool, vi int) (ablationRow, error) {
 	v := []struct {
 		name  string
 		lease time.Duration
@@ -99,20 +81,18 @@ func ablateLease(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, er
 		{"tcp-24h (default)", 0, 0},
 		{"udp-5min", 5 * time.Minute, 4 * time.Minute},
 	}[vi]
-	w, err := sim.NewWorld(sim.Options{
-		Seed: cfg.Seed, N: cfg.N, NATRatio: 0.7, KeyPool: pool,
+	w, err := newWorld("ablate/nat-lease/"+v.name, sim.Options{
+		Seed: cfg.Seed, N: cfg.N, KeyPool: pool,
 		NATLease: v.lease,
 		Nylon:    nylon.Config{ContactTTL: v.ttl},
-		WCL:      &wcl.Config{MinPublic: 3},
 		PPSS:     &ppss.Config{KeyBlobSize: cfg.KeyBlob, MinHelpers: 3},
-		Obs:      worldObs("ablate/nat-lease/" + v.name),
 	})
 	if err != nil {
-		return AblationRow{}, err
+		return ablationRow{}, err
 	}
 	startGroups(w, cfg.Groups, 1, cfg.Warmup)
 	routes, first, _, _ := measureRoutes(w, cfg.Measure)
-	return AblationRow{
+	return ablationRow{
 		Study: "nat-lease", Variant: v.name,
 		Metrics: map[string]float64{"first-try %": pct(first, routes), "routes": routes},
 		Order:   []string{"first-try %", "routes"},
@@ -126,7 +106,7 @@ func ablateLease(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, er
 // does), so the discriminating effect of punching is the pool of direct
 // N↔N associations it leaves behind — the warm routes that the WCL's
 // backlog and persistent paths then reuse.
-func ablatePunching(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, error) {
+func ablatePunching(cfg ablateConfig, pool *identity.Pool, vi int) (ablationRow, error) {
 	v := []struct {
 		name    string
 		disable bool
@@ -134,13 +114,12 @@ func ablatePunching(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow,
 		{"punching (default)", false},
 		{"relay-only", true},
 	}[vi]
-	w, err := sim.NewWorld(sim.Options{
-		Seed: cfg.Seed, N: cfg.N, NATRatio: 0.7, KeyPool: pool,
+	w, err := newWorld("ablate/nat-traversal/"+v.name, sim.Options{
+		Seed: cfg.Seed, N: cfg.N, KeyPool: pool,
 		Nylon: nylon.Config{DisablePunch: v.disable, MinPublic: 3},
-		Obs:   worldObs("ablate/nat-traversal/" + v.name),
 	})
 	if err != nil {
-		return AblationRow{}, err
+		return ablationRow{}, err
 	}
 	w.StartAll()
 	w.Sim.RunUntil(cfg.Warmup)
@@ -160,7 +139,7 @@ func ablatePunching(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow,
 			nnContacts = append(nnContacts, float64(nn))
 		}
 	}
-	return AblationRow{
+	return ablationRow{
 		Study: "nat-traversal", Variant: v.name,
 		Metrics: map[string]float64{
 			"punches":          float64(punches),
@@ -175,7 +154,7 @@ func ablatePunching(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow,
 // regime — Π higher than the network's P-node share (§III-B-1's example
 // of Π=3 with only 10% P-nodes) — with and without discarding excess
 // P-nodes first.
-func ablateBiasCap(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, error) {
+func ablateBiasCap(cfg ablateConfig, pool *identity.Pool, vi int) (ablationRow, error) {
 	v := []struct {
 		name string
 		cap  bool
@@ -183,13 +162,12 @@ func ablateBiasCap(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, 
 		{"min-quota only", false},
 		{"min-quota + cap", true},
 	}[vi]
-	w, err := sim.NewWorld(sim.Options{
+	w, err := newWorld("ablate/view-bias/"+v.name, sim.Options{
 		Seed: cfg.Seed, N: cfg.N, NATRatio: 0.9, KeyPool: pool,
 		Nylon: nylon.Config{MinPublic: 3, CapExcessPublic: v.cap},
-		Obs:   worldObs("ablate/view-bias/" + v.name),
 	})
 	if err != nil {
-		return AblationRow{}, err
+		return ablationRow{}, err
 	}
 	w.StartAll()
 	w.Sim.RunUntil(cfg.Warmup)
@@ -200,18 +178,12 @@ func ablateBiasCap(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, 
 		if n.Public() {
 			pIn = append(pIn, float64(in[n.ID()]))
 		}
-		pubs := 0
-		for _, e := range n.Nylon.View() {
-			if e.Val.Public {
-				pubs++
-			}
-		}
-		if pubs >= 3 {
+		if viewPublics(n) >= 3 {
 			quotaOK++
 		}
 	}
 	s := stats.Summarize(pIn)
-	return AblationRow{
+	return ablationRow{
 		Study: "view-bias", Variant: v.name,
 		Metrics: map[string]float64{
 			"P in-deg mean": s.Mean,
@@ -225,28 +197,23 @@ func ablateBiasCap(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, 
 // ablateMixCount compares 2-mix paths (the paper's default) with 3-mix
 // paths (collusion resistance per footnote 2): success stays high, the
 // cost is one more RSA layer and hop of latency.
-func ablateMixCount(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, error) {
+func ablateMixCount(cfg ablateConfig, pool *identity.Pool, vi int) (ablationRow, error) {
 	mixes := []int{2, 3}[vi]
-	w, err := sim.NewWorld(sim.Options{
-		Seed: cfg.Seed, N: cfg.N, NATRatio: 0.7, KeyPool: pool,
+	w, err := newWorld(fmt.Sprintf("ablate/mix-count/%d mixes", mixes), sim.Options{
+		Seed: cfg.Seed, N: cfg.N, KeyPool: pool,
 		WCL:  &wcl.Config{MinPublic: 3, Mixes: mixes},
 		PPSS: &ppss.Config{KeyBlobSize: cfg.KeyBlob, MinHelpers: 3},
-		Obs:  worldObs(fmt.Sprintf("ablate/mix-count/%d mixes", mixes)),
 	})
 	if err != nil {
-		return AblationRow{}, err
+		return ablationRow{}, err
 	}
 	startGroups(w, cfg.Groups, 1, cfg.Warmup)
 
 	var rtts []time.Duration
-	for _, n := range w.Live() {
-		for _, inst := range n.PPSS.Instances() {
-			inst.OnExchangeRTT = func(rtt time.Duration) { rtts = append(rtts, rtt) }
-		}
-	}
+	recordRTTs(w, &rtts)
 	routes, first, _, _ := measureRoutes(w, cfg.Measure)
 	rtt := stats.Percentile(durationsToSeconds(rtts), 50)
-	return AblationRow{
+	return ablationRow{
 		Study: "mix-count", Variant: fmt.Sprintf("%d mixes", mixes),
 		Metrics: map[string]float64{
 			"first-try %":  pct(first, routes),
@@ -283,7 +250,7 @@ func (d *deliveryCounter) RecordCorrelated(_ uint64, ev obs.Event, corr uint64) 
 // degradation — the retry machinery absorbs the faults, success does
 // not collapse — with strictly exactly-once delivery: a duplicated
 // forward must never reach the application twice.
-func ablateFaults(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, error) {
+func ablateFaults(cfg ablateConfig, pool *identity.Pool, vi int) (ablationRow, error) {
 	v := []struct {
 		name   string
 		faults *netem.FaultModel
@@ -296,15 +263,13 @@ func ablateFaults(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, e
 			Burst: &netem.GilbertElliott{PGoodBad: 0.02, PBadGood: 0.3, LossBad: 0.6},
 		}},
 	}[vi]
-	w, err := sim.NewWorld(sim.Options{
-		Seed: cfg.Seed, N: cfg.N, NATRatio: 0.7, KeyPool: pool,
+	w, err := newWorld("ablate/faults/"+v.name, sim.Options{
+		Seed: cfg.Seed, N: cfg.N, KeyPool: pool,
 		Faults: v.faults,
-		WCL:    &wcl.Config{MinPublic: 3},
 		PPSS:   &ppss.Config{KeyBlobSize: cfg.KeyBlob, MinHelpers: 3},
-		Obs:    worldObs("ablate/faults/" + v.name),
 	})
 	if err != nil {
-		return AblationRow{}, err
+		return ablationRow{}, err
 	}
 	tracer := &deliveryCounter{counts: map[uint64]int{}}
 	for _, n := range w.Nodes {
@@ -312,7 +277,7 @@ func ablateFaults(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, e
 	}
 	startGroups(w, cfg.Groups, 1, cfg.Warmup)
 	routes, first, ok, suppressed := measureRoutes(w, cfg.Measure)
-	return AblationRow{
+	return ablationRow{
 		Study: "faults", Variant: v.name,
 		Metrics: map[string]float64{
 			"ok %":            pct(ok, routes),
@@ -325,8 +290,8 @@ func ablateFaults(cfg AblateConfig, pool *identity.Pool, vi int) (AblationRow, e
 	}, nil
 }
 
-// PrintAblations renders the ablation table.
-func PrintAblations(out io.Writer, rows []AblationRow) {
+// print renders the ablation table.
+func (rows ablationRows) print(out io.Writer) {
 	fmt.Fprintln(out, "== Ablations: design-choice studies ==")
 	tb := stats.NewTable("study", "variant", "metrics")
 	for _, r := range rows {
@@ -342,9 +307,9 @@ func PrintAblations(out io.Writer, rows []AblationRow) {
 	fmt.Fprint(out, tb.String())
 }
 
-// AblationShapeCheck verifies the expected directional effects.
-func AblationShapeCheck(rows []AblationRow) []string {
-	byKey := map[string]AblationRow{}
+// check verifies the expected directional effects.
+func (rows ablationRows) check() []string {
+	byKey := map[string]ablationRow{}
 	for _, r := range rows {
 		byKey[r.Study+"/"+r.Variant] = r
 	}
@@ -376,7 +341,7 @@ func AblationShapeCheck(rows []AblationRow) []string {
 	dup := byKey["faults/dup 5% + reorder"]
 	burst := byKey["faults/burst loss"]
 	if base.Metrics != nil && dup.Metrics != nil && burst.Metrics != nil {
-		for _, r := range []AblationRow{base, dup, burst} {
+		for _, r := range []ablationRow{base, dup, burst} {
 			if r.Metrics["dup deliveries"] != 0 {
 				bad = append(bad, "duplicate application delivery under faults/"+r.Variant)
 			}

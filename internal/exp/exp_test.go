@@ -2,64 +2,87 @@ package exp
 
 import (
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
-
-	"whisper/internal/ppss"
 )
 
 // The experiment tests run every figure/table at reduced scale and
 // assert the paper's qualitative findings (the shape checks) hold.
 // They are the cross-module integration tests of the whole repository.
+// Each takes its config from the experiment's constructor and sets the
+// reduced sizes it runs at.
 
 func TestFig5Shape(t *testing.T) {
-	res, err := Fig5(Fig5Config{Seed: 61, N: 250, Runtime: 6 * time.Minute})
+	cfg := newFig5(Params{Seed: 61, Scale: 1})
+	cfg.N, cfg.Runtime = 250, 6*time.Minute
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 4 {
 		t.Fatalf("results = %d", len(res))
 	}
-	for _, v := range Fig5ShapeCheck(res) {
+	for _, v := range res.check() {
 		t.Error(v)
 	}
 	// Print must produce the CDF series without panicking.
 	var sb strings.Builder
-	PrintFig5(&sb, res)
+	res.print(&sb)
 	if !strings.Contains(sb.String(), "in-degree P-nodes (Pi=3)") {
 		t.Error("missing CDF series in output")
 	}
 }
 
 func TestFig6Shape(t *testing.T) {
-	rows, err := Fig6(Fig6Config{
-		Seed: 62, N: 250,
-		Warmup: 4 * time.Minute, Measure: 4 * time.Minute,
-		Ratios: []float64{0.7}, PiValues: []int{1, 3}, KeyBlobSize: 512,
-	})
+	cfg := newFig6(Params{Seed: 62, Scale: 1})
+	cfg.N, cfg.Warmup, cfg.Measure = 250, 4*time.Minute, 4*time.Minute
+	cfg.Ratios, cfg.PiValues, cfg.KeyBlobSize = []float64{0.7}, []int{1, 3}, 512
+	rows, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 4 { // unbiased, unbiased+KS, Pi=1+KS, Pi=3+KS
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, v := range Fig6ShapeCheck(rows) {
+	for _, v := range rows.check() {
 		t.Error(v)
 	}
-	PrintFig6(io.Discard, rows)
+	rows.print(io.Discard)
+}
+
+// TestFig6CheckInRowOrder pins the order of Fig 6's violations: when
+// key sampling fails to raise upload at two ratios, the check lists
+// them in row order on every call, not in map order.
+func TestFig6CheckInRowOrder(t *testing.T) {
+	rows := fig6Rows{
+		{Config: "unbiased", NATRatio: 0.8, NUpKB: 2},
+		{Config: "unbiased+KS", NATRatio: 0.8, NUpKB: 1},
+		{Config: "unbiased", NATRatio: 0.5, NUpKB: 2},
+		{Config: "unbiased+KS", NATRatio: 0.5, NUpKB: 2},
+	}
+	want := []string{
+		"ratio 0.8: key sampling did not increase N-node upload",
+		"ratio 0.5: key sampling did not increase N-node upload",
+	}
+	for range 20 {
+		if got := rows.check(); !slices.Equal(got, want) {
+			t.Fatalf("check() = %q, want %q", got, want)
+		}
+	}
 }
 
 func TestTable1Shape(t *testing.T) {
-	rows, err := Table1(Table1Config{
-		Seed: 63, N: 250, Groups: 5, Rates: []float64{0, 5},
-		Warmup: 8 * time.Minute, Window: 8 * time.Minute,
-		PPSS: ppss.Config{KeyBlobSize: 256},
-	})
+	cfg := newTable1(Params{Seed: 63, Scale: 1})
+	cfg.N, cfg.Groups, cfg.Rates = 250, 5, []float64{0, 5}
+	cfg.Warmup, cfg.Window = 8*time.Minute, 8*time.Minute
+	cfg.PPSS.KeyBlobSize = 256
+	rows, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range Table1ShapeCheck(rows) {
+	for _, v := range rows.check() {
 		t.Error(v)
 	}
 	if rows[0].SuccessPct < 99 {
@@ -68,23 +91,19 @@ func TestTable1Shape(t *testing.T) {
 	if rows[1].SuccessPct >= rows[0].SuccessPct {
 		t.Error("churn did not reduce first-try success")
 	}
-	PrintTable1(io.Discard, rows)
+	rows.print(io.Discard)
 }
 
 func TestFig7Shape(t *testing.T) {
-	var cfgs []Fig7Config
-	for _, env := range []Env{Cluster, PlanetLab} {
-		cfgs = append(cfgs, Fig7Config{
-			Seed: 64, N: 150, Groups: 3, Env: env, Exchanges: 200,
-			Warmup: 8 * time.Minute, MaxRun: 15 * time.Minute,
-			PPSS: ppss.Config{KeyBlobSize: 256}, Parallel: 1,
-		})
-	}
-	results, err := Fig7(cfgs)
+	cfg := newFig7(Params{Seed: 64, Scale: 1, Parallel: 1})
+	cfg.Beds = []fig7Bed{{cluster, 150}, {planetLab, 150}}
+	cfg.Exchanges, cfg.Warmup, cfg.MaxRun = 200, 8*time.Minute, 15*time.Minute
+	cfg.PPSS.KeyBlobSize = 256
+	results, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range Fig7ShapeCheck(results) {
+	for _, v := range results.check() {
 		t.Error(v)
 	}
 	// Environment separation: the cluster is much faster.
@@ -92,34 +111,35 @@ func TestFig7Shape(t *testing.T) {
 		t.Errorf("cluster rtt %.4fs not ≪ planetlab rtt %.4fs",
 			results[0].RTTMedian, results[1].RTTMedian)
 	}
-	PrintFig7(io.Discard, results)
+	results.print(io.Discard)
+	results.printHost(io.Discard)
 }
 
 func TestTable2Shape(t *testing.T) {
-	res, err := Table2(Table2Config{
-		Seed: 65, N: 200, Groups: 4, Cycles: 3,
-		Warmup: 8 * time.Minute,
-		PPSS:   ppss.Config{KeyBlobSize: 256},
-	})
+	cfg := newTable2(Params{Seed: 65, Scale: 1})
+	cfg.N, cfg.Cycles, cfg.Warmup = 200, 3, 8*time.Minute
+	cfg.PPSS.KeyBlobSize = 256
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range Table2ShapeCheck(res) {
+	for _, v := range res.check() {
 		t.Error(v)
 	}
-	PrintTable2(io.Discard, res)
+	res.print(io.Discard)
+	res.printHost(io.Discard)
 }
 
 func TestFig8Shape(t *testing.T) {
-	rows, err := Fig8(Fig8Config{
-		Seed: 66, N: 100, Groups: 24, GroupsPerNode: []int{1, 4},
-		Warmup: 6 * time.Minute, Measure: 6 * time.Minute,
-		PPSS: ppss.Config{KeyBlobSize: 256},
-	})
+	cfg := newFig8(Params{Seed: 66, Scale: 1})
+	cfg.N, cfg.Groups, cfg.GroupsPerNode = 100, 24, []int{1, 4}
+	cfg.Warmup, cfg.Measure = 6*time.Minute, 6*time.Minute
+	cfg.PPSS.KeyBlobSize = 256
+	rows, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range Fig8ShapeCheck(rows) {
+	for _, v := range rows.check() {
 		t.Error(v)
 	}
 	// Roughly linear growth: 4 groups should cost noticeably more than 1.
@@ -127,53 +147,56 @@ func TestFig8Shape(t *testing.T) {
 		t.Errorf("4 groups/node upload (%.3f) not ≫ 1 group/node (%.3f)",
 			rows[1].NUp.P50, rows[0].NUp.P50)
 	}
-	PrintFig8(io.Discard, rows)
+	rows.print(io.Discard)
 }
 
 func TestFig9Shape(t *testing.T) {
-	res, err := Fig9(Fig9Config{
-		Seed: 67, N: 120, GroupSize: 16, Queries: 60,
-		Warmup: 10 * time.Minute, RingTime: 8 * time.Minute,
-		PPSS: ppss.Config{Cycle: 30 * time.Second, KeyBlobSize: 256},
-	})
+	cfg := newFig9(Params{Seed: 67, Scale: 1})
+	cfg.N, cfg.GroupSize, cfg.Queries = 120, 16, 60
+	cfg.Warmup, cfg.RingTime = 10*time.Minute, 8*time.Minute
+	cfg.PPSS.Cycle, cfg.PPSS.KeyBlobSize = 30*time.Second, 256
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range Fig9ShapeCheck(res) {
+	for _, v := range res.check() {
 		t.Error(v)
 	}
-	PrintFig9(io.Discard, res)
+	res.print(io.Discard)
 }
 
 func TestCircuitShape(t *testing.T) {
-	res, err := Circuit(CircuitConfig{Seed: 69, N: 150, Messages: 60})
+	cfg := newCircuit(Params{Seed: 69, Scale: 1})
+	cfg.N, cfg.Messages = 150, 60
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range CircuitShapeCheck(res) {
+	for _, v := range res.check() {
 		t.Error(v)
 	}
 	if res.SteadyRSA != 0 {
 		t.Errorf("steady-state RSA ops = %d, want 0", res.SteadyRSA)
 	}
 	var sb strings.Builder
-	PrintCircuit(&sb, res)
+	res.printHost(&sb)
 	if !strings.Contains(sb.String(), "per-message source CPU ratio") {
 		t.Error("missing ratio line in output")
 	}
 }
 
 func TestTransferShape(t *testing.T) {
-	cfg := TransferConfig{Seed: 69, N: 150, Messages: 4, MessageKB: 16}
-	res, err := Transfer(cfg)
+	cfg := newTransfer(Params{Seed: 69, Scale: 1})
+	cfg.N, cfg.Messages, cfg.MessageKB = 150, 4, 16
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range TransferShapeCheck(res) {
+	for _, v := range res.check() {
 		t.Error(v)
 	}
 	// Same seed, same config: the fingerprint must reproduce exactly.
-	again, err := Transfer(cfg)
+	again, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +204,7 @@ func TestTransferShape(t *testing.T) {
 		t.Errorf("fingerprint not deterministic: %016x != %016x", res.Fingerprint, again.Fingerprint)
 	}
 	var sb strings.Builder
-	PrintTransfer(&sb, res)
+	res.print(&sb)
 	if !strings.Contains(sb.String(), "fingerprint:") {
 		t.Error("missing fingerprint line in output")
 	}
@@ -191,32 +214,34 @@ func TestTransferShape(t *testing.T) {
 }
 
 func TestAblationsShape(t *testing.T) {
-	rows, err := Ablations(AblateConfig{
-		Seed: 68, N: 200, Groups: 4,
-		Warmup: 8 * time.Minute, Measure: 6 * time.Minute, KeyBlob: 256,
-	})
+	cfg := newAblate(Params{Seed: 68, Scale: 1})
+	cfg.N, cfg.Groups, cfg.KeyBlob = 200, 4, 256
+	cfg.Warmup, cfg.Measure = 8*time.Minute, 6*time.Minute
+	rows, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 11 { // 4 studies × 2 variants + faults × 3
 		t.Fatalf("rows = %d, want 11", len(rows))
 	}
-	for _, v := range AblationShapeCheck(rows) {
+	for _, v := range rows.check() {
 		t.Error(v)
 	}
-	PrintAblations(io.Discard, rows)
+	rows.print(io.Discard)
 }
 
 func TestSuitesShape(t *testing.T) {
-	res, err := Suites(SuitesConfig{Seed: 69, N: 150, Messages: 40})
+	cfg := newSuites(Params{Seed: 69, Scale: 1})
+	cfg.N, cfg.Messages = 150, 40
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range SuitesShapeCheck(res) {
+	for _, v := range res.check() {
 		t.Error(v)
 	}
 	var sb strings.Builder
-	PrintSuites(&sb, res)
+	res.printHost(&sb)
 	if !strings.Contains(sb.String(), "rsa2048 / ecc") {
 		t.Error("missing ratio line in output")
 	}

@@ -5,46 +5,33 @@ import (
 	"io"
 	"time"
 
+	"whisper/internal/identity"
 	"whisper/internal/nylon"
-	"whisper/internal/parallel"
 	"whisper/internal/sim"
 	"whisper/internal/stats"
 )
 
-// Fig5Config parameterizes the biased-PSS experiment (§V-B): the impact
-// of enforcing Π P-nodes per view on clustering and in-degrees.
-type Fig5Config struct {
+// fig5Config is the biased-PSS experiment (§V-B): the impact of
+// enforcing Π P-nodes per view on clustering and in-degrees.
+type fig5Config struct {
 	Seed     int64
-	N        int           // paper: 1,000
-	NATRatio float64       // paper: 0.7
+	N        int
 	Runtime  time.Duration // settling time before the snapshot
-	PiValues []int         // paper: 0..3
-	// Parallel bounds the worker pool running the independent Π runs
-	// (<= 0: one worker per CPU; 1: sequential).
-	Parallel int
+	PiValues []int
+	Parallel int // bounds the worker pool running the independent Π runs (<= 0: one per CPU; 1: sequential)
+}
+
+// newFig5 is the paper's setup: 1,000 nodes, Π = 0..3, snapshot after
+// 10 minutes (60 PSS cycles).
+func newFig5(p Params) fig5Config {
+	return fig5Config{Seed: p.Seed, N: p.n(1000), Runtime: p.dur(10 * time.Minute), PiValues: []int{0, 1, 2, 3}, Parallel: p.Parallel}
 }
 
 // fig5ViewSize is the PSS view size of every Fig. 5 run (paper: 10).
 const fig5ViewSize = 10
 
-func (c Fig5Config) withDefaults() Fig5Config {
-	if c.N == 0 {
-		c.N = 1000
-	}
-	if c.NATRatio == 0 {
-		c.NATRatio = 0.7
-	}
-	if c.Runtime == 0 {
-		c.Runtime = 10 * time.Minute // 60 PSS cycles
-	}
-	if c.PiValues == nil {
-		c.PiValues = []int{0, 1, 2, 3}
-	}
-	return c
-}
-
-// Fig5Result is the overlay quality snapshot for one Π.
-type Fig5Result struct {
+// fig5Row is the overlay quality snapshot for one Π.
+type fig5Row struct {
 	Pi            int
 	ClusteringCDF []stats.CDFPoint
 	InDegreeNCDF  []stats.CDFPoint
@@ -56,32 +43,28 @@ type Fig5Result struct {
 	Nodes         int
 }
 
-// Fig5 runs the biased PSS for each Π — the runs are independent, so
+type fig5Rows []fig5Row
+
+// run runs the biased PSS for each Π — the runs are independent, so
 // they execute on the worker pool — and snapshots overlay quality.
-func Fig5(cfg Fig5Config) ([]Fig5Result, error) {
-	cfg = cfg.withDefaults()
-	workers := parallel.Workers(cfg.Parallel)
-	return parallel.Map(workers, len(cfg.PiValues), func(i int) (Fig5Result, error) {
-		pi := cfg.PiValues[i]
-		w, err := sim.NewWorld(sim.Options{
-			Seed:     cfg.Seed + int64(pi),
-			N:        cfg.N,
-			NATRatio: cfg.NATRatio,
-			KeyPool:  keyPool.View(i),
-			Nylon:    nylon.Config{ViewSize: fig5ViewSize, MinPublic: pi},
-			Obs:      worldObs(fmt.Sprintf("fig5/pi=%d", pi)),
+func (cfg fig5Config) run() (fig5Rows, error) {
+	return sweep(cfg.Parallel, cfg.PiValues, func(pi int, pool *identity.Pool) (fig5Row, error) {
+		w, err := newWorld(fmt.Sprintf("fig5/pi=%d", pi), sim.Options{
+			Seed:    cfg.Seed + int64(pi),
+			N:       cfg.N,
+			KeyPool: pool,
+			Nylon:   nylon.Config{ViewSize: fig5ViewSize, MinPublic: pi},
 		})
 		if err != nil {
-			return Fig5Result{}, err
+			return fig5Row{}, err
 		}
 		w.StartAll()
 		w.Sim.RunUntil(cfg.Runtime)
-		res := snapshotFig5(w, pi)
-		return res, nil
+		return snapshotFig5(w, pi), nil
 	})
 }
 
-func snapshotFig5(w *sim.World, pi int) Fig5Result {
+func snapshotFig5(w *sim.World, pi int) fig5Row {
 	// The lazy stream feeds the same metric code as the eager snapshot
 	// (value-identical — the fig5 golden pins it) without materializing
 	// the adjacency map.
@@ -89,7 +72,7 @@ func snapshotFig5(w *sim.World, pi int) Fig5Result {
 	cc := g.ClusteringCoefficients()
 	in := g.InDegrees()
 
-	res := Fig5Result{Pi: pi, Nodes: len(w.Live())}
+	res := fig5Row{Pi: pi, Nodes: len(w.Live())}
 	var ccVals, inN, inP []float64
 	for _, n := range w.Live() {
 		ccVals = append(ccVals, cc[n.ID()])
@@ -98,13 +81,7 @@ func snapshotFig5(w *sim.World, pi int) Fig5Result {
 		} else {
 			inN = append(inN, float64(in[n.ID()]))
 		}
-		pubs := 0
-		for _, e := range n.Nylon.View() {
-			if e.Val.Public {
-				pubs++
-			}
-		}
-		if pubs < pi {
+		if viewPublics(n) < pi {
 			res.QuotaViolated++
 		}
 	}
@@ -117,8 +94,8 @@ func snapshotFig5(w *sim.World, pi int) Fig5Result {
 	return res
 }
 
-// PrintFig5 renders the figure data: summary table plus CDF series.
-func PrintFig5(out io.Writer, results []Fig5Result) {
+// print renders the figure data: summary table plus CDF series.
+func (results fig5Rows) print(out io.Writer) {
 	fmt.Fprintln(out, "== Figure 5: Biased PSS — impact on clustering and in-degree distribution ==")
 	tb := stats.NewTable("Pi", "avg clustering", "avg in-deg N", "avg in-deg P", "views<Pi", "nodes")
 	for _, r := range results {
@@ -136,11 +113,11 @@ func PrintFig5(out io.Writer, results []Fig5Result) {
 	}
 }
 
-// Fig5ShapeCheck verifies the paper's qualitative findings: the bias
-// leaves clustering essentially unchanged while raising P-node
-// in-degree monotonically with Π, and the quota holds. It returns a
-// list of violated expectations (empty = shape reproduced).
-func Fig5ShapeCheck(results []Fig5Result) []string {
+// check verifies the paper's qualitative findings: the bias leaves
+// clustering essentially unchanged while raising P-node in-degree
+// monotonically with Π, and the quota holds. It returns a list of
+// violated expectations (empty = shape reproduced).
+func (results fig5Rows) check() []string {
 	var bad []string
 	if len(results) < 2 {
 		return []string{"need at least two Π values"}

@@ -5,60 +5,39 @@ import (
 	"io"
 	"time"
 
+	"whisper/internal/identity"
 	"whisper/internal/nylon"
-	"whisper/internal/parallel"
 	"whisper/internal/sim"
 	"whisper/internal/stats"
 )
 
-// Fig6Config parameterizes the public-key sampling cost experiment
-// (§V-C): average bandwidth per PSS cycle under various Π and P:N
-// ratios, with and without key exchange.
-type Fig6Config struct {
-	Seed    int64
-	N       int           // paper: 1,000
-	Warmup  time.Duration // settling time before measuring
-	Measure time.Duration // measurement window
-	Cycle   time.Duration // PSS cycle (paper: 10 s)
-	// Ratios are the N-node fractions to test (paper: 0.8, 0.7, 0.5).
-	Ratios []float64
-	// PiValues with key sampling enabled (paper: 1, 2, 3); Π=0 runs
-	// both without keys (pure baseline) and with key sampling.
-	PiValues    []int
-	KeyBlobSize int // paper: 1 KB keys
-	// Parallel bounds the worker pool running the independent
-	// ratio×setup runs (<= 0: one worker per CPU; 1: sequential).
-	Parallel int
+// fig6Config is the public-key sampling cost experiment (§V-C):
+// average bandwidth per PSS cycle under various Π and P:N ratios, with
+// and without key exchange.
+type fig6Config struct {
+	Seed        int64
+	N           int
+	Warmup      time.Duration // settling time before measuring
+	Measure     time.Duration // measurement window
+	Ratios      []float64     // the N-node fractions to test
+	PiValues    []int         // run with key sampling; Π=0 runs both without keys (pure baseline) and with them
+	KeyBlobSize int
+	Parallel    int // bounds the worker pool running the independent ratio×setup runs (<= 0: one per CPU; 1: sequential)
 }
 
-func (c Fig6Config) withDefaults() Fig6Config {
-	if c.N == 0 {
-		c.N = 1000
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 5 * time.Minute
-	}
-	if c.Measure == 0 {
-		c.Measure = 5 * time.Minute
-	}
-	if c.Cycle == 0 {
-		c.Cycle = 10 * time.Second
-	}
-	if c.Ratios == nil {
-		c.Ratios = []float64{0.8, 0.7, 0.5}
-	}
-	if c.PiValues == nil {
-		c.PiValues = []int{1, 2, 3}
-	}
-	if c.KeyBlobSize == 0 {
-		c.KeyBlobSize = 1024
-	}
-	return c
+// newFig6 is the paper's setup: 1,000 nodes, N-node shares of 80, 70
+// and 50 %, Π = 1..3 and 1 KB keys, measured for 5 minutes after 5.
+func newFig6(p Params) fig6Config {
+	return fig6Config{Seed: p.Seed, N: p.n(1000), Warmup: p.dur(5 * time.Minute), Measure: p.dur(5 * time.Minute),
+		Ratios: []float64{0.8, 0.7, 0.5}, PiValues: []int{1, 2, 3}, KeyBlobSize: 1024, Parallel: p.Parallel}
 }
 
-// Fig6Row is one bar group of the figure: bandwidth per cycle for N-
+// fig6Cycle is the PSS cycle of every Fig 6 run (paper: 10 s).
+const fig6Cycle = 10 * time.Second
+
+// fig6Row is one bar group of the figure: bandwidth per cycle for N-
 // and P-nodes under one configuration.
-type Fig6Row struct {
+type fig6Row struct {
 	Config   string  // "unbiased", "unbiased+KS", "Pi=1+KS", ...
 	NATRatio float64 // N-node fraction
 	// KB per PSS cycle, averaged per node over the window.
@@ -66,9 +45,10 @@ type Fig6Row struct {
 	PUpKB, PDownKB float64
 }
 
-// Fig6 measures PSS+key-sampling bandwidth for every configuration.
-func Fig6(cfg Fig6Config) ([]Fig6Row, error) {
-	cfg = cfg.withDefaults()
+type fig6Rows []fig6Row
+
+// run measures PSS+key-sampling bandwidth for every configuration.
+func (cfg fig6Config) run() (fig6Rows, error) {
 	type setup struct {
 		label string
 		pi    int
@@ -91,32 +71,30 @@ func Fig6(cfg Fig6Config) ([]Fig6Row, error) {
 			jobs = append(jobs, job{ratio, st})
 		}
 	}
-	workers := parallel.Workers(cfg.Parallel)
-	return parallel.Map(workers, len(jobs), func(i int) (Fig6Row, error) {
-		ratio, st := jobs[i].ratio, jobs[i].st
-		w, err := sim.NewWorld(sim.Options{
+	return sweep(cfg.Parallel, jobs, func(j job, pool *identity.Pool) (fig6Row, error) {
+		ratio, st := j.ratio, j.st
+		w, err := newWorld(fmt.Sprintf("fig6/ratio=%.1f/%s", ratio, st.label), sim.Options{
 			Seed:     cfg.Seed,
 			N:        cfg.N,
 			NATRatio: ratio,
-			KeyPool:  keyPool.View(i),
+			KeyPool:  pool,
 			Nylon: nylon.Config{
-				Cycle:       cfg.Cycle,
+				Cycle:       fig6Cycle,
 				MinPublic:   st.pi,
 				KeySampling: st.keys,
 				KeyBlobSize: cfg.KeyBlobSize,
 			},
-			Obs: worldObs(fmt.Sprintf("fig6/ratio=%.1f/%s", ratio, st.label)),
 		})
 		if err != nil {
-			return Fig6Row{}, err
+			return fig6Row{}, err
 		}
 		w.StartAll()
 		w.Sim.RunUntil(cfg.Warmup)
 		w.ResetMeters()
 		w.Sim.RunFor(cfg.Measure)
 
-		pUp, pDown, nUp, nDown := classBandwidth(w, float64(cfg.Measure)/float64(cfg.Cycle))
-		return Fig6Row{
+		pUp, pDown, nUp, nDown := classBandwidth(w, float64(cfg.Measure)/float64(fig6Cycle))
+		return fig6Row{
 			Config:   st.label,
 			NATRatio: ratio,
 			NUpKB:    stats.Summarize(nUp).Mean,
@@ -127,8 +105,8 @@ func Fig6(cfg Fig6Config) ([]Fig6Row, error) {
 	})
 }
 
-// PrintFig6 renders the bandwidth table.
-func PrintFig6(out io.Writer, rows []Fig6Row) {
+// print renders the bandwidth table.
+func (rows fig6Rows) print(out io.Writer) {
 	fmt.Fprintln(out, "== Figure 6: Public Key Sampling Service — bandwidth costs (KB/cycle per node) ==")
 	tb := stats.NewTable("N:P ratio", "config", "N up", "N down", "P up", "P down")
 	for _, r := range rows {
@@ -138,26 +116,21 @@ func PrintFig6(out io.Writer, rows []Fig6Row) {
 	fmt.Fprint(out, tb.String())
 }
 
-// Fig6ShapeCheck verifies the paper's qualitative findings: key
-// sampling adds visible cost over the bare PSS, cost grows with Π,
-// P-nodes pay more than N-nodes under bias, and everything stays within
-// the "very reasonable margins" regime (a few KB per cycle).
-func Fig6ShapeCheck(rows []Fig6Row) []string {
+// check verifies the paper's qualitative findings: key sampling adds
+// visible cost over the bare PSS, cost grows with Π, P-nodes pay more
+// than N-nodes under bias, and everything stays within the "very
+// reasonable margins" regime (a few KB per cycle). Violations come in
+// row order.
+func (rows fig6Rows) check() []string {
 	var bad []string
-	byConfig := map[string]map[float64]Fig6Row{}
-	for _, r := range rows {
-		if byConfig[r.Config] == nil {
-			byConfig[r.Config] = map[float64]Fig6Row{}
-		}
-		byConfig[r.Config][r.NATRatio] = r
-	}
-	for ratio, base := range byConfig["unbiased"] {
-		ks, ok := byConfig["unbiased+KS"][ratio]
-		if !ok {
+	for _, base := range rows {
+		if base.Config != "unbiased" {
 			continue
 		}
-		if ks.NUpKB <= base.NUpKB {
-			bad = append(bad, fmt.Sprintf("ratio %.1f: key sampling did not increase N-node upload", ratio))
+		for _, ks := range rows {
+			if ks.Config == "unbiased+KS" && ks.NATRatio == base.NATRatio && ks.NUpKB <= base.NUpKB {
+				bad = append(bad, fmt.Sprintf("ratio %.1f: key sampling did not increase N-node upload", base.NATRatio))
+			}
 		}
 	}
 	for _, r := range rows {

@@ -3,67 +3,54 @@ package exp
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"whisper/internal/identity"
 	"whisper/internal/obs"
-	"whisper/internal/parallel"
 	"whisper/internal/ppss"
 	"whisper/internal/sim"
 	"whisper/internal/stats"
-	"whisper/internal/wcl"
 )
 
-// Fig7Config parameterizes the anonymizing-route delay experiment
-// (§V-E): the breakdown of PPSS view-exchange round-trip times over WCL
-// channels into network routing and cryptographic costs.
-type Fig7Config struct {
-	Seed   int64
-	N      int // cluster: 1,000; PlanetLab: 400
-	Groups int
-	Env    Env
-	// Exchanges is the number of round-trips to sample (paper: 1,500).
-	Exchanges int
+// fig7Config is the anonymizing-route delay experiment (§V-E): the
+// breakdown of PPSS view-exchange round-trip times over WCL channels
+// into network routing and cryptographic costs, one run per testbed.
+type fig7Config struct {
+	Seed      int64
+	Beds      []fig7Bed
+	Exchanges int // round trips to sample per testbed
 	Warmup    time.Duration
 	MaxRun    time.Duration // budget after warmup
 	PPSS      ppss.Config
-	// Parallel bounds the worker pool when several configs run through
-	// Fig7 (<= 0: one worker per CPU; 1: sequential).
-	Parallel int
+	Parallel  int // bounds the worker pool running the testbeds (<= 0: one per CPU; 1: sequential)
 }
 
-func (c Fig7Config) withDefaults() Fig7Config {
-	if c.N == 0 {
-		if c.Env == PlanetLab {
-			c.N = 400
-		} else {
-			c.N = 1000
-		}
-	}
-	if c.Groups == 0 {
-		c.Groups = c.N / 50
-	}
-	if c.Exchanges == 0 {
-		c.Exchanges = 1500
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * time.Minute
-	}
-	if c.MaxRun == 0 {
-		c.MaxRun = 30 * time.Minute
-	}
-	return c
+// fig7Bed is one testbed run: its latency model and population, with
+// one private group per 50 nodes.
+type fig7Bed struct {
+	Env env
+	N   int
 }
 
-// Fig7Result holds the delay breakdown distributions for one testbed.
-type Fig7Result struct {
-	Env       Env
+// newFig7 is the paper's setup: 400 PlanetLab nodes and 1,000 cluster
+// nodes, sampling 1,500 exchanges each.
+func newFig7(p Params) fig7Config {
+	return fig7Config{Seed: p.Seed, Beds: []fig7Bed{{planetLab, p.n(400)}, {cluster, p.n(1000)}}, Exchanges: p.count(1500),
+		Warmup: p.dur(10 * time.Minute), MaxRun: p.dur(30 * time.Minute), Parallel: p.Parallel}
+}
+
+// fig7Row holds the delay breakdown distributions for one testbed.
+type fig7Row struct {
+	Env       env
 	RTTCDF    []stats.CDFPoint // seconds: full private view exchange RTT
 	BuildCDF  []stats.CDFPoint // seconds: onion path construction (request & response)
 	PeelCDF   []stats.CDFPoint // seconds: per-hop RSA decrypt (request & response)
 	RTTMedian float64
 	Samples   int
 }
+
+type fig7Rows []fig7Row
 
 // tracer collects WCL path-construction and peeling costs across all
 // nodes of a run. It is a plain obs.Collector: it sees durations only,
@@ -82,55 +69,34 @@ func (t *tracer) Record(_ uint64, ev obs.Event) {
 	}
 }
 
-// Fig7 measures the breakdown for every config (one testbed each)
-// concurrently; the worker count comes from the first config's
-// Parallel field.
-func Fig7(cfgs []Fig7Config) ([]Fig7Result, error) {
-	if len(cfgs) == 0 {
-		return nil, nil
-	}
-	workers := parallel.Workers(cfgs[0].Parallel)
-	return parallel.Map(workers, len(cfgs), func(i int) (Fig7Result, error) {
-		return fig7Run(cfgs[i], keyPool.View(i))
-	})
-}
+// run measures the breakdown on every testbed concurrently.
+func (cfg fig7Config) run() (fig7Rows, error) { return sweep(cfg.Parallel, cfg.Beds, cfg.runBed) }
 
-func fig7Run(cfg Fig7Config, pool *identity.Pool) (Fig7Result, error) {
-	cfg = cfg.withDefaults()
-	w, err := sim.NewWorld(sim.Options{
-		Seed:     cfg.Seed,
-		N:        cfg.N,
-		NATRatio: 0.7,
-		Model:    cfg.Env.Model(),
-		KeyPool:  pool,
-		WCL:      &wcl.Config{MinPublic: 3},
-		PPSS:     &cfg.PPSS,
-		Obs:      worldObs("fig7/" + cfg.Env.String()),
+func (cfg fig7Config) runBed(bed fig7Bed, pool *identity.Pool) (fig7Row, error) {
+	w, err := newWorld("fig7/"+bed.Env.String(), sim.Options{
+		Seed:    cfg.Seed,
+		N:       bed.N,
+		Model:   bed.Env.model(),
+		KeyPool: pool,
+		PPSS:    &cfg.PPSS,
 	})
 	if err != nil {
-		return Fig7Result{}, err
+		return fig7Row{}, err
 	}
-	startGroups(w, cfg.Groups, 1, cfg.Warmup)
+	startGroups(w, bed.N/50, 1, cfg.Warmup)
 
 	tr := &tracer{}
-	var rtts []time.Duration
 	for _, n := range w.Live() {
-		if n.WCL == nil {
-			continue
-		}
 		n.WCL.Trace = obs.NewTracer(uint64(n.Nylon.ID()), tr)
-		for _, inst := range n.PPSS.Instances() {
-			inst.OnExchangeRTT = func(rtt time.Duration) {
-				rtts = append(rtts, rtt)
-			}
-		}
 	}
+	var rtts []time.Duration
+	recordRTTs(w, &rtts)
 	deadline := w.Sim.Now() + cfg.MaxRun
 	for len(rtts) < cfg.Exchanges && w.Sim.Now() < deadline {
 		w.Sim.RunFor(30 * time.Second)
 	}
 
-	res := Fig7Result{Env: cfg.Env, Samples: len(rtts)}
+	res := fig7Row{Env: bed.Env, Samples: len(rtts)}
 	rttS := durationsToSeconds(rtts)
 	res.RTTCDF = stats.CDF(rttS)
 	res.BuildCDF = stats.CDF(durationsToSeconds(tr.builds))
@@ -139,35 +105,53 @@ func fig7Run(cfg Fig7Config, pool *identity.Pool) (Fig7Result, error) {
 	return res, nil
 }
 
-// PrintFig7 renders the breakdown distributions.
-func PrintFig7(out io.Writer, results []Fig7Result) {
-	fmt.Fprintln(out, "== Figure 7: breakdown of PPSS view-exchange round-trip times over WCL ==")
-	for _, r := range results {
-		fmt.Fprintf(out, "-- %s (%d exchanges sampled) --\n", r.Env, r.Samples)
-		tb := stats.NewTable("component", "p50 (s)", "p90 (s)", "p99 (s)")
-		row := func(name string, cdf []stats.CDFPoint) {
-			vals := make([]float64, 0, len(cdf))
-			for _, p := range cdf {
-				vals = append(vals, p.Value)
-			}
-			ps := stats.Percentiles(vals, 50, 90, 99)
-			tb.Row(name, fmt.Sprintf("%.6f", ps[0]), fmt.Sprintf("%.6f", ps[1]), fmt.Sprintf("%.6f", ps[2]))
+// table renders one testbed's breakdown as lines: header, rule, then
+// the total rtt row (virtual time) and the build and peel rows (host
+// CPU time). One rendering keeps the column widths of both halves
+// equal to those of the whole table.
+func (r fig7Row) table() []string {
+	tb := stats.NewTable("component", "p50 (s)", "p90 (s)", "p99 (s)")
+	row := func(name string, cdf []stats.CDFPoint) {
+		vals := make([]float64, 0, len(cdf))
+		for _, p := range cdf {
+			vals = append(vals, p.Value)
 		}
-		row("total rtt", r.RTTCDF)
-		row("build WCL path (req+resp)", r.BuildCDF)
-		row("RSA decrypt per hop (req+resp)", r.PeelCDF)
-		fmt.Fprint(out, tb.String())
+		ps := stats.Percentiles(vals, 50, 90, 99)
+		tb.Row(name, fmt.Sprintf("%.6f", ps[0]), fmt.Sprintf("%.6f", ps[1]), fmt.Sprintf("%.6f", ps[2]))
+	}
+	row("total rtt", r.RTTCDF)
+	row("build WCL path (req+resp)", r.BuildCDF)
+	row("RSA decrypt per hop (req+resp)", r.PeelCDF)
+	return strings.SplitAfter(tb.String(), "\n")
+}
+
+// print renders the round-trip distributions.
+func (rows fig7Rows) print(out io.Writer) {
+	fmt.Fprintln(out, "== Figure 7: breakdown of PPSS view-exchange round-trip times over WCL ==")
+	for _, r := range rows {
+		fmt.Fprintf(out, "-- %s (%d exchanges sampled) --\n", r.Env, r.Samples)
+		lines := r.table()
+		fmt.Fprint(out, lines[0]+lines[1]+lines[2])
 		printCDF(out, fmt.Sprintf("%s total rtt (s)", r.Env), r.RTTCDF, 12, "%.4f")
+	}
+}
+
+// printHost renders the crypto components, timed on the host.
+func (rows fig7Rows) printHost(out io.Writer) {
+	for _, r := range rows {
+		lines := r.table()
+		fmt.Fprintf(out, "-- %s crypto --\n", r.Env)
+		fmt.Fprint(out, lines[0]+lines[1]+lines[3]+lines[4])
 		printCDF(out, fmt.Sprintf("%s path build (s)", r.Env), r.BuildCDF, 12, "%.6f")
 		printCDF(out, fmt.Sprintf("%s peel (s)", r.Env), r.PeelCDF, 12, "%.6f")
 	}
 }
 
-// Fig7ShapeCheck verifies the paper's qualitative findings: network
-// delay dominates — crypto is roughly two orders of magnitude below the
-// RTT — and the absolute RTT regimes hold (cluster well under a second,
+// check verifies the paper's qualitative findings: network delay
+// dominates — crypto is roughly two orders of magnitude below the RTT —
+// and the absolute RTT regimes hold (cluster well under a second,
 // PlanetLab mostly within a couple of seconds).
-func Fig7ShapeCheck(results []Fig7Result) []string {
+func (results fig7Rows) check() []string {
 	var bad []string
 	for _, r := range results {
 		if r.Samples == 0 {
@@ -179,11 +163,11 @@ func Fig7ShapeCheck(results []Fig7Result) []string {
 			bad = append(bad, fmt.Sprintf("%s: onion build (%.4fs) not ≪ rtt (%.4fs)", r.Env, buildP50, r.RTTMedian))
 		}
 		switch r.Env {
-		case Cluster:
+		case cluster:
 			if frac := stats.CDFAt(r.RTTCDF, 0.5); frac < 0.95 {
 				bad = append(bad, fmt.Sprintf("cluster: only %.0f%% of exchanges under 500 ms", frac*100))
 			}
-		case PlanetLab:
+		case planetLab:
 			if frac := stats.CDFAt(r.RTTCDF, 2.0); frac < 0.8 {
 				bad = append(bad, fmt.Sprintf("planetlab: only %.0f%% of exchanges under 2 s (paper: >80%%)", frac*100))
 			}

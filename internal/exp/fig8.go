@@ -6,81 +6,62 @@ import (
 	"time"
 
 	"whisper/internal/identity"
-	"whisper/internal/parallel"
 	"whisper/internal/ppss"
 	"whisper/internal/sim"
 	"whisper/internal/stats"
-	"whisper/internal/wcl"
 )
 
-// Fig8Config parameterizes the multi-group bandwidth experiment (§V-F):
-// 400 nodes on the PlanetLab model, 120 private groups (each P-node
-// creates and leads one), with the number of subscriptions per node
-// swept logarithmically from 1 to 32.
-type Fig8Config struct {
+// fig8Config is the multi-group bandwidth experiment (§V-F): nodes on
+// the PlanetLab model, private groups each led by a P-node, and the
+// number of subscriptions per node swept logarithmically.
+type fig8Config struct {
 	Seed          int64
-	N             int   // paper: 400
-	Groups        int   // paper: 120
-	GroupsPerNode []int // paper: 1,2,4,8,16,32
+	N             int
+	Groups        int
+	GroupsPerNode []int
 	Warmup        time.Duration
 	Measure       time.Duration
 	PPSS          ppss.Config
-	// Parallel bounds the worker pool running the independent
-	// subscriptions-per-node runs (<= 0: one worker per CPU; 1:
-	// sequential).
-	Parallel int
+	Parallel      int // bounds the worker pool running the independent subscription counts (<= 0: one per CPU; 1: sequential)
 }
 
-func (c Fig8Config) withDefaults() Fig8Config {
-	if c.N == 0 {
-		c.N = 400
+// newFig8 is the paper's setup: 400 nodes, 120 groups, 1 to 32
+// subscriptions per node; below half scale the sweep stops at 8.
+func newFig8(p Params) fig8Config {
+	perNode := []int{1, 2, 4, 8, 16, 32}
+	if p.Scale < 0.5 {
+		perNode = perNode[:4]
 	}
-	if c.Groups == 0 {
-		c.Groups = 120
-	}
-	if c.GroupsPerNode == nil {
-		c.GroupsPerNode = []int{1, 2, 4, 8, 16, 32}
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * time.Minute
-	}
-	if c.Measure == 0 {
-		c.Measure = 10 * time.Minute
-	}
-	return c
+	return fig8Config{Seed: p.Seed, N: p.n(400), Groups: p.n(120), GroupsPerNode: perNode,
+		Warmup: p.dur(10 * time.Minute), Measure: p.dur(10 * time.Minute), Parallel: p.Parallel}
 }
 
-// Fig8Row is one x-position of the figure: the stacked percentiles of
+// fig8Row is one x-position of the figure: the stacked percentiles of
 // per-node bandwidth for one subscription count.
-type Fig8Row struct {
+type fig8Row struct {
 	GroupsPerNode  int
 	PUp, PDown     stats.Stack // KB/s per P-node
 	NUp, NDown     stats.Stack // KB/s per N-node
 	MeanSubscribed float64     // achieved subscriptions per node
 }
 
-// Fig8 sweeps the number of groups per node, one worker per count.
-func Fig8(cfg Fig8Config) ([]Fig8Row, error) {
-	cfg = cfg.withDefaults()
-	workers := parallel.Workers(cfg.Parallel)
-	return parallel.Map(workers, len(cfg.GroupsPerNode), func(i int) (Fig8Row, error) {
-		return fig8Run(cfg, cfg.GroupsPerNode[i], keyPool.View(i))
-	})
+type fig8Rows []fig8Row
+
+// run sweeps the number of groups per node, one worker per count.
+func (cfg fig8Config) run() (fig8Rows, error) {
+	return sweep(cfg.Parallel, cfg.GroupsPerNode, cfg.runCount)
 }
 
-func fig8Run(cfg Fig8Config, groupsPerNode int, pool *identity.Pool) (Fig8Row, error) {
-	w, err := sim.NewWorld(sim.Options{
-		Seed:     cfg.Seed,
-		N:        cfg.N,
-		NATRatio: 0.7,
-		Model:    PlanetLab.Model(),
-		KeyPool:  pool,
-		WCL:      &wcl.Config{MinPublic: 3},
-		PPSS:     &cfg.PPSS,
-		Obs:      worldObs(fmt.Sprintf("fig8/groups=%d", groupsPerNode)),
+func (cfg fig8Config) runCount(groupsPerNode int, pool *identity.Pool) (fig8Row, error) {
+	w, err := newWorld(fmt.Sprintf("fig8/groups=%d", groupsPerNode), sim.Options{
+		Seed:    cfg.Seed,
+		N:       cfg.N,
+		Model:   planetLab.model(),
+		KeyPool: pool,
+		PPSS:    &cfg.PPSS,
 	})
 	if err != nil {
-		return Fig8Row{}, err
+		return fig8Row{}, err
 	}
 	startGroups(w, cfg.Groups, groupsPerNode, cfg.Warmup)
 	w.ResetMeters()
@@ -93,7 +74,7 @@ func fig8Run(cfg Fig8Config, groupsPerNode int, pool *identity.Pool) (Fig8Row, e
 			subs += len(n.PPSS.Instances())
 		}
 	}
-	return Fig8Row{
+	return fig8Row{
 		GroupsPerNode:  groupsPerNode,
 		PUp:            stats.StackOf(pUp),
 		PDown:          stats.StackOf(pDown),
@@ -103,8 +84,8 @@ func fig8Run(cfg Fig8Config, groupsPerNode int, pool *identity.Pool) (Fig8Row, e
 	}, nil
 }
 
-// PrintFig8 renders the stacked-percentile series.
-func PrintFig8(out io.Writer, rows []Fig8Row) {
+// print renders the stacked-percentile series.
+func (rows fig8Rows) print(out io.Writer) {
 	fmt.Fprintln(out, "== Figure 8: bandwidth vs. number of private groups per node (KB/s, stacked percentiles) ==")
 	tb := stats.NewTable("groups/node", "class dir", "p5", "p25", "p50", "p75", "p90")
 	for _, r := range rows {
@@ -121,10 +102,9 @@ func PrintFig8(out io.Writer, rows []Fig8Row) {
 	fmt.Fprint(out, tb.String())
 }
 
-// Fig8ShapeCheck verifies the qualitative claims: bandwidth grows
-// roughly linearly with subscriptions and P-nodes carry more load than
-// N-nodes.
-func Fig8ShapeCheck(rows []Fig8Row) []string {
+// check verifies the qualitative claims: bandwidth grows roughly
+// linearly with subscriptions and P-nodes carry more load than N-nodes.
+func (rows fig8Rows) check() []string {
 	var bad []string
 	if len(rows) < 2 {
 		return []string{"need at least two subscription counts"}

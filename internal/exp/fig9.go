@@ -3,50 +3,39 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 	"time"
 
 	"whisper/internal/ppss"
 	"whisper/internal/sim"
 	"whisper/internal/stats"
 	"whisper/internal/tchord"
-	"whisper/internal/wcl"
 )
 
-// Fig9Config parameterizes the private T-Chord experiment (§V-G): a
-// 60-node private group inside a 400-node cluster network bootstraps a
-// Chord ring with T-Chord, then routes 350 random queries; the figure
-// is the CDF of their end-to-end delays.
-type Fig9Config struct {
+// fig9Config is the private T-Chord experiment (§V-G): a private group
+// inside a cluster network bootstraps a Chord ring with T-Chord, then
+// routes random queries; the figure is the CDF of their end-to-end
+// delays.
+type fig9Config struct {
 	Seed      int64
-	N         int           // paper: 400
-	GroupSize int           // paper: 60
-	Queries   int           // paper: 350
+	N         int
+	GroupSize int
+	Queries   int
 	Warmup    time.Duration // PPSS convergence before T-Chord starts
 	RingTime  time.Duration // T-Chord convergence time
 	PPSS      ppss.Config
 }
 
-func (c Fig9Config) withDefaults() Fig9Config {
-	if c.N == 0 {
-		c.N = 400
-	}
-	if c.GroupSize == 0 {
-		c.GroupSize = 60
-	}
-	if c.Queries == 0 {
-		c.Queries = 350
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 12 * time.Minute
-	}
-	if c.RingTime == 0 {
-		c.RingTime = 10 * time.Minute
-	}
-	return c
+// newFig9 is the paper's setup: a 60-node group in 400 nodes, routing
+// 350 queries.
+func newFig9(p Params) fig9Config {
+	return fig9Config{Seed: p.Seed, N: p.n(400), GroupSize: p.n(60), Queries: p.count(350),
+		Warmup: p.dur(12 * time.Minute), RingTime: p.dur(10 * time.Minute)}
 }
 
-// Fig9Result holds the routing-delay distribution.
-type Fig9Result struct {
+// fig9Result holds the routing-delay distribution.
+type fig9Result struct {
 	DelayCDF    []stats.CDFPoint // seconds
 	Completed   int
 	Failed      int
@@ -56,20 +45,11 @@ type Fig9Result struct {
 	RingSize    int
 }
 
-// Fig9 builds the private index and routes the queries.
-func Fig9(cfg Fig9Config) (Fig9Result, error) {
-	cfg = cfg.withDefaults()
-	w, err := sim.NewWorld(sim.Options{
-		Seed:     cfg.Seed,
-		N:        cfg.N,
-		NATRatio: 0.7,
-		KeyPool:  keyPool,
-		WCL:      &wcl.Config{MinPublic: 3},
-		PPSS:     &cfg.PPSS,
-		Obs:      worldObs("fig9"),
-	})
+// run builds the private index and routes the queries.
+func (cfg fig9Config) run() (fig9Result, error) {
+	w, err := newWorld("fig9", sim.Options{Seed: cfg.Seed, N: cfg.N, PPSS: &cfg.PPSS})
 	if err != nil {
-		return Fig9Result{}, err
+		return fig9Result{}, err
 	}
 	w.StartAll()
 	w.Sim.RunUntil(4 * time.Minute)
@@ -78,23 +58,10 @@ func Fig9(cfg Fig9Config) (Fig9Result, error) {
 	members := w.Live()[:cfg.GroupSize]
 	leader, err := members[0].PPSS.CreateGroup("private-index")
 	if err != nil {
-		return Fig9Result{}, err
-	}
-	g := ppss.GroupIDFromName("private-index")
-	var joinFn func(n *sim.Node, attempt int)
-	joinFn = func(n *sim.Node, attempt int) {
-		accr, entry, err := leader.Invite(n.ID())
-		if err != nil {
-			return
-		}
-		n.PPSS.Join("private-index", accr, entry, func(_ *ppss.Instance, err error) {
-			if err != nil && attempt < 3 {
-				joinFn(n, attempt+1)
-			}
-		})
+		return fig9Result{}, err
 	}
 	for _, m := range members[1:] {
-		joinFn(m, 1)
+		join(leader, "private-index", m, 3)
 		w.Sim.RunFor(2 * time.Second)
 	}
 	w.Sim.RunUntil(cfg.Warmup)
@@ -102,7 +69,7 @@ func Fig9(cfg Fig9Config) (Fig9Result, error) {
 	tcfg := tchord.Config{PinRing: true}
 	var ring []*tchord.Node
 	for _, m := range members {
-		inst := m.PPSS.Instance(g)
+		inst := m.PPSS.Instance(leader.Group())
 		if inst == nil {
 			continue
 		}
@@ -113,7 +80,7 @@ func Fig9(cfg Fig9Config) (Fig9Result, error) {
 	w.Sim.RunFor(cfg.RingTime)
 
 	// Route the queries from random members to random keys.
-	var res Fig9Result
+	var res fig9Result
 	res.RingSize = len(ring)
 	var delays []float64
 	rng := w.Sim.Rand()
@@ -148,37 +115,20 @@ func ringCorrectness(ring []*tchord.Node) int {
 	for i, n := range ring {
 		ids[i] = n.ID()
 	}
-	// Successor of x = smallest id > x (wrapping).
-	trueSucc := func(x tchord.ChordID) tchord.ChordID {
-		var best tchord.ChordID
-		found := false
-		var min tchord.ChordID
-		minSet := false
-		for _, id := range ids {
-			if !minSet || id < min {
-				min, minSet = id, true
-			}
-			if id > x && (!found || id < best) {
-				best, found = id, true
-			}
-		}
-		if !found {
-			return min
-		}
-		return best
-	}
+	slices.Sort(ids)
 	correct := 0
 	for _, n := range ring {
-		succ, ok := n.Successor()
-		if ok && tchord.IDOf(succ.ID) == trueSucc(n.ID()) {
+		// The true successor is the smallest id above n's, wrapping.
+		i := sort.Search(len(ids), func(i int) bool { return ids[i] > n.ID() }) % len(ids)
+		if succ, ok := n.Successor(); ok && tchord.IDOf(succ.ID) == ids[i] {
 			correct++
 		}
 	}
 	return correct
 }
 
-// PrintFig9 renders the delay distribution.
-func PrintFig9(out io.Writer, res Fig9Result) {
+// print renders the delay distribution.
+func (res fig9Result) print(out io.Writer) {
 	fmt.Fprintln(out, "== Figure 9: T-Chord routing delays in a private group ==")
 	tb := stats.NewTable("metric", "value")
 	tb.Row("ring size", res.RingSize)
@@ -191,10 +141,10 @@ func PrintFig9(out io.Writer, res Fig9Result) {
 	printCDF(out, "T-Chord routing delay (s)", res.DelayCDF, 14, "%.3f")
 }
 
-// Fig9ShapeCheck verifies the qualitative claims: queries overwhelmingly
+// check verifies the qualitative claims: queries overwhelmingly
 // complete, the ring is (nearly) perfect, and the delay range spans from
 // sub-second short routes to a small number of seconds for long ones.
-func Fig9ShapeCheck(res Fig9Result) []string {
+func (res fig9Result) check() []string {
 	var bad []string
 	total := res.Completed + res.Failed
 	if total == 0 {

@@ -22,19 +22,14 @@ var updateGolden = flag.Bool("update-golden", false,
 //
 //	go test ./internal/exp -run TestFig5Golden -update-golden
 func TestFig5Golden(t *testing.T) {
-	res, err := Fig5(Fig5Config{
-		Seed:     42,
-		N:        60,
-		NATRatio: 0.7,
-		Runtime:  2 * time.Minute,
-		PiValues: []int{0, 2},
-		Parallel: 1,
-	})
+	cfg := newFig5(Params{Seed: 42, Scale: 1, Parallel: 1})
+	cfg.N, cfg.Runtime, cfg.PiValues = 60, 2*time.Minute, []int{0, 2}
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	PrintFig5(&sb, res)
+	res.print(&sb)
 	got := sb.String()
 
 	const path = "testdata/fig5_seed42.golden"
@@ -82,12 +77,12 @@ func TestScaleGolden(t *testing.T) {
 		{30 * time.Second, "fingerprint: n=2000 shards=8 events=15834 sent=11670 dropped=249 live=2000 windows=747"},
 		{2 * time.Minute, "fingerprint: n=2000 shards=8 events=77544 sent=55275 dropped=1135 live=2000 windows=4851"},
 	} {
-		res, err := Scale(ScaleConfig{Seed: 2011, N: 2000, Shards: 8, Runtime: tc.runtime, Env: PlanetLab})
+		res, err := newScale(Params{Seed: 2011, Nodes: 2000, Shards: 8, Virtual: tc.runtime}).run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
-		PrintScale(&sb, res)
+		res.print(&sb)
 		lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 		if got := lines[len(lines)-1]; got != tc.want {
 			t.Errorf("scale run of %v:\n got %s\nwant %s", tc.runtime, got, tc.want)

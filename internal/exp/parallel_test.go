@@ -9,14 +9,10 @@ import (
 // fig5TestConfig is a small Fig5 setup used by the determinism test and
 // the harness benchmark: four independent runs, enough nodes to exercise
 // the full stack.
-func fig5TestConfig(parallel int) Fig5Config {
-	return Fig5Config{
-		Seed:     71,
-		N:        120,
-		Runtime:  4 * time.Minute,
-		PiValues: []int{0, 1, 2, 3},
-		Parallel: parallel,
-	}
+func fig5TestConfig(parallel int) fig5Config {
+	cfg := newFig5(Params{Seed: 71, Scale: 1, Parallel: parallel})
+	cfg.N, cfg.Runtime = 120, 4*time.Minute
+	return cfg
 }
 
 // TestParallelMatchesSequential is the harness's core guarantee: each
@@ -25,11 +21,11 @@ func fig5TestConfig(parallel int) Fig5Config {
 // several workers must produce identical per-run results, in the same
 // order.
 func TestParallelMatchesSequential(t *testing.T) {
-	seq, err := Fig5(fig5TestConfig(1))
+	seq, err := fig5TestConfig(1).run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Fig5(fig5TestConfig(3))
+	par, err := fig5TestConfig(3).run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +49,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // single-core machine the two are expected to tie.
 func BenchmarkParallelExpHarness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Fig5(fig5TestConfig(0)); err != nil {
+		if _, err := fig5TestConfig(0).run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,7 +58,7 @@ func BenchmarkParallelExpHarness(b *testing.B) {
 // BenchmarkSequentialExpHarness is the -parallel 1 baseline.
 func BenchmarkSequentialExpHarness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Fig5(fig5TestConfig(1)); err != nil {
+		if _, err := fig5TestConfig(1).run(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,20 +13,22 @@ import (
 	"whisper/internal/pubsub"
 	"whisper/internal/sim"
 	"whisper/internal/stats"
-	"whisper/internal/wcl"
 )
 
-// PubSubConfig parameterizes the topic pub/sub experiment: one private
-// group whose members subscribe to overlapping topic sets, a fixed
+// pubsubConfig is the topic pub/sub experiment: one private group
+// whose members subscribe to overlapping topic sets, a fixed
 // publication schedule driven through the bloom-filter-routed pub/sub
 // layer, and the identical schedule replayed over the naive full-group
 // broadcast — comparing delivery ratio and relay bandwidth. A final
 // offline sweep measures the filter false-positive rate across filter
 // sizes, the plausible-deniability dial.
-type PubSubConfig struct {
+type pubsubConfig struct {
 	Seed int64
-	N    int // overlay size (default 160)
+	N    int // overlay size
 }
+
+// newPubSub runs a 160-node overlay.
+func newPubSub(p Params) pubsubConfig { return pubsubConfig{Seed: p.Seed, N: p.n(160)} }
 
 // The pub/sub experiment's schedule. The live filters are
 // pubsub.DefaultFilterBits wide.
@@ -38,16 +40,9 @@ const (
 	pubsubPayloadBytes    = 64 // plaintext bytes per publication
 )
 
-func (c PubSubConfig) withDefaults() PubSubConfig {
-	if c.N == 0 {
-		c.N = 160
-	}
-	return c
-}
-
-// PubSubLeg is the measured outcome of one dissemination strategy over
+// pubsubLeg is the measured outcome of one dissemination strategy over
 // the same publication schedule.
-type PubSubLeg struct {
+type pubsubLeg struct {
 	Label      string
 	Delivered  uint64 // subscriber deliveries (deduplicated)
 	Expected   uint64 // publications x subscribers of that topic
@@ -56,23 +51,21 @@ type PubSubLeg struct {
 	Forwards   uint64
 }
 
-// FPPoint is one measured false-positive rate of the offline filter
+// fpPoint is one measured false-positive rate of the offline filter
 // sweep.
-type FPPoint struct {
+type fpPoint struct {
 	Bits int
 	Rate float64
 }
 
-// PubSubResult is the full comparison plus a determinism fingerprint
-// (TestExperimentTable runs the experiment twice with one seed and
-// compares them).
-type PubSubResult struct {
+// pubsubResult is the full comparison plus a determinism fingerprint.
+type pubsubResult struct {
 	Members int // members that actually joined
 	Topics  int
 	Rounds  int
 
-	PubSub PubSubLeg
-	Naive  PubSubLeg
+	PubSub pubsubLeg
+	Naive  pubsubLeg
 
 	BytesRatio float64 // pub/sub relay bytes over naive relay bytes
 
@@ -80,29 +73,24 @@ type PubSubResult struct {
 	FalsePositives uint64 // own-filter matches on unsubscribed topics (live traffic)
 	Undecryptable  uint64 // must stay 0: every subscriber holds the topic key
 
-	FPSweep []FPPoint
+	FPSweep []fpPoint
 
 	Fingerprint uint64
 }
 
-// PubSub runs the experiment: converge an overlay, form one private
+// run runs the experiment: converge an overlay, form one private
 // group, subscribe members to overlapping topics, let subscription
 // digests gossip, then publish the schedule twice — once through the
 // filter-routed pub/sub, once through the full-group broadcast — and
 // compare what the relays paid.
-func PubSub(cfg PubSubConfig) (PubSubResult, error) {
-	cfg = cfg.withDefaults()
-	w, err := sim.NewWorld(sim.Options{
-		Seed:     cfg.Seed,
-		N:        cfg.N,
-		NATRatio: 0.7,
-		KeyPool:  keyPool,
-		WCL:      &wcl.Config{MinPublic: 3},
-		PPSS:     &ppss.Config{Cycle: 20 * time.Second, KeyBlobSize: 256, MinHelpers: 3},
-		Obs:      worldObs("pubsub"),
+func (cfg pubsubConfig) run() (pubsubResult, error) {
+	w, err := newWorld("pubsub", sim.Options{
+		Seed: cfg.Seed,
+		N:    cfg.N,
+		PPSS: &ppss.Config{Cycle: 20 * time.Second, KeyBlobSize: 256, MinHelpers: 3},
 	})
 	if err != nil {
-		return PubSubResult{}, err
+		return pubsubResult{}, err
 	}
 	w.StartAll()
 	w.Sim.RunUntil(5 * time.Minute)
@@ -110,7 +98,7 @@ func PubSub(cfg PubSubConfig) (PubSubResult, error) {
 	live := w.Live()
 	publics := w.LivePublics()
 	if len(publics) == 0 || len(live) < 4 {
-		return PubSubResult{}, fmt.Errorf("world did not converge: %d live, %d public", len(live), len(publics))
+		return pubsubResult{}, fmt.Errorf("world did not converge: %d live, %d public", len(live), len(publics))
 	}
 	members := min(pubsubMembers, len(live))
 
@@ -119,7 +107,7 @@ func PubSub(cfg PubSubConfig) (PubSubResult, error) {
 	// retried as a user re-requesting an invitation would.
 	leader, err := publics[0].PPSS.CreateGroup("pubsub")
 	if err != nil {
-		return PubSubResult{}, fmt.Errorf("create group: %w", err)
+		return pubsubResult{}, fmt.Errorf("create group: %w", err)
 	}
 	candidates := make([]*sim.Node, 0, members-1)
 	for _, n := range live {
@@ -127,20 +115,8 @@ func PubSub(cfg PubSubConfig) (PubSubResult, error) {
 			candidates = append(candidates, n)
 		}
 	}
-	var tryJoin func(n *sim.Node, attempt int)
-	tryJoin = func(n *sim.Node, attempt int) {
-		accr, entry, err := leader.Invite(n.ID())
-		if err != nil {
-			return
-		}
-		n.PPSS.Join("pubsub", accr, entry, func(_ *ppss.Instance, err error) {
-			if err != nil && attempt < 3 && !n.Nylon.Stopped() {
-				tryJoin(n, attempt+1)
-			}
-		})
-	}
 	for i, n := range candidates {
-		tryJoin(n, 1)
+		join(leader, "pubsub", n, 3)
 		if i%4 == 3 {
 			w.RunFor(5 * time.Second)
 		}
@@ -155,7 +131,7 @@ func PubSub(cfg PubSubConfig) (PubSubResult, error) {
 			insts = append(insts, inst)
 		}
 	}
-	res := PubSubResult{Members: len(insts), Topics: pubsubTopics, Rounds: pubsubRounds}
+	res := pubsubResult{Members: len(insts), Topics: pubsubTopics, Rounds: pubsubRounds}
 	if len(insts) < 4 {
 		return res, fmt.Errorf("only %d/%d members joined the group", len(insts), members)
 	}
@@ -244,6 +220,7 @@ func PubSub(cfg PubSubConfig) (PubSubResult, error) {
 			}
 			var tag pubsub.TopicTag
 			copy(tag[:], p[:4])
+			//whisper:unordered counts one delivery if any subscribed topic matches; which one is irrelevant
 			for topic := range subs[i] {
 				if pubsub.HashTopic(topic) == tag {
 					naiveDelivered++
@@ -283,7 +260,7 @@ func PubSub(cfg PubSubConfig) (PubSubResult, error) {
 	res.FPSweep = fpSweep(subs, topics, []int{16, 32, 64, 256})
 
 	h := fnv.New64a()
-	for _, leg := range []PubSubLeg{res.PubSub, res.Naive} {
+	for _, leg := range []pubsubLeg{res.PubSub, res.Naive} {
 		fmt.Fprintf(h, "%s|%d|%d|%d|%d;", leg.Label, leg.Delivered, leg.Expected, leg.RelayBytes, leg.Forwards)
 	}
 	fmt.Fprintf(h, "dup=%d;fp=%d;undec=%d;members=%d", res.Duplicates, res.FalsePositives, res.Undecryptable, res.Members)
@@ -299,7 +276,7 @@ func PubSub(cfg PubSubConfig) (PubSubResult, error) {
 // unsubscribed topics that a member's filter (k = default hashes)
 // wrongly matches. Probes are the real topics the member skipped plus
 // 56 topics nobody subscribes to.
-func fpSweep(subs []map[string]bool, topics []string, sizes []int) []FPPoint {
+func fpSweep(subs []map[string]bool, topics []string, sizes []int) []fpPoint {
 	probes := make([]pubsub.TopicTag, 0, len(topics)+56)
 	probeSub := make([]string, 0, len(topics)+56)
 	for _, t := range topics {
@@ -310,11 +287,12 @@ func fpSweep(subs []map[string]bool, topics []string, sizes []int) []FPPoint {
 		probes = append(probes, pubsub.HashTopic(fmt.Sprintf("probe-%d", i)))
 		probeSub = append(probeSub, "")
 	}
-	out := make([]FPPoint, 0, len(sizes))
+	out := make([]fpPoint, 0, len(sizes))
 	for _, m := range sizes {
 		hits, trials := 0, 0
 		for _, sub := range subs {
 			f := pubsub.NewFilter(m, pubsub.DefaultFilterHashes)
+			//whisper:unordered adding to a bloom filter commutes
 			for t := range sub {
 				f.Add(pubsub.HashTopic(t))
 			}
@@ -332,17 +310,17 @@ func fpSweep(subs []map[string]bool, topics []string, sizes []int) []FPPoint {
 		if trials > 0 {
 			rate = float64(hits) / float64(trials)
 		}
-		out = append(out, FPPoint{Bits: m, Rate: rate})
+		out = append(out, fpPoint{Bits: m, Rate: rate})
 	}
 	return out
 }
 
-// PrintPubSub renders the comparison.
-func PrintPubSub(out io.Writer, res PubSubResult) {
+// print renders the comparison.
+func (res pubsubResult) print(out io.Writer) {
 	fmt.Fprintf(out, "== Topic pub/sub over a private group: %d members, %d topics, %d rounds ==\n",
 		res.Members, res.Topics, res.Rounds)
 	tb := stats.NewTable("leg", "delivered", "ratio", "relay bytes", "forwards")
-	for _, l := range []PubSubLeg{res.PubSub, res.Naive} {
+	for _, l := range []pubsubLeg{res.PubSub, res.Naive} {
 		tb.Row(l.Label,
 			fmt.Sprintf("%d/%d", l.Delivered, l.Expected),
 			fmt.Sprintf("%.3f", l.Ratio),
@@ -360,13 +338,12 @@ func PrintPubSub(out io.Writer, res PubSubResult) {
 	fmt.Fprintf(out, "fingerprint: %s\n", res.fingerprint())
 }
 
-func (res PubSubResult) fingerprint() string { return fmt.Sprintf("%016x", res.Fingerprint) }
+func (res pubsubResult) fingerprint() string { return fmt.Sprintf("%016x", res.Fingerprint) }
 
-// PubSubShapeCheck verifies the tentpole claims: near-total delivery
-// through the filters, relay bandwidth strictly below the naive flood,
-// no undecryptable envelopes, and a false-positive rate that falls as
-// the filter grows.
-func PubSubShapeCheck(res PubSubResult) []string {
+// check verifies the claims: near-total delivery through the filters,
+// relay bandwidth strictly below the naive flood, no undecryptable
+// envelopes, and a false-positive rate that falls as the filter grows.
+func (res pubsubResult) check() []string {
 	var bad []string
 	if res.PubSub.Ratio < 0.99 {
 		bad = append(bad, fmt.Sprintf("pub/sub delivery ratio %.3f, want >= 0.99", res.PubSub.Ratio))

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"runtime"
@@ -9,58 +10,30 @@ import (
 	"whisper/internal/sim"
 )
 
-// ScaleConfig drives the large-population throughput run of the sharded
-// engine. Unlike the paper figures it reproduces no published plot; it
-// exists to measure how far the simulator itself scales (events/sec,
-// bytes and resident memory per node) and to pin determinism of the
-// sharded schedule in CI.
-type ScaleConfig struct {
-	Seed int64
-	// N is the population; the acceptance floor for the full run is
-	// 100k nodes (default).
-	N int
-	// Shards is the number of event shards (default 8).
-	Shards int
-	// Runtime is the virtual time simulated (default 2 minutes — enough
-	// for every node to complete several shuffle rounds).
-	Runtime time.Duration
-	// Env selects the latency model. The harness runs PlanetLab: its
-	// 20ms latency floor gives the conservative synchronizer a wide
-	// lookahead window, so barriers stay rare relative to events.
-	Env Env
-	// NATRatio is the fraction of NATted nodes (default 0.7, §V-A).
-	NATRatio float64
-	// Rollup, when non-nil, receives streamed per-window rollups as
-	// virtual time advances (at most once per simulated second). The
-	// rollup carries only O(1) engine counters, so long runs can show
-	// liveness and throughput without any per-node scan until the run
-	// ends.
-	Rollup func(ScaleRollup)
+// scaleConfig drives the large-population throughput run of the
+// sharded engine. Unlike the paper figures it reproduces no published
+// plot; it exists to measure how far the simulator itself scales
+// (events/sec, bytes and resident memory per node) and to pin
+// determinism of the sharded schedule in CI.
+type scaleConfig struct {
+	Seed    int64
+	N       int
+	Shards  int
+	Runtime time.Duration // virtual time simulated
+	// Progress, when non-nil, receives a progress line rewritten at most
+	// once per simulated second from the engine's window hook. It reads
+	// only O(1) engine counters, so long runs show liveness and
+	// throughput without any per-node scan until the run ends.
+	Progress io.Writer
 }
 
-// ScaleRollup is one streamed progress rollup, emitted from the
-// engine's window hook while the run is in flight.
-type ScaleRollup struct {
-	Now     time.Duration // virtual time reached
-	Total   time.Duration // virtual time target
-	Events  uint64        // events executed so far
-	Windows uint64        // windows completed so far
-}
-
-func (c ScaleConfig) withDefaults() ScaleConfig {
-	if c.N == 0 {
-		c.N = 100_000
-	}
-	if c.Shards == 0 {
-		c.Shards = 8
-	}
-	if c.Runtime == 0 {
-		c.Runtime = 2 * time.Minute
-	}
-	if c.NATRatio == 0 {
-		c.NATRatio = 0.7
-	}
-	return c
+// newScale sizes the run off its own 100k-node, 2-minute baseline,
+// floored at 30 s rather than 4 minutes: small scales keep the smoke
+// run cheap, and Params.Nodes/Virtual pin either dimension directly.
+// Zero shards means 8.
+func newScale(p Params) scaleConfig {
+	return scaleConfig{Seed: p.Seed, N: cmp.Or(p.Nodes, p.n(100_000)), Shards: cmp.Or(p.Shards, 8),
+		Runtime: cmp.Or(p.Virtual, scaled(p, 2*time.Minute, 30*time.Second)), Progress: p.Progress}
 }
 
 // settledHeap returns HeapAlloc after a double-GC settle: the first
@@ -76,8 +49,8 @@ func settledHeap() uint64 {
 	return m.HeapAlloc
 }
 
-// ScaleResult is one completed scale run.
-type ScaleResult struct {
+// scaleResult is one completed scale run.
+type scaleResult struct {
 	Nodes   int
 	Shards  int
 	Runtime time.Duration // virtual
@@ -95,44 +68,32 @@ type ScaleResult struct {
 	MemBytesPerNode float64 // heap growth attributable to the world
 }
 
-// Scale builds a sharded world of cfg.N Nylon nodes and runs it for
+// run builds a sharded world of cfg.N Nylon nodes and runs it for
 // cfg.Runtime of virtual time, measuring simulator throughput. The
 // stack is PSS-only: at this population the point is the event engine,
 // not the crypto layers, and a pure-Nylon node keeps per-node cost low
-// enough that a single process holds 100k+ of them.
-func Scale(cfg ScaleConfig) (ScaleResult, error) {
-	cfg = cfg.withDefaults()
-
+// enough that a single process holds 100k+ of them. The latency model
+// is PlanetLab's: its 20ms floor gives the conservative synchronizer a
+// wide lookahead window, so barriers stay rare relative to events.
+func (cfg scaleConfig) run() (scaleResult, error) {
 	before := settledHeap()
 
-	w, err := sim.NewWorld(sim.Options{
-		Seed:     cfg.Seed,
-		N:        cfg.N,
-		Shards:   cfg.Shards,
-		NATRatio: cfg.NATRatio,
-		Model:    cfg.Env.Model(),
-		KeyPool:  keyPool,
-		Obs:      worldObs("scale"),
-	})
+	w, err := newWorld("scale", sim.Options{Seed: cfg.Seed, N: cfg.N, Shards: cfg.Shards, Model: planetLab.model()})
 	if err != nil {
-		return ScaleResult{}, err
+		return scaleResult{}, err
 	}
 
-	if cfg.Rollup != nil && w.Sharded() {
+	if cfg.Progress != nil && w.Sharded() {
+		defer fmt.Fprintln(cfg.Progress)
 		// The hook runs single-threaded at window barriers (workers
-		// joined), so the engine counters it reads are settled; each
-		// rollup is O(1), never a node scan.
+		// joined), so the engine counters it reads are settled.
 		eng := w.Engine()
 		var last time.Duration
 		eng.SetWindowHook(func(_, end time.Duration) {
 			if end-last >= time.Second {
 				last = end
-				cfg.Rollup(ScaleRollup{
-					Now:     end,
-					Total:   cfg.Runtime,
-					Events:  eng.Executed(),
-					Windows: eng.Windows(),
-				})
+				fmt.Fprintf(cfg.Progress, "\rscale: %v / %v virtual, %d events in %d windows",
+					end.Round(time.Second), cfg.Runtime, eng.Executed(), eng.Windows())
 			}
 		})
 	}
@@ -142,7 +103,7 @@ func Scale(cfg ScaleConfig) (ScaleResult, error) {
 	w.RunUntil(cfg.Runtime)
 	wall := time.Since(start)
 
-	res := ScaleResult{
+	res := scaleResult{
 		Nodes:   cfg.N,
 		Shards:  cfg.Shards,
 		Runtime: cfg.Runtime,
@@ -179,29 +140,34 @@ func Scale(cfg ScaleConfig) (ScaleResult, error) {
 	return res, nil
 }
 
-// PrintScale writes the human-readable report plus a deterministic
-// fingerprint line. The fingerprint carries only schedule-derived
-// counters (never wall-clock), so two runs with the same (seed, config,
-// shards) must print identical fingerprints — CI diffs exactly that.
-func PrintScale(out io.Writer, r ScaleResult) {
+// print writes the virtual report plus a deterministic fingerprint
+// line. The fingerprint carries only schedule-derived counters (never
+// wall-clock), so two runs with the same (seed, config, shards) must
+// print identical fingerprints — CI diffs exactly that.
+func (r scaleResult) print(out io.Writer) {
 	fmt.Fprintln(out, "== Scale: sharded engine throughput ==")
 	fmt.Fprintf(out, "nodes=%d shards=%d virtual=%v\n", r.Nodes, r.Shards, r.Runtime)
-	fmt.Fprintf(out, "wall=%.2fs events=%d events/sec=%.0f windows=%d\n",
-		r.Wall.Seconds(), r.Events, r.EventsPerSec, r.Windows)
 	fmt.Fprintf(out, "sent=%d dropped=%d live=%d zero-shuffle-nodes=%d\n",
 		r.Sent, r.Dropped, r.Live, r.ZeroShuffles)
-	fmt.Fprintf(out, "bytes/node=%.0f mem-bytes/node=%.0f\n",
-		r.BytesPerNode, r.MemBytesPerNode)
 	fmt.Fprintf(out, "fingerprint: %s\n", r.fingerprint())
 }
 
-func (r ScaleResult) fingerprint() string {
+// printHost writes the lines that carry wall-clock rates and heap
+// growth.
+func (r scaleResult) printHost(out io.Writer) {
+	fmt.Fprintf(out, "wall=%.2fs events=%d events/sec=%.0f windows=%d\n",
+		r.Wall.Seconds(), r.Events, r.EventsPerSec, r.Windows)
+	fmt.Fprintf(out, "bytes/node=%.0f mem-bytes/node=%.0f\n",
+		r.BytesPerNode, r.MemBytesPerNode)
+}
+
+func (r scaleResult) fingerprint() string {
 	return fmt.Sprintf("n=%d shards=%d events=%d sent=%d dropped=%d live=%d windows=%d",
 		r.Nodes, r.Shards, r.Events, r.Sent, r.Dropped, r.Live, r.Windows)
 }
 
-// ScaleShapeCheck flags runs where the engine plainly misbehaved.
-func ScaleShapeCheck(r ScaleResult) []string {
+// check flags runs where the engine plainly misbehaved.
+func (r scaleResult) check() []string {
 	var bad []string
 	if r.Events == 0 {
 		bad = append(bad, "no events executed")

@@ -14,8 +14,8 @@ import (
 	"whisper/internal/wcl"
 )
 
-// SuitesConfig parameterizes the crypto-suite comparison (the Table II
-// style row the suite abstraction exists for): the same confidential
+// suitesConfig is the crypto-suite comparison (the Table II style row
+// the suite abstraction exists for): the same confidential
 // request/response workload run once per suite, at each suite's nominal
 // strength — rsa2048 with true 2048-bit moduli (the repo-wide 1024-bit
 // default reproduces the paper's 2011 setting and stays untouched) and
@@ -23,24 +23,19 @@ import (
 // of its asymmetric bill: the onion build (public-key operations, where
 // RSA is cheap) and the reply delivery (a private-key operation, where
 // RSA is ~50x the ECC cost).
-type SuitesConfig struct {
+type suitesConfig struct {
 	Seed     int64
-	N        int // default 300
-	Messages int // round trips per leg (default 100)
+	N        int
+	Messages int // round trips per leg
 }
 
-func (c SuitesConfig) withDefaults() SuitesConfig {
-	if c.N == 0 {
-		c.N = 300
-	}
-	if c.Messages == 0 {
-		c.Messages = 100
-	}
-	return c
+// newSuites runs 300 nodes and 100 round trips per leg.
+func newSuites(p Params) suitesConfig {
+	return suitesConfig{Seed: p.Seed, N: p.n(300), Messages: 100}
 }
 
-// SuiteLeg is the measured cost of one suite's leg.
-type SuiteLeg struct {
+// suiteLeg is the measured cost of one suite's leg.
+type suiteLeg struct {
 	Suite      string
 	RoundTrips int           // completed request/response round trips
 	SourceCPU  time.Duration // source-side crypto CPU over the leg
@@ -52,10 +47,10 @@ type SuiteLeg struct {
 	Establish  time.Duration // virtual time to establish a circuit (0 = failed)
 }
 
-// SuitesResult is the per-suite comparison.
-type SuitesResult struct {
+// suitesResult is the per-suite comparison.
+type suitesResult struct {
 	Messages int
-	Legs     []SuiteLeg
+	Legs     []suiteLeg
 	// CPURatio is rsa2048 / ecc whole-path crypto CPU per round trip:
 	// the middleware's per-message bill, dominated by the RSA peel every
 	// relay pays. (The source-only ratio is milder — a source mostly
@@ -66,36 +61,21 @@ type SuitesResult struct {
 	SourceRatio float64
 }
 
-// suitePools lazily builds and caches the per-suite experiment pools so
-// repeated runs (and the "all" harness) pay key generation once. The
-// rsa2048 leg runs at true 2048-bit moduli, which is why it cannot
-// share the repo-wide 1024-bit test pool.
-var suitePools struct {
-	sync.Mutex
-	m map[crypt.SuiteID]*identity.Pool
-}
+// suitePools lazily builds and caches the per-suite experiment pools
+// (crypt.SuiteID → func() (*identity.Pool, error)) so repeated runs (and
+// the "all" harness) pay key generation once. The rsa2048 leg runs at
+// true 2048-bit moduli, which is why it cannot share the repo-wide
+// 1024-bit test pool.
+var suitePools sync.Map
 
 func suitePool(suite crypt.SuiteID) (*identity.Pool, error) {
-	suitePools.Lock()
-	defer suitePools.Unlock()
-	if p := suitePools.m[suite]; p != nil {
-		return p, nil
-	}
-	bits := identity.DefaultKeyBits
-	size := 64
-	if suite == crypt.SuiteRSA2048 {
-		bits = 2048
-		size = 24 // 2048-bit generation is slow; sims share keys round-robin
-	}
-	p, err := identity.NewSuitePool(size, suite, bits)
-	if err != nil {
-		return nil, err
-	}
-	if suitePools.m == nil {
-		suitePools.m = make(map[crypt.SuiteID]*identity.Pool)
-	}
-	suitePools.m[suite] = p
-	return p, nil
+	f, _ := suitePools.LoadOrStore(suite, sync.OnceValues(func() (*identity.Pool, error) {
+		if suite == crypt.SuiteRSA2048 {
+			return identity.NewSuitePool(24, suite, 2048) // 2048-bit generation is slow; sims share keys round-robin
+		}
+		return identity.NewSuitePool(64, suite, identity.DefaultKeyBits)
+	}))
+	return f.(func() (*identity.Pool, error))()
 }
 
 // suiteOnionBytes sizes one 3-hop onion carrying a SymKeySize payload
@@ -113,9 +93,9 @@ func suiteOnionBytes(pool *identity.Pool, payload []byte) (int, error) {
 	return len(onion), nil
 }
 
-// suiteLeg runs one suite's world and workload.
-func suiteLeg(cfg SuitesConfig, suite crypt.SuiteID) (SuiteLeg, error) {
-	l := SuiteLeg{Suite: suite.String()}
+// runLeg runs one suite's world and workload.
+func (cfg suitesConfig) runLeg(suite crypt.SuiteID) (suiteLeg, error) {
+	l := suiteLeg{Suite: suite.String()}
 	pool, err := suitePool(suite)
 	if err != nil {
 		return l, err
@@ -124,14 +104,12 @@ func suiteLeg(cfg SuitesConfig, suite crypt.SuiteID) (SuiteLeg, error) {
 	if suite == crypt.SuiteECC {
 		keyBlob = 2 * crypt.ECCKeyBlobSize // 65-byte keys need no kilobyte padding
 	}
-	w, err := sim.NewWorld(sim.Options{
-		Seed:     cfg.Seed,
-		N:        cfg.N,
-		NATRatio: 0.7,
-		KeyPool:  pool,
-		Nylon:    nylon.Config{KeyBlobSize: keyBlob},
-		WCL:      &wcl.Config{MinPublic: 3},
-		Obs:      worldObs("suites-" + l.Suite),
+	w, err := newWorld("suites-"+l.Suite, sim.Options{
+		Seed:    cfg.Seed,
+		N:       cfg.N,
+		KeyPool: pool,
+		Nylon:   nylon.Config{KeyBlobSize: keyBlob},
+		WCL:     &wcl.Config{MinPublic: 3},
 	})
 	if err != nil {
 		return l, err
@@ -161,14 +139,12 @@ func suiteLeg(cfg SuitesConfig, suite crypt.SuiteID) (SuiteLeg, error) {
 		w.Sim.RunFor(2 * time.Second)
 	}
 	w.Sim.RunFor(30 * time.Second) // drain replies and acknowledgements
-	cur := *src.WCL.CPU()
-	curPath := w.CPUTotal()
-	l.SourceCPU = cur.Total() - before.Total()
+	d, dPath := cpuSince(*src.WCL.CPU(), before), cpuSince(w.CPUTotal(), beforePath)
+	l.SourceCPU = d.Total()
 	l.PerMsg = l.SourceCPU / time.Duration(cfg.Messages)
-	l.PathCPU = curPath.Total() - beforePath.Total()
+	l.PathCPU = dPath.Total()
 	l.PerMsgPath = l.PathCPU / time.Duration(cfg.Messages)
-	l.AsymOps = (cur.RSAEncs - before.RSAEncs) + (cur.RSADecs - before.RSADecs) +
-		(cur.ECCEncs - before.ECCEncs) + (cur.ECCDecs - before.ECCDecs)
+	l.AsymOps = d.RSAEncs + d.RSADecs + d.ECCEncs + d.ECCDecs
 
 	// Circuit establishment latency under this suite (a fresh partner,
 	// so the echo traffic above cannot have pre-warmed anything).
@@ -188,15 +164,14 @@ func suiteLeg(cfg SuitesConfig, suite crypt.SuiteID) (SuiteLeg, error) {
 	return l, nil
 }
 
-// Suites runs the same confidential round-trip workload once per
+// run runs the same confidential round-trip workload once per
 // registered crypto suite and compares source CPU, onion size and
 // circuit establishment latency.
-func Suites(cfg SuitesConfig) (SuitesResult, error) {
-	cfg = cfg.withDefaults()
-	res := SuitesResult{Messages: cfg.Messages}
-	legs := make(map[string]SuiteLeg)
+func (cfg suitesConfig) run() (suitesResult, error) {
+	res := suitesResult{Messages: cfg.Messages}
+	legs := make(map[string]suiteLeg)
 	for _, suite := range crypt.Suites() {
-		leg, err := suiteLeg(cfg, suite)
+		leg, err := cfg.runLeg(suite)
 		if err != nil {
 			return res, fmt.Errorf("suites: %v leg: %w", suite, err)
 		}
@@ -212,9 +187,14 @@ func Suites(cfg SuitesConfig) (SuitesResult, error) {
 	return res, nil
 }
 
-// PrintSuites renders the comparison.
-func PrintSuites(out io.Writer, res SuitesResult) {
+// print renders the comparison's heading; every row carries a CPU
+// column timed on the host.
+func (res suitesResult) print(out io.Writer) {
 	fmt.Fprintf(out, "== Crypto suites: source cost per confidential round trip (%d round trips) ==\n", res.Messages)
+}
+
+// printHost renders the per-suite rows and CPU ratios.
+func (res suitesResult) printHost(out io.Writer) {
 	tb := stats.NewTable("suite", "round trips", "source CPU/msg", "path CPU/msg", "asym ops", "3-hop onion", "circuit est.")
 	for _, l := range res.Legs {
 		est := "failed"
@@ -234,15 +214,15 @@ func PrintSuites(out io.Writer, res SuitesResult) {
 	fmt.Fprintf(out, "per-message source-only CPU ratio (rsa2048 / ecc): %.1fx\n", res.SourceRatio)
 }
 
-// SuitesShapeCheck verifies the comparison's claims: both legs deliver,
+// check verifies the comparison's claims: both legs deliver,
 // the ecc onion is smaller, ecc cuts the middleware's per-message CPU
 // by at least 5x against nominal-strength RSA, and the source side
 // still comes out at least 2x ahead (sources mostly perform the
 // public-key operation, where RSA is cheap — the decisive difference
 // is the private-key peel every relay and destination pays).
-func SuitesShapeCheck(res SuitesResult) []string {
+func (res suitesResult) check() []string {
 	var bad []string
-	legs := make(map[string]SuiteLeg, len(res.Legs))
+	legs := make(map[string]suiteLeg, len(res.Legs))
 	for _, l := range res.Legs {
 		legs[l.Suite] = l
 		if l.RoundTrips < res.Messages*9/10 {

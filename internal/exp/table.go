@@ -29,8 +29,8 @@ func scaled[T int | time.Duration](p Params, paper, floor T) T {
 func (p Params) n(paper int) int { return scaled(p, paper, 40) }
 
 // count scales a workload count such as exchanges or queries. The floor
-// of 1 matters: a 0 would read as "unset" and the Config's defaults
-// would silently restore the paper-sized load.
+// of 1 keeps a tiny -scale run sampling something: at 0 Fig 7 would
+// sample no exchange and Fig 9 route no query.
 func (p Params) count(paper int) int { return scaled(p, paper, 1) }
 
 // dur scales a warm-up or measurement window (floor 4 minutes).
@@ -38,7 +38,8 @@ func (p Params) dur(paper time.Duration) time.Duration { return scaled(p, paper,
 
 // Report is what one experiment hands back to the runner.
 type Report struct {
-	Text        string   // the rows and series the experiment's Print function emits
+	Text        string   // the rows and series the experiment prints; the same on every run of one seed
+	Host        string   // rows timed on the host (CPU time, wall clock, heap); they vary run to run
 	Violations  []string // shape-check failures; empty when the paper's findings hold
 	Fingerprint string   // schedule-derived digest, also the text's "fingerprint:" line; "" if none
 }
@@ -64,114 +65,55 @@ func (e Experiment) Scaled(p Params) (Params, string) {
 	return p, note
 }
 
-// fingerprinter is implemented by results that carry a determinism
-// digest; their Print function ends with its "fingerprint:" line.
+// result is what an experiment's run returns: it prints its virtual
+// rows and checks the paper's qualitative findings on them.
+type result interface {
+	print(io.Writer)
+	check() []string
+}
+
+// hostPrinter is a result with host-timed rows, which print apart so
+// that the virtual text stays comparable byte for byte.
+type hostPrinter interface{ printHost(io.Writer) }
+
+// fingerprinter is a result carrying a determinism digest; its print
+// method ends with the digest's "fingerprint:" line.
 type fingerprinter interface{ fingerprint() string }
 
-// report renders res with print and checks its shape.
-func report[R any](res R, err error, print func(io.Writer, R), check func(R) []string) (Report, error) {
+// report renders res and checks its shape.
+func report(res result, err error) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	var sb strings.Builder
-	print(&sb, res)
-	rep := Report{Text: sb.String(), Violations: check(res)}
-	if f, ok := any(res).(fingerprinter); ok {
+	var text, host strings.Builder
+	res.print(&text)
+	if h, ok := res.(hostPrinter); ok {
+		h.printHost(&host)
+	}
+	rep := Report{Text: text.String(), Host: host.String(), Violations: res.check()}
+	if f, ok := res.(fingerprinter); ok {
 		rep.Fingerprint = f.fingerprint()
 	}
 	return rep, nil
 }
 
 // experiments is the table, in usage order; `all` runs the InAll
-// entries in this order.
+// entries in this order. Each constructor states its experiment's
+// paper-scale parameters.
 var experiments = []Experiment{
-	{"fig5", true, 0.05, func(p Params) (Report, error) {
-		res, err := Fig5(Fig5Config{Seed: p.Seed, N: p.n(1000), Runtime: p.dur(10 * time.Minute), Parallel: p.Parallel})
-		return report(res, err, PrintFig5, Fig5ShapeCheck)
-	}},
-	{"fig6", true, 0.05, func(p Params) (Report, error) {
-		rows, err := Fig6(Fig6Config{Seed: p.Seed, N: p.n(1000),
-			Warmup: p.dur(5 * time.Minute), Measure: p.dur(5 * time.Minute), Parallel: p.Parallel})
-		return report(rows, err, PrintFig6, Fig6ShapeCheck)
-	}},
-	{"table1", true, 0.05, func(p Params) (Report, error) {
-		rows, err := Table1(Table1Config{Seed: p.Seed, N: p.n(1000), Groups: p.n(1000) / 50,
-			Warmup: p.dur(10 * time.Minute), Window: p.dur(15 * time.Minute), Parallel: p.Parallel})
-		return report(rows, err, PrintTable1, Table1ShapeCheck)
-	}},
-	{"fig7", true, 0.15, func(p Params) (Report, error) {
-		var cfgs []Fig7Config
-		for _, env := range []Env{PlanetLab, Cluster} {
-			n := p.n(1000)
-			if env == PlanetLab {
-				n = p.n(400)
-			}
-			cfgs = append(cfgs, Fig7Config{Seed: p.Seed, N: n, Env: env, Exchanges: p.count(1500),
-				Warmup: p.dur(10 * time.Minute), MaxRun: p.dur(30 * time.Minute), Parallel: p.Parallel})
-		}
-		res, err := Fig7(cfgs)
-		return report(res, err, PrintFig7, Fig7ShapeCheck)
-	}},
-	{"table2", true, 0.05, func(p Params) (Report, error) {
-		res, err := Table2(Table2Config{Seed: p.Seed, N: p.n(1000), Warmup: p.dur(10 * time.Minute)})
-		return report(res, err, PrintTable2, Table2ShapeCheck)
-	}},
-	{"fig8", true, 0.15, func(p Params) (Report, error) {
-		groups := []int{1, 2, 4, 8, 16, 32}
-		if p.Scale < 0.5 {
-			groups = groups[:4]
-		}
-		rows, err := Fig8(Fig8Config{Seed: p.Seed, N: p.n(400), Groups: p.n(120), GroupsPerNode: groups,
-			Warmup: p.dur(10 * time.Minute), Measure: p.dur(10 * time.Minute), Parallel: p.Parallel})
-		return report(rows, err, PrintFig8, Fig8ShapeCheck)
-	}},
-	{"fig9", true, 0.05, func(p Params) (Report, error) {
-		res, err := Fig9(Fig9Config{Seed: p.Seed, N: p.n(400), GroupSize: p.n(60), Queries: p.count(350),
-			Warmup: p.dur(12 * time.Minute), RingTime: p.dur(10 * time.Minute)})
-		return report(res, err, PrintFig9, Fig9ShapeCheck)
-	}},
-	{"circuit", true, 0.05, func(p Params) (Report, error) {
-		res, err := Circuit(CircuitConfig{Seed: p.Seed, N: p.n(300)})
-		return report(res, err, PrintCircuit, CircuitShapeCheck)
-	}},
-	{"suites", true, 0.05, func(p Params) (Report, error) {
-		res, err := Suites(SuitesConfig{Seed: p.Seed, N: p.n(300)})
-		return report(res, err, PrintSuites, SuitesShapeCheck)
-	}},
-	{"transfer", true, 0.05, func(p Params) (Report, error) {
-		res, err := Transfer(TransferConfig{Seed: p.Seed, N: p.n(300)})
-		return report(res, err, PrintTransfer, TransferShapeCheck)
-	}},
-	{"pubsub", true, 0.05, func(p Params) (Report, error) {
-		res, err := PubSub(PubSubConfig{Seed: p.Seed, N: p.n(160)})
-		return report(res, err, PrintPubSub, PubSubShapeCheck)
-	}},
-	{"ablate", false, 0.05, func(p Params) (Report, error) {
-		rows, err := Ablations(AblateConfig{Seed: p.Seed, N: p.n(300),
-			Warmup: p.dur(10 * time.Minute), Measure: p.dur(8 * time.Minute), Parallel: p.Parallel})
-		return report(rows, err, PrintAblations, AblationShapeCheck)
-	}},
-	{"scale", false, 0, func(p Params) (Report, error) {
-		// Sized off its own 100k-node, 2-minute baseline and floored at
-		// 30 s rather than 4 minutes: small scales keep the smoke run
-		// cheap, and Nodes/Virtual pin either dimension directly.
-		cfg := ScaleConfig{Seed: p.Seed, N: p.Nodes, Shards: p.Shards, Runtime: p.Virtual, Env: PlanetLab}
-		if cfg.N == 0 {
-			cfg.N = p.n(100_000)
-		}
-		if cfg.Runtime == 0 {
-			cfg.Runtime = scaled(p, 2*time.Minute, 30*time.Second)
-		}
-		if p.Progress != nil {
-			cfg.Rollup = func(ru ScaleRollup) {
-				fmt.Fprintf(p.Progress, "\rscale: %v / %v virtual, %d events in %d windows",
-					ru.Now.Round(time.Second), ru.Total, ru.Events, ru.Windows)
-			}
-			defer fmt.Fprintln(p.Progress)
-		}
-		res, err := Scale(cfg)
-		return report(res, err, PrintScale, ScaleShapeCheck)
-	}},
+	{"fig5", true, 0.05, func(p Params) (Report, error) { return report(newFig5(p).run()) }},
+	{"fig6", true, 0.05, func(p Params) (Report, error) { return report(newFig6(p).run()) }},
+	{"table1", true, 0.05, func(p Params) (Report, error) { return report(newTable1(p).run()) }},
+	{"fig7", true, 0.15, func(p Params) (Report, error) { return report(newFig7(p).run()) }},
+	{"table2", true, 0.05, func(p Params) (Report, error) { return report(newTable2(p).run()) }},
+	{"fig8", true, 0.15, func(p Params) (Report, error) { return report(newFig8(p).run()) }},
+	{"fig9", true, 0.05, func(p Params) (Report, error) { return report(newFig9(p).run()) }},
+	{"circuit", true, 0.05, func(p Params) (Report, error) { return report(newCircuit(p).run()) }},
+	{"suites", true, 0.05, func(p Params) (Report, error) { return report(newSuites(p).run()) }},
+	{"transfer", true, 0.05, func(p Params) (Report, error) { return report(newTransfer(p).run()) }},
+	{"pubsub", true, 0.05, func(p Params) (Report, error) { return report(newPubSub(p).run()) }},
+	{"ablate", false, 0.05, func(p Params) (Report, error) { return report(newAblate(p).run()) }},
+	{"scale", false, 0, func(p Params) (Report, error) { return report(newScale(p).run()) }},
 }
 
 // Experiments returns the table in usage order.

@@ -7,54 +7,35 @@ import (
 
 	"whisper/internal/churn"
 	"whisper/internal/identity"
-	"whisper/internal/parallel"
 	"whisper/internal/ppss"
 	"whisper/internal/sim"
 	"whisper/internal/stats"
 	"whisper/internal/wcl"
 )
 
-// Table1Config parameterizes the WCL-route availability experiment
-// under churn (§V-D): 1,000 nodes, 20 private groups, Π = 3, and the
-// churn script of Table I with varying rates.
-type Table1Config struct {
-	Seed   int64
-	N      int // paper: 1,000
-	Groups int // paper: 20
-	Pi     int // paper: 3
-	Rates  []float64
-	Warmup time.Duration // group formation + convergence
-	Window time.Duration // churn + measurement window (paper: 15 min)
-	PPSS   ppss.Config
-	// Parallel bounds the worker pool running the independent per-rate
-	// runs (<= 0: one worker per CPU; 1: sequential).
-	Parallel int
+// table1Config is the WCL-route availability experiment under churn
+// (§V-D): private groups over a Π = 3 WCL, churned by the script of
+// Table I at varying rates.
+type table1Config struct {
+	Seed     int64
+	N        int
+	Groups   int
+	Rates    []float64     // churn, % of the population per minute
+	Warmup   time.Duration // group formation + convergence
+	Window   time.Duration // churn + measurement window
+	PPSS     ppss.Config
+	Parallel int // bounds the worker pool running the independent per-rate runs (<= 0: one per CPU; 1: sequential)
 }
 
-func (c Table1Config) withDefaults() Table1Config {
-	if c.N == 0 {
-		c.N = 1000
-	}
-	if c.Groups == 0 {
-		c.Groups = 20
-	}
-	if c.Pi == 0 {
-		c.Pi = 3
-	}
-	if c.Rates == nil {
-		c.Rates = []float64{0, 0.2, 1, 5, 10}
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * time.Minute
-	}
-	if c.Window == 0 {
-		c.Window = 15 * time.Minute
-	}
-	return c
+// newTable1 is the paper's setup: 1,000 nodes, 20 groups, Π = 3
+// helpers, churn of 0 to 10 %/min over a 15-minute window.
+func newTable1(p Params) table1Config {
+	return table1Config{Seed: p.Seed, N: p.n(1000), Groups: p.n(1000) / 50, Rates: []float64{0, 0.2, 1, 5, 10},
+		Warmup: p.dur(10 * time.Minute), Window: p.dur(15 * time.Minute), PPSS: ppss.Config{MinHelpers: 3}, Parallel: p.Parallel}
 }
 
-// Table1Row is one line of Table I.
-type Table1Row struct {
+// table1Row is one line of Table I.
+type table1Row struct {
 	RatePct    float64
 	SuccessPct float64 // first-attempt success
 	AltPct     float64 // needed (and generally found) an alternative
@@ -65,31 +46,20 @@ type Table1Row struct {
 	Routes     uint64
 }
 
-// Table1 runs the churn experiment for each rate, one worker per rate.
-func Table1(cfg Table1Config) ([]Table1Row, error) {
-	cfg = cfg.withDefaults()
-	workers := parallel.Workers(cfg.Parallel)
-	return parallel.Map(workers, len(cfg.Rates), func(i int) (Table1Row, error) {
-		return table1Run(cfg, cfg.Rates[i], keyPool.View(i))
-	})
-}
+type table1Rows []table1Row
 
-func table1Run(cfg Table1Config, rate float64, pool *identity.Pool) (Table1Row, error) {
-	pcfg := cfg.PPSS
-	if pcfg.MinHelpers == 0 {
-		pcfg.MinHelpers = cfg.Pi
-	}
-	w, err := sim.NewWorld(sim.Options{
-		Seed:     cfg.Seed,
-		N:        cfg.N,
-		NATRatio: 0.7,
-		KeyPool:  pool,
-		WCL:      &wcl.Config{MinPublic: cfg.Pi},
-		PPSS:     &pcfg,
-		Obs:      worldObs(fmt.Sprintf("table1/rate=%.1f", rate)),
+// run runs the churn experiment for each rate, one worker per rate.
+func (cfg table1Config) run() (table1Rows, error) { return sweep(cfg.Parallel, cfg.Rates, cfg.runRate) }
+
+func (cfg table1Config) runRate(rate float64, pool *identity.Pool) (table1Row, error) {
+	w, err := newWorld(fmt.Sprintf("table1/rate=%.1f", rate), sim.Options{
+		Seed:    cfg.Seed,
+		N:       cfg.N,
+		KeyPool: pool,
+		PPSS:    &cfg.PPSS,
 	})
 	if err != nil {
-		return Table1Row{}, err
+		return table1Row{}, err
 	}
 	gs := startGroups(w, cfg.Groups, 1, cfg.Warmup)
 
@@ -175,7 +145,7 @@ func table1Run(cfg Table1Config, rate float64, pool *identity.Pool) (Table1Row, 
 				node := n
 				w.Sim.After(30*time.Second, func() {
 					if !node.Nylon.Stopped() {
-						gs.JoinRandom(node)
+						gs.joinRandom(node)
 					}
 				})
 			}
@@ -194,10 +164,10 @@ func table1Run(cfg Table1Config, rate float64, pool *identity.Pool) (Table1Row, 
 	measuring = false
 
 	if tally.routes == 0 {
-		return Table1Row{RatePct: rate}, nil
+		return table1Row{RatePct: rate}, nil
 	}
 	routes := float64(tally.routes)
-	row := Table1Row{
+	row := table1Row{
 		RatePct:    rate,
 		SuccessPct: 100 * float64(tally.first) / routes,
 		AltPct:     100 * float64(tally.alt+tally.failed-tally.noAlt) / routes,
@@ -209,8 +179,8 @@ func table1Run(cfg Table1Config, rate float64, pool *identity.Pool) (Table1Row, 
 	return row, nil
 }
 
-// PrintTable1 renders Table I.
-func PrintTable1(out io.Writer, rows []Table1Row) {
+// print renders Table I.
+func (rows table1Rows) print(out io.Writer) {
 	fmt.Fprintln(out, "== Table I: WCL route construction under churn ==")
 	tb := stats.NewTable("churn %/min", "Success", "Alt.", "No alt.", "avg mixes", "avg helpers", "routes")
 	for _, r := range rows {
@@ -225,10 +195,10 @@ func PrintTable1(out io.Writer, rows []Table1Row) {
 	fmt.Fprint(out, tb.String())
 }
 
-// Table1ShapeCheck verifies the qualitative claims: success stays very
-// high (paper: ≥ 90.9% even at 10%/min), decreases with churn, and
-// most recoveries find an alternative.
-func Table1ShapeCheck(rows []Table1Row) []string {
+// check verifies the qualitative claims: success stays very high
+// (paper: ≥ 90.9% even at 10%/min), decreases with churn, and most
+// recoveries find an alternative.
+func (rows table1Rows) check() []string {
 	var bad []string
 	for i, r := range rows {
 		if r.Routes == 0 {

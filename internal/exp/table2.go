@@ -9,42 +9,27 @@ import (
 	"whisper/internal/ppss"
 	"whisper/internal/sim"
 	"whisper/internal/stats"
-	"whisper/internal/wcl"
 )
 
-// Table2Config parameterizes the crypto CPU-cost experiment (§V-E,
-// Table II): average processor time per PPSS cycle spent on AES and RSA
-// by N- and P-nodes.
-type Table2Config struct {
+// table2Config is the crypto CPU-cost experiment (§V-E, Table II):
+// average processor time per PPSS cycle spent on AES and RSA by N- and
+// P-nodes, with one private group per 50 nodes.
+type table2Config struct {
 	Seed   int64
-	N      int // paper: 1,000
-	Groups int // one group per ~50 nodes
-	Cycles int // measured PPSS cycles (paper: one full network cycle)
+	N      int
+	Cycles int // measured PPSS cycles
 	Warmup time.Duration
 	PPSS   ppss.Config
 }
 
-func (c Table2Config) withDefaults() Table2Config {
-	if c.N == 0 {
-		c.N = 1000
-	}
-	if c.Groups == 0 {
-		c.Groups = c.N / 50
-	}
-	if c.Cycles == 0 {
-		c.Cycles = 5
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * time.Minute
-	}
-	if c.PPSS.Cycle == 0 {
-		c.PPSS.Cycle = time.Minute
-	}
-	return c
+// newTable2 is the paper's setup: 1,000 nodes and a one-minute PPSS
+// cycle, measured over 5 cycles.
+func newTable2(p Params) table2Config {
+	return table2Config{Seed: p.Seed, N: p.n(1000), Cycles: 5, Warmup: p.dur(10 * time.Minute), PPSS: ppss.Config{Cycle: time.Minute}}
 }
 
-// Table2Row is one class row of Table II.
-type Table2Row struct {
+// table2Row is one class row of Table II.
+type table2Row struct {
 	Class    string // "N-node" | "P-node"
 	AES      time.Duration
 	RSA      time.Duration
@@ -55,77 +40,53 @@ type Table2Row struct {
 	RSADecs  float64 // average RSA decryptions per cycle
 }
 
-// Table2Result is the full table plus the derived ratios the paper
+// table2Result is the full table plus the derived ratios the paper
 // quotes (P ≈ 2.13× N total cost, ≈ 4.12× RSA decryptions).
-type Table2Result struct {
-	Rows         []Table2Row
-	Cycle        time.Duration
+type table2Result struct {
+	Rows         []table2Row
 	TotalRatio   float64
 	RSADecsRatio float64
 }
 
-// Table2 runs the PPSS on the cluster testbed and accounts real
+// run runs the PPSS on the cluster testbed and accounts real
 // wall-clock crypto cost per node per cycle.
-func Table2(cfg Table2Config) (Table2Result, error) {
-	cfg = cfg.withDefaults()
-	w, err := sim.NewWorld(sim.Options{
-		Seed:     cfg.Seed,
-		N:        cfg.N,
-		NATRatio: 0.7,
-		KeyPool:  keyPool,
-		WCL:      &wcl.Config{MinPublic: 3},
-		PPSS:     &cfg.PPSS,
-		Obs:      worldObs("table2"),
-	})
+func (cfg table2Config) run() (table2Result, error) {
+	w, err := newWorld("table2", sim.Options{Seed: cfg.Seed, N: cfg.N, PPSS: &cfg.PPSS})
 	if err != nil {
-		return Table2Result{}, err
+		return table2Result{}, err
 	}
-	startGroups(w, cfg.Groups, 1, cfg.Warmup)
+	startGroups(w, cfg.N/50, 1, cfg.Warmup)
 
 	// Snapshot CPU meters, run the measurement window, subtract.
-	before := map[*sim.Node]crypt.CPUMeter{}
-	for _, n := range w.Live() {
-		if n.WCL != nil {
-			before[n] = *n.WCL.CPU()
-		}
+	nodes := w.Live()
+	before := make([]crypt.CPUMeter, len(nodes))
+	for i, n := range nodes {
+		before[i] = *n.WCL.CPU()
 	}
-	window := time.Duration(cfg.Cycles) * cfg.PPSS.Cycle
-	w.Sim.RunFor(window)
+	w.Sim.RunFor(time.Duration(cfg.Cycles) * cfg.PPSS.Cycle)
 
-	var res Table2Result
-	res.Cycle = cfg.PPSS.Cycle
-	classes := map[bool][]crypt.CPUMeter{}
-	for n, b := range before {
-		if n.Nylon.Stopped() {
-			continue
+	var res table2Result
+	var classes [2]crypt.CPUMeter // N-nodes, P-nodes
+	var counts [2]int
+	for i, n := range nodes {
+		c := 0
+		if n.Public() {
+			c = 1
 		}
-		cur := *n.WCL.CPU()
-		d := crypt.CPUMeter{
-			AES:     cur.AES - b.AES,
-			RSA:     cur.RSA - b.RSA,
-			AESOps:  cur.AESOps - b.AESOps,
-			RSADecs: cur.RSADecs - b.RSADecs,
-		}
-		classes[n.Public()] = append(classes[n.Public()], d)
+		classes[c].Add(cpuSince(*n.WCL.CPU(), before[i]))
+		counts[c]++
 	}
-	row := func(public bool, label string) Table2Row {
-		ms := classes[public]
-		var aes, rsa time.Duration
-		var decs uint64
-		for _, m := range ms {
-			aes += m.AES
-			rsa += m.RSA
-			decs += m.RSADecs
-		}
-		n := float64(len(ms)) * float64(cfg.Cycles)
+	row := func(c int, label string) table2Row {
+		m := classes[c]
+		n := float64(counts[c]) * float64(cfg.Cycles)
 		if n == 0 {
 			n = 1
 		}
-		r := Table2Row{
+		r := table2Row{
 			Class:   label,
-			AES:     time.Duration(float64(aes) / n),
-			RSA:     time.Duration(float64(rsa) / n),
-			RSADecs: float64(decs) / n,
+			AES:     time.Duration(float64(m.AES) / n),
+			RSA:     time.Duration(float64(m.RSA) / n),
+			RSADecs: float64(m.RSADecs) / n,
 		}
 		r.Total = r.AES + r.RSA
 		cyc := float64(cfg.PPSS.Cycle)
@@ -134,9 +95,9 @@ func Table2(cfg Table2Config) (Table2Result, error) {
 		r.TotalPct = 100 * float64(r.Total) / cyc
 		return r
 	}
-	nRow := row(false, "N-node")
-	pRow := row(true, "P-node")
-	res.Rows = []Table2Row{nRow, pRow}
+	nRow := row(0, "N-node")
+	pRow := row(1, "P-node")
+	res.Rows = []table2Row{nRow, pRow}
 	if nRow.Total > 0 {
 		res.TotalRatio = float64(pRow.Total) / float64(nRow.Total)
 	}
@@ -146,9 +107,15 @@ func Table2(cfg Table2Config) (Table2Result, error) {
 	return res, nil
 }
 
-// PrintTable2 renders Table II.
-func PrintTable2(out io.Writer, res Table2Result) {
+// print renders the virtual part of Table II: the RSA decryption
+// ratio.
+func (res table2Result) print(out io.Writer) {
 	fmt.Fprintln(out, "== Table II: CPU time per PPSS cycle for AES and RSA ==")
+	fmt.Fprintf(out, "P/N RSA decryptions ratio: %.2fx (paper: 4.12x)\n", res.RSADecsRatio)
+}
+
+// printHost renders Table II's rows, whose times are the host's.
+func (res table2Result) printHost(out io.Writer) {
 	tb := stats.NewTable("class", "AES", "RSA", "Total", "% of cycle", "RSA decs/cycle")
 	for _, r := range res.Rows {
 		tb.Row(r.Class,
@@ -160,13 +127,12 @@ func PrintTable2(out io.Writer, res Table2Result) {
 	}
 	fmt.Fprint(out, tb.String())
 	fmt.Fprintf(out, "P/N total CPU ratio: %.2fx (paper: 2.13x)\n", res.TotalRatio)
-	fmt.Fprintf(out, "P/N RSA decryptions ratio: %.2fx (paper: 4.12x)\n", res.RSADecsRatio)
 }
 
-// Table2ShapeCheck verifies the qualitative claims: RSA dominates AES
-// by orders of magnitude, total cost is a small fraction of the cycle,
-// and P-nodes work harder than N-nodes (they are mixes more often).
-func Table2ShapeCheck(res Table2Result) []string {
+// check verifies the qualitative claims: RSA dominates AES by orders
+// of magnitude, total cost is a small fraction of the cycle, and
+// P-nodes work harder than N-nodes (they are mixes more often).
+func (res table2Result) check() []string {
 	var bad []string
 	for _, r := range res.Rows {
 		if r.RSA < 10*r.AES {

@@ -1,16 +1,20 @@
 package exp
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"whisper/internal/wire/wiretest"
 )
 
 // TestExperimentTable checks the whisper-exp table: unique names, the
-// historical `all` order, an error for unknown names, and — for every
-// entry that reports a fingerprint — the same fingerprint from two runs
-// in one process, with no shape violations.
+// historical `all` order, an error for unknown names, and every entry
+// run twice at its minimum scale, at GOMAXPROCS 1 and then 4 (with one
+// worker per CPU), with no shape violations and byte-equal text. The
+// text is all virtual time; the host-timed rows are in Report.Host.
 func TestExperimentTable(t *testing.T) {
 	seen := map[string]bool{}
 	for _, e := range Experiments() {
@@ -35,36 +39,45 @@ func TestExperimentTable(t *testing.T) {
 		t.Error("unknown experiment selected without error")
 	}
 
-	p := Params{Seed: 2011, Scale: 0.05, Parallel: 1, Shards: 8}
-	for _, name := range []string{"transfer", "pubsub", "scale"} {
-		sel, err := Select(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fps [2]string
-		for i := range fps {
-			rep, err := sel[0].Run(p)
+	// These entries' checks also bound ratios of host CPU time, which
+	// the race detector's instrumentation distorts (ROADMAP item 11):
+	// under -race their violations are logged, and their text is still
+	// compared. TestFig7Shape and TestSuitesShape keep failing under
+	// -race on a small host until item 11 lands.
+	hostChecked := map[string]bool{"fig7": true, "table2": true, "circuit": true, "suites": true}
+	run := func(procs int) []string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var texts []string
+		for _, e := range Experiments() {
+			rep, err := e.Run(Params{Seed: 2011, Scale: e.MinScale, Shards: 8})
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("%s at GOMAXPROCS %d: %v", e.Name, procs, err)
 			}
 			for _, v := range rep.Violations {
-				t.Errorf("%s: shape violation: %s", name, v)
+				if wiretest.RaceEnabled && hostChecked[e.Name] {
+					t.Logf("%s at GOMAXPROCS %d under -race: shape violation: %s", e.Name, procs, v)
+					continue
+				}
+				t.Errorf("%s at GOMAXPROCS %d: shape violation: %s", e.Name, procs, v)
 			}
-			if !strings.Contains(rep.Text, "fingerprint: "+rep.Fingerprint+"\n") {
-				t.Errorf("%s: report text lacks its fingerprint line %q", name, rep.Fingerprint)
+			if rep.Fingerprint != "" && !strings.Contains(rep.Text, "fingerprint: "+rep.Fingerprint+"\n") {
+				t.Errorf("%s: report text lacks its fingerprint line %q", e.Name, rep.Fingerprint)
 			}
-			fps[i] = rep.Fingerprint
+			texts = append(texts, rep.Text)
 		}
-		if fps[0] == "" || fps[0] != fps[1] {
-			t.Errorf("%s: fingerprints %q and %q, want equal and non-empty", name, fps[0], fps[1])
+		return texts
+	}
+	one, four := run(1), run(4)
+	for i, e := range Experiments() {
+		if one[i] != four[i] {
+			t.Errorf("%s differs between GOMAXPROCS 1 and 4:\n--- 1 ---\n%s--- 4 ---\n%s", e.Name, one[i], four[i])
 		}
 	}
 }
 
 // TestCountNeverZero pins the count helper's floor: at a scale where
 // paper-sized workload counts truncate to 0, the scaled count stays at
-// least 1 instead of reading as "unset" (which the Fig 7 and Fig 9
-// configs would replace with the full 1,500 exchanges and 350 queries).
+// least 1, so Fig 7 still samples exchanges and Fig 9 routes queries.
 func TestCountNeverZero(t *testing.T) {
 	p := Params{Scale: 0.002}
 	for _, tc := range []struct{ paper, want int }{{1500, 3}, {350, 1}, {1, 1}} {
@@ -80,10 +93,10 @@ func TestCountNeverZero(t *testing.T) {
 	}
 }
 
-// TestFig9TwiceByteEqual runs the fig9 entry twice in one process: the
-// text is all virtual, so it must come out byte-equal. It did not while
-// PPSS refreshed its persistent pool in map order, each ping drawing
-// from the simulation's RNG.
+// TestFig9TwiceByteEqual runs the fig9 entry twice in one process, at
+// one GOMAXPROCS: the text is all virtual, so it must come out
+// byte-equal. It did not while PPSS refreshed its persistent pool in
+// map order, each ping drawing from the simulation's RNG.
 func TestFig9TwiceByteEqual(t *testing.T) {
 	sel, err := Select("fig9")
 	if err != nil {

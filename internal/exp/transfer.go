@@ -13,35 +13,28 @@ import (
 	"whisper/internal/wcl"
 )
 
-// TransferConfig parameterizes the bulk-transfer comparison: the same
+// transferConfig is the bulk-transfer comparison: the same
 // confidential byte stream moved between two members of a private
 // group three ways — chunked one-shot onion sends, single-cell circuit
 // sends, and the windowed stream layer — measuring virtual-time
 // throughput. Chunks are StreamFragSize bytes in every leg, so the
 // comparison isolates the transport (stop-and-wait vs pipelined
 // window), not the framing.
-type TransferConfig struct {
+type transferConfig struct {
 	Seed      int64
-	N         int // default 300
-	Messages  int // messages per leg (default 8)
-	MessageKB int // payload KiB per message (default 32, one full window)
+	N         int
+	Messages  int // per leg
+	MessageKB int // payload KiB per message
 }
 
-func (c TransferConfig) withDefaults() TransferConfig {
-	if c.N == 0 {
-		c.N = 300
-	}
-	if c.Messages == 0 {
-		c.Messages = 8
-	}
-	if c.MessageKB == 0 {
-		c.MessageKB = 32
-	}
-	return c
+// newTransfer runs 300 nodes and 8 messages of 32 KiB, one full stream
+// window each.
+func newTransfer(p Params) transferConfig {
+	return transferConfig{Seed: p.Seed, N: p.n(300), Messages: 8, MessageKB: 32}
 }
 
-// TransferLeg is the measured throughput of one transport.
-type TransferLeg struct {
+// transferLeg is the measured throughput of one transport.
+type transferLeg struct {
 	Label     string
 	Delivered int           // messages fully acknowledged at the source
 	Bytes     uint64        // payload bytes handed to the destination app
@@ -49,17 +42,16 @@ type TransferLeg struct {
 	KBPerSec  float64       // Bytes over Virtual
 }
 
-// TransferResult is the full comparison plus the stream-layer health
-// counters and a determinism fingerprint (TestExperimentTable runs the
-// experiment twice with one seed and compares them).
-type TransferResult struct {
+// transferResult is the full comparison plus the stream-layer health
+// counters and a determinism fingerprint.
+type transferResult struct {
 	Messages     int
 	MessageBytes int
 	GroupJoined  bool // src and dst both joined the private group
 
-	OneShot TransferLeg
-	Cells   TransferLeg
-	Stream  TransferLeg
+	OneShot transferLeg
+	Cells   transferLeg
+	Stream  transferLeg
 
 	StreamVsOneShot float64 // stream KB/s over one-shot KB/s
 	StreamVsCells   float64 // stream KB/s over single-cell KB/s
@@ -69,26 +61,21 @@ type TransferResult struct {
 	Fingerprint uint64
 }
 
-// Transfer runs all three legs on one converged world: a NATted source
+// run runs all three legs on one converged world: a NATted source
 // bulk-ships Messages payloads of MessageKB KiB to a NATted
 // destination inside a private group. The one-shot and cell legs are
 // strict stop-and-wait — chunk n+1 launches in chunk n's completion
 // callback, message m+1 after message m — which is exactly what an
 // application could build before streams existed. The stream leg hands
 // whole messages to SendStream and lets the window pipeline fragments.
-func Transfer(cfg TransferConfig) (TransferResult, error) {
-	cfg = cfg.withDefaults()
-	w, err := sim.NewWorld(sim.Options{
-		Seed:     cfg.Seed,
-		N:        cfg.N,
-		NATRatio: 0.7,
-		KeyPool:  keyPool,
-		WCL:      &wcl.Config{MinPublic: 3},
-		PPSS:     &ppss.Config{KeyBlobSize: 256, MinHelpers: 3},
-		Obs:      worldObs("transfer"),
+func (cfg transferConfig) run() (transferResult, error) {
+	w, err := newWorld("transfer", sim.Options{
+		Seed: cfg.Seed,
+		N:    cfg.N,
+		PPSS: &ppss.Config{KeyBlobSize: 256, MinHelpers: 3},
 	})
 	if err != nil {
-		return TransferResult{}, err
+		return transferResult{}, err
 	}
 	w.StartAll()
 	w.Sim.RunUntil(5 * time.Minute)
@@ -96,33 +83,23 @@ func Transfer(cfg TransferConfig) (TransferResult, error) {
 	natted := w.LiveNatted()
 	publics := w.LivePublics()
 	if len(natted) < 2 || len(publics) == 0 {
-		return TransferResult{}, fmt.Errorf("world did not converge: %d NATted, %d public", len(natted), len(publics))
+		return transferResult{}, fmt.Errorf("world did not converge: %d NATted, %d public", len(natted), len(publics))
 	}
 	src, dst := natted[0], natted[1]
 
 	msgBytes := cfg.MessageKB * 1024
-	res := TransferResult{Messages: cfg.Messages, MessageBytes: msgBytes}
+	res := transferResult{Messages: cfg.Messages, MessageBytes: msgBytes}
 
 	// The private group: a public leader creates it and invites both
 	// endpoints, the way the paper's PPSS onboards members.
 	inst, err := publics[0].PPSS.CreateGroup("transfer")
 	if err != nil {
-		return TransferResult{}, fmt.Errorf("create group: %w", err)
+		return transferResult{}, fmt.Errorf("create group: %w", err)
 	}
-	joined := 0
-	for _, n := range []*sim.Node{src, dst} {
-		accr, entry, err := inst.Invite(n.ID())
-		if err != nil {
-			continue
-		}
-		n.PPSS.Join("transfer", accr, entry, func(_ *ppss.Instance, err error) {
-			if err == nil {
-				joined++
-			}
-		})
-	}
+	join(inst, "transfer", src, 1)
+	join(inst, "transfer", dst, 1)
 	w.RunFor(30 * time.Second)
-	res.GroupJoined = joined == 2
+	res.GroupJoined = src.PPSS.Instance(inst.Group()) != nil && dst.PPSS.Instance(inst.Group()) != nil
 
 	// Deterministic payloads from the experiment seed, independent of
 	// the world's rng so protocol scheduling is untouched.
@@ -144,19 +121,10 @@ func Transfer(cfg TransferConfig) (TransferResult, error) {
 	var recvBytes uint64
 	dst.WCL.OnReceive = func(p []byte) { recvBytes += uint64(len(p)) }
 
-	// pump drives the simulator until stop reports true (bounded, so a
-	// wedged leg fails the shape check instead of hanging the harness).
-	pump := func(stop func() bool) {
-		deadline := w.Now() + 30*time.Minute
-		for !stop() && w.Now() < deadline {
-			w.RunFor(time.Second)
-		}
-	}
-
 	// leg times one transport: launch starts every message and reports
 	// each one's completion through done; the leg ends at the last.
-	leg := func(label string, launch func(done func(ok bool))) TransferLeg {
-		l := TransferLeg{Label: label}
+	leg := func(label string, launch func(done func(ok bool))) transferLeg {
+		l := transferLeg{Label: label}
 		recvBytes = 0
 		t0 := w.Now()
 		tEnd := t0
@@ -168,7 +136,11 @@ func Transfer(cfg TransferConfig) (TransferResult, error) {
 			}
 			tEnd = w.Now()
 		})
-		pump(func() bool { return completed == cfg.Messages })
+		// Bounded, so a wedged leg fails the shape check instead of
+		// hanging the harness.
+		for deadline := w.Now() + 30*time.Minute; completed != cfg.Messages && w.Now() < deadline; {
+			w.RunFor(time.Second)
+		}
 		l.Bytes = recvBytes
 		l.Virtual = tEnd - t0
 		if s := l.Virtual.Seconds(); s > 0 {
@@ -231,7 +203,7 @@ func Transfer(cfg TransferConfig) (TransferResult, error) {
 	}
 
 	h := fnv.New64a()
-	for _, leg := range []TransferLeg{res.OneShot, res.Cells, res.Stream} {
+	for _, leg := range []transferLeg{res.OneShot, res.Cells, res.Stream} {
 		fmt.Fprintf(h, "%s|%d|%d|%d;", leg.Label, leg.Delivered, leg.Bytes, leg.Virtual.Nanoseconds())
 	}
 	fmt.Fprintf(h, "group=%v;retx=%d;fb=%d", res.GroupJoined, res.Retransmits, res.Fallbacks)
@@ -240,13 +212,13 @@ func Transfer(cfg TransferConfig) (TransferResult, error) {
 	return res, nil
 }
 
-// PrintTransfer renders the comparison.
-func PrintTransfer(out io.Writer, res TransferResult) {
+// print renders the comparison.
+func (res transferResult) print(out io.Writer) {
 	fmt.Fprintf(out, "== Bulk transfer in a private group: %d messages x %d KiB ==\n",
 		res.Messages, res.MessageBytes/1024)
 	fmt.Fprintf(out, "group membership established: %v\n", res.GroupJoined)
 	tb := stats.NewTable("leg", "delivered", "bytes", "virtual time", "KB/s")
-	for _, l := range []TransferLeg{res.OneShot, res.Cells, res.Stream} {
+	for _, l := range []transferLeg{res.OneShot, res.Cells, res.Stream} {
 		tb.Row(l.Label,
 			fmt.Sprintf("%d/%d", l.Delivered, res.Messages),
 			fmt.Sprint(l.Bytes),
@@ -260,19 +232,18 @@ func PrintTransfer(out io.Writer, res TransferResult) {
 	fmt.Fprintf(out, "fingerprint: %s\n", res.fingerprint())
 }
 
-func (res TransferResult) fingerprint() string { return fmt.Sprintf("%016x", res.Fingerprint) }
+func (res transferResult) fingerprint() string { return fmt.Sprintf("%016x", res.Fingerprint) }
 
-// TransferShapeCheck verifies the tentpole claims: every leg delivers
-// every byte, the group forms, streams never fall back on a healthy
-// cluster, and the windowed stream is at least 2x the stop-and-wait
-// transports.
-func TransferShapeCheck(res TransferResult) []string {
+// check verifies the claims: every leg delivers every byte, the group
+// forms, streams never fall back on a healthy cluster, and the windowed
+// stream is at least 2x the stop-and-wait transports.
+func (res transferResult) check() []string {
 	var bad []string
 	if !res.GroupJoined {
 		bad = append(bad, "private group membership did not form")
 	}
 	want := uint64(res.Messages) * uint64(res.MessageBytes)
-	for _, l := range []TransferLeg{res.OneShot, res.Cells, res.Stream} {
+	for _, l := range []transferLeg{res.OneShot, res.Cells, res.Stream} {
 		if l.Delivered != res.Messages {
 			bad = append(bad, fmt.Sprintf("%s leg delivered %d/%d messages", l.Label, l.Delivered, res.Messages))
 		}

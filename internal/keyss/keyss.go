@@ -53,9 +53,6 @@ func (s *Store) Has(id identity.NodeID) bool { return s.keys[id] != nil }
 // Len returns the number of cached keys.
 func (s *Store) Len() int { return len(s.keys) }
 
-// Forget drops the key for id (e.g. after the node is declared dead).
-func (s *Store) Forget(id identity.NodeID) { delete(s.keys, id) }
-
 // KeySize is the number of bytes EncodeKey writes for a blob size.
 func KeySize(blobSize int) int { return 2 + blobSize }
 

@@ -27,10 +27,6 @@ func TestStoreBasics(t *testing.T) {
 	if s.Get(1) != keys[1].Public() || s.Len() != 2 {
 		t.Fatal("overwrite failed")
 	}
-	s.Forget(1)
-	if s.Has(1) || s.Len() != 1 {
-		t.Fatal("Forget failed")
-	}
 	// Nil keys are ignored.
 	s.Put(9, nil)
 	if s.Has(9) {

@@ -11,7 +11,6 @@ import (
 	"math"
 	"time"
 
-	"whisper/internal/aggregate"
 	"whisper/internal/ppss"
 	"whisper/internal/transport"
 	"whisper/internal/wire"
@@ -45,7 +44,7 @@ type Estimator struct {
 	rt   transport.Transport
 	cfg  Config
 
-	state    *aggregate.State
+	value    float64 // this epoch's running average; 1/value estimates the size
 	epoch    uint64
 	lastGood float64
 	ticker   transport.Ticker
@@ -93,11 +92,10 @@ func (e *Estimator) Estimate() (float64, bool) {
 }
 
 func (e *Estimator) currentEstimate() float64 {
-	v := e.state.Value()
-	if v <= 0 {
+	if e.value <= 0 {
 		return 0
 	}
-	return aggregate.SizeEstimate(v)
+	return 1 / e.value
 }
 
 // epochOf derives the global epoch number from virtual time, so all
@@ -120,11 +118,10 @@ func (e *Estimator) roll() {
 
 // restart begins a new epoch: the leader seeds 1, everyone else 0.
 func (e *Estimator) restart() {
-	v := 0.0
+	e.value = 0
 	if e.inst.IsLeader() {
-		v = 1.0
+		e.value = 1
 	}
-	e.state = aggregate.New(aggregate.Average, v)
 	e.epoch = e.epochOf()
 }
 
@@ -145,7 +142,7 @@ func (e *Estimator) encodeMsg(isReply bool) []byte {
 	w.U8(Tag)
 	w.Bool(isReply)
 	w.U64(e.epoch)
-	w.U64(math.Float64bits(e.state.Value()))
+	w.U64(math.Float64bits(e.value))
 	return w.Bytes()
 }
 
@@ -175,6 +172,11 @@ func (e *Estimator) handle(from ppss.Entry, payload []byte) {
 		// same mean.
 		e.inst.Send(from, e.encodeMsg(true), nil)
 	}
-	e.state.Absorb(val)
+	e.value = average(e.value, val)
 	e.Exchanges++
 }
+
+// average is one push-pull step of gossip averaging (Jelasity,
+// Montresor and Babaoglu, the paper's [8]): both partners end at the
+// pairwise mean, so the group's sum, the leader's 1, never changes.
+func average(own, peer float64) float64 { return (own + peer) / 2 }
