@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"whisper/internal/identity"
 	"whisper/internal/nat"
 	"whisper/internal/netem"
+	"whisper/internal/obs"
 	"whisper/internal/ppss"
 	"whisper/internal/simnet"
 	simtr "whisper/internal/transport/simnet"
@@ -74,6 +78,44 @@ func TestStackPPSSImpliesWCL(t *testing.T) {
 	st.Stop()
 	if len(st.PPSS.Instances()) != 0 {
 		t.Fatal("Stop left group instances running")
+	}
+}
+
+// TestStackMetricsCarryNoGroupID: an observed node's exposition — what
+// whisper-node serves on /metrics — labels each group instance by the
+// node's join ordinal, so a scrape does not say which groups the node
+// is in.
+func TestStackMetricsCarryNoGroupID(t *testing.T) {
+	_, _, rt := testEnv()
+	reg := obs.NewRegistry()
+	ident := identity.TestPool(4).Identity(4)
+	st, err := NewStack(rt, ident, nat.None, netem.Endpoint{IP: 8, Port: 1}, nil,
+		Config{PPSS: &ppss.Config{KeyBlobSize: 128}, Obs: reg.Scope("node", "n4")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []ppss.GroupID
+	for _, name := range []string{"alpha", "beta"} {
+		in, err := st.PPSS.CreateGroup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, in.Group())
+	}
+	var buf bytes.Buffer
+	reg.WritePrometheus(&buf)
+	text := buf.String()
+	for _, g := range ids {
+		for _, form := range []string{g.String(), fmt.Sprintf("%x", uint64(g)), fmt.Sprint(uint64(g))} {
+			if strings.Contains(text, form) {
+				t.Fatalf("the exposition names group %v (as %q)", g, form)
+			}
+		}
+	}
+	for _, label := range []string{`group="0"`, `group="1"`} {
+		if !strings.Contains(text, label) {
+			t.Fatalf("no instrument labelled %s in the exposition", label)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strconv"
 	"time"
 
 	"whisper/internal/crypt"
@@ -216,11 +217,11 @@ type Instance struct {
 }
 
 func newInstance(r *Router, g GroupID, name string, history *KeyHistory, passport Passport) *Instance {
-	// Metric labels must not leak what relays cannot see anyway, but a
-	// node's own group memberships are local knowledge; the short group
-	// tag (not the name, which may be absent on joiners) scopes the
-	// instruments.
-	sc := r.cfg.Obs.With("group", g.String())
+	// The instruments are scoped by the node-local join ordinal, never
+	// by the group ID: a node's metrics may be scraped (whisper-node's
+	// /metrics), and its group memberships are private.
+	sc := r.cfg.Obs.With("group", strconv.Itoa(r.joined))
+	r.joined++
 	in := &Instance{
 		r:        r,
 		cfg:      r.cfg,

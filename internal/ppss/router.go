@@ -37,6 +37,9 @@ type Router struct {
 
 	instances map[GroupID]*Instance
 	joins     map[GroupID]*joinWaiter
+	// joined counts the instances created on this node: the next
+	// instance's metric label.
+	joined int
 
 	st RouterStats
 }

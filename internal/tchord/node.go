@@ -273,6 +273,7 @@ func (n *Node) closestPreceding(key ChordID) (peer, bool) {
 			best, found = p, true
 		}
 	}
+	//whisper:unordered a CID's level is its distance from us, so fingers hold distinct CIDs and the strict minimum is unique
 	for _, p := range n.fingers {
 		consider(p)
 	}

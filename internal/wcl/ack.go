@@ -47,6 +47,11 @@ func (w *WCL) handleAck(pathID uint64) {
 		outcome := Success
 		if st.attempts > 1 {
 			outcome = AltSuccess
+		} else {
+			// Karn's rule: every attempt of a send travels under its one
+			// path ID, so only a send that made one attempt knows which
+			// launch its acknowledgement answers.
+			w.sampleRTT(w.rt.Now() - st.start)
 		}
 		w.finishResult(st, outcome, false)
 		return

@@ -106,7 +106,6 @@ type circPath struct {
 	established   bool
 	closing       bool // retired by rotation, draining in-flight cells
 	closed        bool
-	createdAt     time.Duration
 	establishedAt time.Duration
 
 	cells        int    // data cells sent (rotation budget)
@@ -246,9 +245,8 @@ func (w *WCL) needsRotation(p *circPath, now time.Duration) bool {
 // openPath starts establishing a (new or replacement) path for c.
 func (w *WCL) openPath(c *Circuit) {
 	p := &circPath{
-		pathTry:      newPathTry(),
+		pathTry:      newPathTry(w.rt.Now()),
 		c:            c,
-		createdAt:    w.rt.Now(),
 		pendingCells: make(map[uint64]*pendingCell),
 	}
 	c.opening = p
@@ -319,14 +317,17 @@ func (w *WCL) establish(p *circPath) {
 	}
 	p.established = true
 	p.establishedAt = w.rt.Now()
-	// The ack names this attempt's fresh circuit ID: an unambiguous sample.
-	p.rtt.sample(p.establishedAt - p.setupAt)
+	// The ack names this attempt's fresh circuit ID: an unambiguous
+	// sample, for the path and for the node's onion-path estimator.
+	rtt := p.establishedAt - p.setupAt
+	p.rtt.sample(rtt)
+	w.sampleRTT(rtt)
 	if p.timer != nil {
 		p.timer.Cancel()
 		p.timer = nil
 	}
 	obs.Inc(&w.st.CircuitsEstablished)
-	w.establishMS.ObserveDuration(p.establishedAt - p.createdAt)
+	w.establishMS.ObserveDuration(p.establishedAt - p.start)
 	obs.Add(&w.st.CircuitsOpen, 1)
 	if c.opening == p {
 		c.opening = nil
@@ -413,6 +414,13 @@ func (w *WCL) launchCell(p *circPath, seq uint64, cell *pendingCell) bool {
 // current RTO — no backoff: loss here comes in bursts that end per
 // datagram, not per unit of time — and never past pathTimeout after the
 // cell's first send, where it times out instead.
+//
+// A retransmit is two copies sent back to back. The cell is late
+// because a burst hit its path, and a burst ends per datagram: a lone
+// copy finds it still on as often as the burst persists, and the cell
+// waits another RTO; the second copy finds it over whenever the first
+// ended it. The exit delivers one copy and re-acks the other, so the
+// ack path gets the same second chance.
 func (w *WCL) armCellTimer(p *circPath, seq uint64, cell *pendingCell) {
 	wait := min(p.rtt.rto(), cell.sentAt+pathTimeout-w.rt.Now())
 	cell.timer = w.rt.After(wait, func() {
@@ -421,7 +429,7 @@ func (w *WCL) armCellTimer(p *circPath, seq uint64, cell *pendingCell) {
 		}
 		// The retransmit goes on the cell's own path under its own seq;
 		// a path that can no longer carry it is broken.
-		if w.rt.Now()-cell.sentAt >= pathTimeout || !w.launchCell(p, seq, cell) {
+		if w.rt.Now()-cell.sentAt >= pathTimeout || !w.launchCell(p, seq, cell) || !w.launchCell(p, seq, cell) {
 			w.cellTimeout(p, seq)
 			return
 		}

@@ -240,3 +240,73 @@ func TestDuplicateForwardAtDestResendsAck(t *testing.T) {
 		t.Fatalf("AcksForwarded = %d, want ≥ 2 (ack not resent on duplicate)", d.WCL.Stats().AcksForwarded)
 	}
 }
+
+// TestAttemptLateAckOfFirstCompletesOnce: the node has measured its
+// RTO, so the retries of a send whose first forward is held up go out
+// early — and are lost here. The first attempt's forward, released
+// after every retry was launched, is delivered, and its late ack
+// completes the send, because the last attempt waits out the full
+// deadline. One delivery, one Result.
+func TestAttemptLateAckOfFirstCompletesOnce(t *testing.T) {
+	const attempts = 4 // 1+Π, Π = 3
+	w := buildWCLWorld(t, 26, 120)
+	natted := w.LiveNatted()
+	s, d := natted[0], natted[1]
+	// One helper per attempt: a run that runs out of (A, B)
+	// combinations ends when it does, deadline or not.
+	dest := destFor(w, d, attempts)
+	if len(dest.Helpers) < attempts {
+		t.Fatalf("%d helpers, want %d", len(dest.Helpers), attempts)
+	}
+	received := map[string]int{}
+	d.WCL.OnReceive = func(p []byte) { received[string(p)]++ }
+
+	// One acknowledged single-attempt send gives the node its RTO.
+	var warm *wcl.Result
+	s.WCL.Send(dest, []byte("warm"), func(r wcl.Result) { warm = &r })
+	w.Sim.RunFor(30 * time.Second)
+	if warm == nil || warm.Outcome != wcl.Success {
+		t.Fatalf("warm-up send: %+v", warm)
+	}
+	rto := time.Duration(s.WCL.Stats().PathRTOMs) * time.Millisecond
+	hold := (attempts-1)*rto + time.Second
+	if rto == 0 || hold+2*time.Second > attempts*wcl.PathTimeout {
+		t.Fatalf("measured RTO %v leaves no room to hold the first forward", rto)
+	}
+
+	// The first forward seen is held for hold, and every forward seen
+	// while it is held — the retries' first hops — is lost.
+	held, released, lost := false, false, 0
+	for _, n := range w.Nodes {
+		orig := n.Nylon.AppHandler
+		n.Nylon.AppHandler = func(src transport.Endpoint, payload []byte) {
+			if released || wclMsgTag(payload) != 1 {
+				orig(src, payload)
+				return
+			}
+			if held {
+				lost++
+				return
+			}
+			held = true
+			p := append([]byte(nil), payload...)
+			w.Sim.After(hold, func() { released = true; orig(src, p) })
+		}
+	}
+	var results []wcl.Result
+	s.WCL.Send(dest, []byte("late"), func(r wcl.Result) { results = append(results, r) })
+	w.Sim.RunFor(time.Minute)
+
+	if lost != attempts-1 {
+		t.Fatalf("lost %d retry forwards, want %d", lost, attempts-1)
+	}
+	if len(results) != 1 {
+		t.Fatalf("%d Results, want exactly one: %+v", len(results), results)
+	}
+	if r := results[0]; r.Outcome != wcl.AltSuccess || r.Attempts != attempts || r.Elapsed < hold {
+		t.Fatalf("result %+v, want AltSuccess after %d attempts, completed after the %v hold", r, attempts, hold)
+	}
+	if received["late"] != 1 {
+		t.Fatalf("delivered %d times, want exactly once", received["late"])
+	}
+}

@@ -91,6 +91,30 @@ func TestCellLostIsRetransmittedOnItsCircuit(t *testing.T) {
 	}
 }
 
+// TestCellRetransmitIsTwoCopies: a retransmit goes out as two copies
+// back to back, so a cell whose original and first retransmitted copy
+// are both lost is still delivered by the first retransmit — once, with
+// no second one.
+func TestCellRetransmitIsTwoCopies(t *testing.T) {
+	w, s, d, received := openCircuit(t, 50)
+	dropped := dropTag(w, tagCircData, func(n int) bool { return n <= 2 })
+	results := sendOne(w, s, d, "burst")
+	w.Sim.RunFor(10 * time.Second)
+
+	if *dropped != 2 {
+		t.Fatalf("dropped %d data cells, want 2", *dropped)
+	}
+	if len(*results) != 1 || (*results)[0].Outcome != wcl.Success {
+		t.Fatalf("results %+v, want exactly one Success", *results)
+	}
+	if received["burst"] != 1 {
+		t.Fatalf("delivered %d times, want exactly once", received["burst"])
+	}
+	if st := s.WCL.Stats(); st.CellRetransmits != 1 || st.CellFallbacks != 0 {
+		t.Fatalf("retransmits=%d fallbacks=%d, want 1 and 0", st.CellRetransmits, st.CellFallbacks)
+	}
+}
+
 // TestCellLostAckIsDeliveredOnce: when only the acknowledgement is
 // lost, the retransmit reaches an exit that already delivered the cell;
 // its dedup re-acks without delivering again.

@@ -12,24 +12,27 @@ import (
 
 // The path-attempt engine (§III, footnote 3): pick A from the
 // connection backlog and B from the destination's helpers, wrap an
-// onion, route it to A, and retry over an alternative path after
-// pathTimeout, up to 1+Π attempts. A one-shot send (pendingSend) and a
-// circuit setup (circPath) both ride it; they differ only in the onion
-// they build and in how the run ends (the pathOwner methods). Streams
-// that re-contact the same destination should ride the circuit layer
-// (circuit.go), which falls back to one-shot sends.
+// onion, route it to A, and retry over an alternative path when the
+// attempt times out (attemptTimeout), up to 1+Π attempts. A one-shot
+// send (pendingSend) and a circuit setup (circPath) both ride it; they
+// differ only in the onion they build and in how the run ends (the
+// pathOwner methods). Streams that re-contact the same destination
+// should ride the circuit layer (circuit.go), which falls back to
+// one-shot sends.
 
-// pathTry is the attempt state of one engine run: paths constructed,
-// the (A, B) combinations spent, and the live attempt's timeout.
+// pathTry is the attempt state of one engine run: its start (the first
+// attempt's launch), paths constructed, the (A, B) combinations spent,
+// and the live attempt's timeout.
 type pathTry struct {
+	start    time.Duration
 	attempts int
 	triedA   map[identity.NodeID]bool
 	triedB   map[identity.NodeID]bool
 	timer    transport.Timer
 }
 
-func newPathTry() pathTry {
-	return pathTry{triedA: make(map[identity.NodeID]bool), triedB: make(map[identity.NodeID]bool)}
+func newPathTry(now time.Duration) pathTry {
+	return pathTry{start: now, triedA: make(map[identity.NodeID]bool), triedB: make(map[identity.NodeID]bool)}
 }
 
 func (t *pathTry) try() *pathTry { return t }
@@ -93,11 +96,35 @@ func (w *WCL) attempt(o pathOwner) {
 		return
 	}
 	w.node.SendAppVia(a, via, o.launch(w, via, onion))
-	t.timer = w.rt.After(pathTimeout, func() {
+	t.timer = w.rt.After(w.attemptTimeout(t), func() {
 		if o.awaited(w) {
 			w.retry(o, id)
 		}
 	})
+}
+
+// attemptTimeout is how long t's live attempt waits for its
+// acknowledgement. An attempt with another to follow waits pathTimeout
+// until the node has measured an onion path, then the node's RTO capped
+// at pathTimeout, with no backoff: each retry is a fresh (A, B) path.
+// The last attempt waits until maxAttempts × pathTimeout after the
+// first launch — the run's end had every attempt waited pathTimeout —
+// so a late acknowledgement of an earlier attempt still completes it.
+func (w *WCL) attemptTimeout(t *pathTry) time.Duration {
+	if n := w.cfg.maxAttempts(); t.attempts >= n {
+		return t.start + time.Duration(n)*pathTimeout - w.rt.Now()
+	}
+	if w.rtt.srtt == 0 {
+		return pathTimeout
+	}
+	return min(pathTimeout, w.rtt.rto())
+}
+
+// sampleRTT feeds one round trip of an onion path to the node's
+// estimator and its gauge. Callers apply Karn's rule.
+func (w *WCL) sampleRTT(r time.Duration) {
+	w.rtt.sample(r)
+	obs.Set(&w.st.PathRTOMs, w.rtt.rto().Milliseconds())
 }
 
 // retry tries the next alternative for o or gives up; id is the
@@ -246,7 +273,6 @@ type pendingSend struct {
 	content []byte // AES-GCM under k
 	key     []byte // k
 	payload []byte
-	start   time.Duration
 	done    func(Result)
 }
 
@@ -271,13 +297,12 @@ func (w *WCL) Send(dest Dest, payload []byte, done func(Result)) {
 		return
 	}
 	st := &pendingSend{
-		pathTry: newPathTry(),
+		pathTry: newPathTry(w.rt.Now()),
 		pathID:  freshID(w, w.pending),
 		dest:    dest,
 		content: content,
 		key:     k,
 		payload: payload,
-		start:   w.rt.Now(),
 		done:    done,
 	}
 	w.pending[st.pathID] = st
@@ -309,7 +334,7 @@ func (st *pendingSend) giveUp(w *WCL, noAlt bool) { w.finishResult(st, Failed, n
 // guard from touching any live entry, and its fresh start keeps
 // Elapsed at zero. Exactly one Result reaches done and OnResult.
 func (w *WCL) failEarly(done func(Result)) {
-	w.finishResult(&pendingSend{done: done, start: w.rt.Now()}, Failed, true)
+	w.finishResult(&pendingSend{pathTry: pathTry{start: w.rt.Now()}, done: done}, Failed, true)
 }
 
 // freshID draws a fresh path or circuit identifier, skipping the keys

@@ -551,6 +551,7 @@ func (w *WCL) sendStreamAck(e *relayCircuit, streamID uint64, st *streamRecvStat
 // never outlives the relay circuit entry (circuitTTL) and never grows
 // past streamRecvMax entries.
 func (w *WCL) pruneStreamRecv(now time.Duration) {
+	//whisper:unordered delete-only: each expired entry goes whatever the order
 	for k, st := range w.streamRecv {
 		if now-st.lastSeen > circuitTTL {
 			delete(w.streamRecv, k)
@@ -560,6 +561,7 @@ func (w *WCL) pruneStreamRecv(now time.Duration) {
 		var victim streamKey
 		first := true
 		var oldest time.Duration
+		//whisper:unordered the minimum of the total order (lastSeen, circ, stream) is the same in any order
 		for k, st := range w.streamRecv {
 			if first || st.lastSeen < oldest ||
 				(st.lastSeen == oldest && (k.circ < victim.circ || (k.circ == victim.circ && k.stream < victim.stream))) {
@@ -575,6 +577,7 @@ func (w *WCL) pruneStreamRecv(now time.Duration) {
 // dropStreamRecv forgets all reassembly state of one circuit (its
 // relay entry was torn down).
 func (w *WCL) dropStreamRecv(circID uint64) {
+	//whisper:unordered delete-only: each of the circuit's entries goes whatever the order
 	for k := range w.streamRecv {
 		if k.circ == circID {
 			delete(w.streamRecv, k)

@@ -52,10 +52,11 @@ func (c Config) maxAttempts() int { return 1 + c.MinPublic }
 
 // The layer's timing and sizing constants.
 const (
-	// pathTimeout is how long the source waits for the end-to-end
-	// acknowledgement before retrying with an alternative path. It is
-	// also a data cell's retransmit budget and a stream's
-	// retransmission round.
+	// pathTimeout is the longest a path attempt waits for its end-to-end
+	// acknowledgement before retrying with an alternative path: the
+	// wait until the node has measured an RTO, and its cap after (see
+	// attemptTimeout). It is also a data cell's retransmit budget and a
+	// stream's retransmission round.
 	pathTimeout = 5 * time.Second
 	// ackTTL bounds how long hops remember backward-routing state.
 	ackTTL = time.Minute
@@ -258,6 +259,9 @@ type Stats struct {
 	CircuitsOpen        int64 `obs:"wcl_circuits_open,gauge"`
 	CircuitTableEntries int64 `obs:"wcl_circuit_table_entries,gauge"`
 	StreamWindow        int64 `obs:"wcl_stream_window,gauge"`
+	// PathRTOMs is the node's onion-path retransmission timeout in
+	// milliseconds (attemptTimeout), 0 before the first sample.
+	PathRTOMs int64 `obs:"wcl_path_rto_ms,gauge"`
 }
 
 // ErrNoPath is reported (inside Result) when no usable path exists.
@@ -283,6 +287,9 @@ type WCL struct {
 	ackState    map[uint64]ackEntry
 	ackOrder    []ackExpiry                       // ackState's writes, oldest first (see rememberAck)
 	pendingKeys map[identity.NodeID]time.Duration // request time, for expiry
+	// rtt measures onion paths end to end, from one-shot acks and
+	// circuit setups; it times every path attempt (attemptTimeout).
+	rtt rttEstimator
 
 	// Circuit layer state: source-side circuits by destination plus a
 	// path-ID index, and the relay-side table (see circuit.go).
@@ -402,6 +409,7 @@ func (w *WCL) onKeyExchange(peer nylon.Descriptor) {
 func (w *WCL) topUpPublics() {
 	const keyRequestGrace = 30 * time.Second
 	now := w.rt.Now()
+	//whisper:unordered delete-only: each expired request goes whatever the order
 	for id, at := range w.pendingKeys {
 		if now-at > keyRequestGrace {
 			delete(w.pendingKeys, id)
